@@ -3,13 +3,18 @@
 A broker owns the fleet's job table.  Producers (the
 :class:`~repro.dist.runner.DistributedRunner`, the ``repro sweep submit``
 front-end) enqueue *sweeps* — ordered batches of content-addressed work
-items — and workers (:mod:`repro.dist.worker`) claim jobs one at a time
-under a **lease**: a claim is exclusive until its expiry, heartbeats extend
-it while the job runs, and a worker that crashes or stalls simply lets the
-lease lapse, after which the job is re-leased to the next claimant (bounded
-by ``max_attempts``).  Transient failures re-enter the queue with
-exponential backoff; permanent failures and exhausted retries park the job
-as ``failed``.
+items — and workers (:mod:`repro.dist.worker`) claim jobs in small batches,
+each job under its own **lease**: a claim is exclusive until its expiry,
+heartbeats extend it while the job runs, and a worker that crashes or stalls
+simply lets the lease lapse, after which the job is re-leased to the next
+claimant (bounded by ``max_attempts``).  Transient failures re-enter the
+queue with exponential backoff; permanent failures and exhausted retries
+park the job as ``failed``.
+
+A claim takes at most a **fair share** of the runnable queue:
+``ceil(runnable keys / FAIR_SHARE)`` jobs, whatever the claimant asked for.
+So at least ``FAIR_SHARE`` workers can start at once, and a sweep's tail is
+claimed one job at a time rather than stranded in one worker's batch.
 
 Job state machine::
 
@@ -52,16 +57,20 @@ import sqlite3
 import threading
 import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Protocol,
-                    Sequence, Union, runtime_checkable)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Protocol, Sequence, Tuple, Union, runtime_checkable)
 
 from ..exec.cache import MemoCache
 from .blobs import DEFAULT_INLINE_LIMIT, BlobStore
 
 #: Terminal job states: nothing transitions out of these.
 FINISHED_STATES = ("done", "failed", "cancelled")
+
+#: A claim leases at most ``ceil(runnable keys / FAIR_SHARE)`` jobs.
+FAIR_SHARE = 4
 
 #: In-row marker for a payload that lives in the attached blob store.  Real
 #: payloads are pickles, which always start with b"\\x80", so the marker can
@@ -126,9 +135,11 @@ class JobResult:
 class Broker(Protocol):
     """What the distributed runner, workers and service front-end need.
 
-    Implementations must make ``claim`` exclusive (one claimant per job per
-    lease) and ``complete`` idempotent per key; everything else is plain
-    bookkeeping.  :class:`SQLiteBroker` is the reference implementation.
+    Implementations must make claims exclusive (one claimant per job per
+    lease, distinct keys within a batch) and completion idempotent per key;
+    everything else is plain bookkeeping.  ``claim``/``complete`` are the
+    one-job case of ``claim_many``/``complete_many``.
+    :class:`SQLiteBroker` is the reference implementation.
     """
 
     def create_sweep(self, items: Sequence[WorkItem], label: str = "sweep",
@@ -139,11 +150,18 @@ class Broker(Protocol):
     def claim(self, worker: str,
               lease_seconds: Optional[float] = None) -> Optional[ClaimedJob]: ...
 
+    def claim_many(self, worker: str, limit: int,
+                   lease_seconds: Optional[float] = None
+                   ) -> List[ClaimedJob]: ...
+
     def heartbeat(self, claim: ClaimedJob,
                   lease_seconds: Optional[float] = None) -> bool: ...
 
     def complete(self, key: str, value: Any,
                  worker: Optional[str] = None) -> bool: ...
+
+    def complete_many(self, results: Sequence[Tuple[str, Any]],
+                      worker: Optional[str] = None) -> List[bool]: ...
 
     def fail(self, claim: ClaimedJob, error: str,
              transient: bool = False) -> None: ...
@@ -317,6 +335,18 @@ class SQLiteBroker:
         with self._lock:
             self._db.close()
 
+    @contextmanager
+    def _write(self) -> Iterator[None]:
+        """One ``BEGIN IMMEDIATE`` transaction under the instance lock."""
+        with self._lock:
+            self._db.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+            except BaseException:
+                self._db.execute("ROLLBACK")
+                raise
+            self._db.execute("COMMIT")
+
     @property
     def url(self) -> str:
         """The broker URL that reopens this backend from any process."""
@@ -363,50 +393,43 @@ class SQLiteBroker:
         now = self.clock()
         done_keys = set()
         missing = object()
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                self._db.execute(
-                    "INSERT INTO sweeps (sweep_id, label, spec, created, total)"
-                    " VALUES (?, ?, ?, ?, ?)",
-                    (sweep_id, label, spec, now, len(items)))
-                for position, item in enumerate(items):
-                    state = "pending"
-                    value = missing
-                    source = None
-                    if item.key in done_keys or self._resolved(item.key):
-                        state = "done"
-                    elif memo is not None and item.key in memo:
-                        value = memo.get(item.key)
-                        source = "memo"
-                    elif results is not None:
-                        value = results.get_value(item.key, missing)
-                        source = "store"
-                    if value is not missing:
-                        # Memo / results-store hit: adopt the persisted
-                        # value as this key's result so the broker can
-                        # stream it.
-                        self._db.execute(
-                            "INSERT OR IGNORE INTO results "
-                            "(key, payload, worker, created) VALUES (?, ?, ?, ?)",
-                            (item.key,
-                             self._store_bytes(pickle.dumps(
-                                 value, protocol=pickle.HIGHEST_PROTOCOL)),
-                             source, now))
-                        state = "done"
-                    if state == "done":
-                        done_keys.add(item.key)
-                    meta = (json.dumps(item.meta, sort_keys=True)
-                            if item.meta is not None else None)
+        with self._write():
+            self._db.execute(
+                "INSERT INTO sweeps (sweep_id, label, spec, created, total)"
+                " VALUES (?, ?, ?, ?, ?)",
+                (sweep_id, label, spec, now, len(items)))
+            for position, item in enumerate(items):
+                state = "pending"
+                value = missing
+                source = None
+                if item.key in done_keys or self._resolved(item.key):
+                    state = "done"
+                elif memo is not None and item.key in memo:
+                    value = memo.get(item.key)
+                    source = "memo"
+                elif results is not None:
+                    value = results.get_value(item.key, missing)
+                    source = "store"
+                if value is not missing:
+                    # Memo / results-store hit: adopt the persisted value
+                    # as this key's result so the broker can stream it.
                     self._db.execute(
-                        "INSERT INTO jobs (sweep_id, position, key, payload,"
-                        " meta, state) VALUES (?, ?, ?, ?, ?, ?)",
-                        (sweep_id, position, item.key,
-                         self._store_bytes(item.payload), meta, state))
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
+                        "INSERT OR IGNORE INTO results "
+                        "(key, payload, worker, created) VALUES (?, ?, ?, ?)",
+                        (item.key,
+                         self._store_bytes(pickle.dumps(
+                             value, protocol=pickle.HIGHEST_PROTOCOL)),
+                         source, now))
+                    state = "done"
+                if state == "done":
+                    done_keys.add(item.key)
+                meta = (json.dumps(item.meta, sort_keys=True)
+                        if item.meta is not None else None)
+                self._db.execute(
+                    "INSERT INTO jobs (sweep_id, position, key, payload,"
+                    " meta, state) VALUES (?, ?, ?, ?, ?, ?)",
+                    (sweep_id, position, item.key,
+                     self._store_bytes(item.payload), meta, state))
         already_done = sum(1 for item in items if item.key in done_keys)
         return SweepTicket(sweep_id=sweep_id, total=len(items),
                            already_done=already_done,
@@ -420,47 +443,66 @@ class SQLiteBroker:
     # --------------------------------------------------------------- claim
     def claim(self, worker: str,
               lease_seconds: Optional[float] = None) -> Optional[ClaimedJob]:
-        """Lease the oldest runnable job to ``worker``, or ``None`` if idle.
+        """Lease the oldest runnable job to ``worker``, or ``None`` if idle."""
+        jobs = self.claim_many(worker, 1, lease_seconds=lease_seconds)
+        return jobs[0] if jobs else None
 
-        Claiming first sweeps expired leases back to ``pending`` (or to
-        ``failed`` once their attempts are exhausted), so a crashed worker's
-        jobs become claimable again without any out-of-band reaper.
+    def claim_many(self, worker: str, limit: int,
+                   lease_seconds: Optional[float] = None) -> List[ClaimedJob]:
+        """Lease up to ``limit`` of the oldest runnable jobs to ``worker``.
+
+        The batch holds distinct keys and at most a fair share of the queue,
+        ``ceil(runnable keys / FAIR_SHARE)`` jobs; ``[]`` means idle.  It is
+        one transaction, which first sweeps expired leases back to
+        ``pending`` (or to ``failed`` once their attempts are exhausted), so
+        a crashed worker's jobs become claimable again without any
+        out-of-band reaper.
         """
+        if limit < 1:
+            raise ValueError("limit must be at least 1")
         lease = lease_seconds if lease_seconds is not None else self.lease_seconds
         now = self.clock()
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                self._expire_leases(now)
-                # A key someone is already computing is not claimable again:
-                # its completion will resolve every job carrying the key, so
-                # handing a duplicate to a second worker would only burn work.
-                row = self._db.execute(
-                    "SELECT j.sweep_id, j.position, j.key, j.payload,"
-                    " j.attempts FROM jobs j JOIN sweeps s"
-                    " ON s.sweep_id = j.sweep_id"
-                    " WHERE j.state = 'pending' AND j.not_before <= ?"
-                    " AND s.cancelled = 0 AND j.key NOT IN"
-                    " (SELECT key FROM jobs WHERE state = 'leased')"
-                    " ORDER BY s.created, j.sweep_id, j.position LIMIT 1",
-                    (now,)).fetchone()
-                if row is None:
-                    self._db.execute("COMMIT")
-                    return None
-                sweep_id, position, key, payload, attempts = row
-                expiry = now + lease
-                self._db.execute(
-                    "UPDATE jobs SET state = 'leased', attempts = ?,"
-                    " lease_expiry = ?, worker = ?, error = NULL"
-                    " WHERE sweep_id = ? AND position = ?",
-                    (attempts + 1, expiry, worker, sweep_id, position))
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
-        return ClaimedJob(sweep_id=sweep_id, position=position, key=key,
-                          payload=self._load_bytes(payload),
-                          attempts=attempts + 1, lease_expiry=expiry)
+        expiry = now + lease
+        # A key someone is already computing is not claimable again: its
+        # completion will resolve every job carrying the key, so handing a
+        # duplicate to a second worker would only burn work.
+        where = (" FROM jobs j JOIN sweeps s ON s.sweep_id = j.sweep_id"
+                 " WHERE j.state = 'pending' AND j.not_before <= ?"
+                 " AND s.cancelled = 0 AND j.key NOT IN"
+                 " (SELECT key FROM jobs WHERE state = 'leased')")
+        batch: List[tuple] = []
+        with self._write():
+            self._expire_leases(now)
+            (runnable,) = self._db.execute(
+                "SELECT COUNT(DISTINCT j.key)" + where, (now,)).fetchone()
+            take = min(limit, -(-runnable // FAIR_SHARE))
+            seen = set()
+            cursor = self._db.execute(
+                "SELECT j.sweep_id, j.position, j.key, j.attempts" + where
+                + " ORDER BY s.created, j.sweep_id, j.position", (now,))
+            for sweep_id, position, key, attempts in cursor:
+                if len(batch) == take:
+                    break
+                if key in seen:
+                    continue
+                seen.add(key)
+                # Payloads are read only for the chosen jobs, so the sort
+                # above carries narrow rows however long the queue is.
+                (payload,) = self._db.execute(
+                    "SELECT payload FROM jobs WHERE sweep_id = ?"
+                    " AND position = ?", (sweep_id, position)).fetchone()
+                batch.append((sweep_id, position, key, payload, attempts + 1))
+            cursor.close()
+            self._db.executemany(
+                "UPDATE jobs SET state = 'leased', attempts = ?,"
+                " lease_expiry = ?, worker = ?, error = NULL"
+                " WHERE sweep_id = ? AND position = ?",
+                [(attempts, expiry, worker, sweep_id, position)
+                 for sweep_id, position, _, _, attempts in batch])
+        return [ClaimedJob(sweep_id=sweep_id, position=position, key=key,
+                           payload=self._load_bytes(payload),
+                           attempts=attempts, lease_expiry=expiry)
+                for sweep_id, position, key, payload, attempts in batch]
 
     def _expire_leases(self, now: float) -> None:
         """Requeue lapsed leases; park the ones out of attempts (in-txn)."""
@@ -496,37 +538,48 @@ class SQLiteBroker:
         worker finishing a re-leased copy of the same job) are no-ops.
         Returns True when this call stored the result.
         """
-        return self.complete_bytes(
-            key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
-            worker=worker)
+        return self.complete_many([(key, value)], worker=worker)[0]
+
+    def complete_many(self, results: Sequence[Tuple[str, Any]],
+                      worker: Optional[str] = None) -> List[bool]:
+        """:meth:`complete` for a batch of ``(key, value)`` pairs in one
+        transaction: one flag per pair, True where that pair was stored."""
+        return self.complete_many_bytes(
+            [(key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+             for key, value in results], worker=worker)
 
     def complete_bytes(self, key: str, payload: bytes,
                        worker: Optional[str] = None) -> bool:
-        """:meth:`complete` with a pre-pickled value.
+        """:meth:`complete` with a pre-pickled value."""
+        return self.complete_many_bytes([(key, payload)], worker=worker)[0]
+
+    def complete_many_bytes(self, results: Sequence[Tuple[str, bytes]],
+                            worker: Optional[str] = None) -> List[bool]:
+        """:meth:`complete_many` with pre-pickled values.
 
         This is the relay path of the broker *server*: result bytes from a
         remote worker are recorded verbatim, never unpickled, so the server
         needs none of the classes a custom job function returns.  Same
-        idempotency guard as :meth:`complete` — one ``INSERT OR IGNORE``.
+        idempotency guard as :meth:`complete` — one ``INSERT OR IGNORE`` per
+        key, so a retried batch records nothing twice.
         """
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
+        stored = [(key, self._store_bytes(payload))
+                  for key, payload in results]
+        now = self.clock()
+        recorded: List[bool] = []
+        with self._write():
+            for key, payload in stored:
                 cursor = self._db.execute(
                     "INSERT OR IGNORE INTO results (key, payload, worker,"
                     " created) VALUES (?, ?, ?, ?)",
-                    (key, self._store_bytes(payload), worker, self.clock()))
-                first = cursor.rowcount > 0
+                    (key, payload, worker, now))
+                recorded.append(cursor.rowcount > 0)
                 self._db.execute(
                     "UPDATE jobs SET state = 'done', worker = COALESCE(?,"
                     " worker), lease_expiry = NULL, error = NULL"
                     " WHERE key = ? AND state IN ('pending', 'leased')",
                     (worker, key))
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
-        return first
+        return recorded
 
     def fail(self, claim: ClaimedJob, error: str,
              transient: bool = False) -> None:
@@ -561,20 +614,14 @@ class SQLiteBroker:
         Jobs already leased run to completion (their results are recorded
         and remain reusable); pending ones flip to ``cancelled``.
         """
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                self._db.execute(
-                    "UPDATE sweeps SET cancelled = 1 WHERE sweep_id = ?",
-                    (sweep_id,))
-                cursor = self._db.execute(
-                    "UPDATE jobs SET state = 'cancelled', worker = NULL,"
-                    " lease_expiry = NULL WHERE sweep_id = ?"
-                    " AND state = 'pending'", (sweep_id,))
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
+        with self._write():
+            self._db.execute(
+                "UPDATE sweeps SET cancelled = 1 WHERE sweep_id = ?",
+                (sweep_id,))
+            cursor = self._db.execute(
+                "UPDATE jobs SET state = 'cancelled', worker = NULL,"
+                " lease_expiry = NULL WHERE sweep_id = ?"
+                " AND state = 'pending'", (sweep_id,))
         return cursor.rowcount
 
     # ------------------------------------------------------------- queries

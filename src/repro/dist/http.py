@@ -19,6 +19,14 @@ server's :class:`~repro.dist.blobs.BlobStore` via content-addressed
 ``GET``/``PUT /v1/blobs/<digest>`` endpoints; :class:`HTTPBlobStore` is the
 client-side view of that store.
 
+The client keeps one HTTP/1.1 connection open per calling thread and reuses
+it for every request; workers claim and complete jobs in batches, so a fleet
+job costs a fraction of one round trip.  The server turns off Nagle's
+algorithm on its sockets (a kept-alive exchange otherwise stalls on delayed
+ACKs), closes connections idle for ``IDLE_TIMEOUT`` seconds, and ends every
+open connection on :meth:`BrokerServer.close`.  A client whose kept-alive
+socket was dropped reconnects at once, without spending a retry.
+
 Transient transport failures (connection refused/reset, timeouts, 5xx) are
 retried client-side with exponential backoff; after ``retries`` attempts a
 :class:`BrokerUnavailable` (a ``ConnectionError``) surfaces.  Wire-level
@@ -29,13 +37,15 @@ naming the bad field, 404 unknown-sweep → :class:`KeyError` (matching
 
 from __future__ import annotations
 
+import http.client
 import json
 import pickle
 import socket
+import sys
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,6 +57,11 @@ from .broker import (Broker, ClaimedJob, JobResult, SweepTicket, WorkItem)
 #: Hard cap on a single request body; oversized posts get HTTP 413 without
 #: being read.  Configurable per server for tests and tight deployments.
 DEFAULT_MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
+#: Seconds a kept-alive connection may sit idle before the server closes it,
+#: so half-open clients cannot pin handler threads forever.  A live client
+#: simply reconnects on its next request.
+IDLE_TIMEOUT = 60.0
 
 
 class BrokerUnavailable(ConnectionError):
@@ -91,12 +106,14 @@ class _BrokerAPI:
 
     def claim(self, params: Dict[str, Any]) -> Dict[str, Any]:
         worker = wire.get_field(params, "worker", (str,))
+        limit = wire.get_field(params, "limit", (int,))
+        if limit < 1:
+            raise wire.WireError("limit", "must be at least 1")
         lease = wire.get_field(params, "lease_seconds", (int, float),
                                required=False)
-        job = self.broker.claim(worker, lease_seconds=lease)
-        if job is None:
-            return {"job": None}
-        return {"job": wire.encode_claim(job, self.blobs, self.inline_limit)}
+        jobs = self.broker.claim_many(worker, limit, lease_seconds=lease)
+        return {"jobs": [wire.encode_claim(job, self.blobs, self.inline_limit)
+                         for job in jobs]}
 
     def _decode_claim_stub(self, params: Dict[str, Any]) -> ClaimedJob:
         # heartbeat/fail only need identity fields (sweep, position,
@@ -117,19 +134,19 @@ class _BrokerAPI:
         return {"alive": bool(alive)}
 
     def complete(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        key = wire.get_field(params, "key", (str,))
         worker = wire.get_field(params, "worker", (str,), required=False)
-        payload = wire.unpack_blob(wire.get_field(params, "value", (dict,)),
-                                   self.blobs, field="value")
-        complete_bytes = getattr(self.broker, "complete_bytes", None)
+        results = [wire.decode_completion(obj, self.blobs)
+                   for obj in wire.get_field(params, "results", (list,))]
+        complete_bytes = getattr(self.broker, "complete_many_bytes", None)
         if complete_bytes is not None:
-            recorded = complete_bytes(key, payload, worker=worker)
+            recorded = complete_bytes(results, worker=worker)
         else:
             # Fallback for third-party brokers without the byte-level hook;
-            # requires the value's classes to be importable server-side.
-            recorded = self.broker.complete(key, pickle.loads(payload),
-                                            worker=worker)
-        return {"recorded": bool(recorded)}
+            # requires the values' classes to be importable server-side.
+            recorded = self.broker.complete_many(
+                [(key, pickle.loads(payload)) for key, payload in results],
+                worker=worker)
+        return {"recorded": [bool(flag) for flag in recorded]}
 
     def fail(self, params: Dict[str, Any]) -> Dict[str, Any]:
         claim = self._decode_claim_stub(params)
@@ -199,10 +216,15 @@ def _error_body(kind: str, message: str,
 
 
 class _BrokerRequestHandler(BaseHTTPRequestHandler):
-    # HTTP/1.1 keeps worker connections alive between claims and makes
+    # HTTP/1.1 keeps client connections alive between requests and makes
     # Content-Length mandatory on our side, which we always set.
     protocol_version = "HTTP/1.1"
     server_version = "repro-broker"
+    # Headers and body leave in separate writes.  With Nagle's algorithm on,
+    # the body then waits for the client's delayed ACK of the headers: about
+    # 40 ms per request on a kept-alive connection.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT
 
     def log_message(self, fmt: str, *args: Any) -> None:
         if not getattr(self.server, "quiet", True):
@@ -214,6 +236,8 @@ class _BrokerRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -225,12 +249,12 @@ class _BrokerRequestHandler(BaseHTTPRequestHandler):
         """Request body, or ``None`` after replying 413 for oversized ones."""
         length = int(self.headers.get("Content-Length") or 0)
         if length > self.server.max_request_bytes:
+            # The oversized body is never read; the connection is unusable.
+            self.close_connection = True
             self._send_error(
                 413, "oversized-request",
                 f"request body of {length} bytes exceeds the server cap of "
                 f"{self.server.max_request_bytes} bytes")
-            # The oversized body was never read; the connection is unusable.
-            self.close_connection = True
             return None
         return self.rfile.read(length)
 
@@ -346,6 +370,51 @@ class _BrokerRequestHandler(BaseHTTPRequestHandler):
                               "result": {"blob": digest, "size": len(body)}})
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """The threading server, tracking open client connections so that
+    closing the server also ends the kept-alive ones."""
+
+    def __init__(self, address: Tuple[str, int], api: _BrokerAPI, *,
+                 max_request_bytes: int, quiet: bool) -> None:
+        super().__init__(address, _BrokerRequestHandler)
+        self.api = api
+        self.max_request_bytes = max_request_bytes
+        self.quiet = quiet
+        self.connections: set = set()
+        self._connections_changed = threading.Condition()
+
+    def process_request(self, request: socket.socket,
+                        client_address: Any) -> None:
+        with self._connections_changed:
+            self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        super().shutdown_request(request)
+        with self._connections_changed:
+            self.connections.discard(request)
+            self._connections_changed.notify_all()
+
+    def close_connections(self, timeout: float = 5.0) -> None:
+        """Shut down every open client socket, then wait for the handler
+        threads to close them.  Each handler sees EOF and exits; a request
+        in flight fails on its client, which retries.  (Handler threads are
+        daemons, so ``server_close()`` does not join them.)"""
+        with self._connections_changed:
+            for sock in self.connections:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+            self._connections_changed.wait_for(lambda: not self.connections,
+                                               timeout)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client that went away mid-exchange is not a server fault.
+        if not isinstance(sys.exc_info()[1], OSError):
+            super().handle_error(request, client_address)
+
+
 class BrokerServer:
     """A wire-speaking HTTP front for any :class:`Broker`.
 
@@ -355,7 +424,8 @@ class BrokerServer:
 
     ``port=0`` (the default) picks a free port — read it back from
     ``.url``.  ``start()`` serves from a daemon thread and returns the
-    server; ``serve_forever()`` blocks (the CLI path).  Always ``close()``.
+    server; ``serve_forever()`` blocks (the CLI path).  Always ``close()``:
+    it also ends the connections clients keep alive.
     """
 
     def __init__(self, broker: Broker, host: str = "127.0.0.1",
@@ -368,12 +438,9 @@ class BrokerServer:
         self.blobs = blobs if blobs is not None else MemoryBlobStore()
         self.api = _BrokerAPI(broker, self.blobs, memo=memo, results=results,
                               inline_limit=inline_limit)
-        self._httpd = ThreadingHTTPServer((host, port),
-                                          _BrokerRequestHandler)
-        self._httpd.daemon_threads = True
-        self._httpd.api = self.api
-        self._httpd.max_request_bytes = max_request_bytes
-        self._httpd.quiet = quiet
+        self._httpd = _HTTPServer((host, port), self.api,
+                                  max_request_bytes=max_request_bytes,
+                                  quiet=quiet)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -393,6 +460,7 @@ class BrokerServer:
 
     def close(self) -> None:
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -408,19 +476,55 @@ class BrokerServer:
 # ---------------------------------------------------------------------------
 # Client
 # ---------------------------------------------------------------------------
-_TRANSIENT_EXCS = (urllib.error.URLError, ConnectionError, socket.timeout,
-                   TimeoutError)
+_TRANSIENT_EXCS = (OSError, http.client.HTTPException)
+
+
+class _Connection(http.client.HTTPConnection):
+    """A kept-alive connection that closes its socket once dropped: a
+    thread's connection ends with the thread, a client's with the client."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
+class _TLSConnection(_Connection, http.client.HTTPSConnection):
+    pass
 
 
 class _Transport:
-    """Shared retry/backoff plumbing for control and blob requests."""
+    """Keep-alive HTTP exchanges with retries: one connection per thread."""
 
     def __init__(self, base_url: str, *, timeout: float, retries: int,
                  backoff_seconds: float) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._connection_class = (_TLSConnection if parts.scheme == "https"
+                                  else _Connection)
+        self._netloc = parts.netloc
+        self._prefix = parts.path
         self.timeout = timeout
         self.retries = max(1, int(retries))
         self.backoff_seconds = backoff_seconds
+        self._local = threading.local()
+        #: Every thread's live connection, for close().
+        self._open: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+        self._lock = threading.Lock()
+
+    def _connection(self) -> _Connection:
+        """The calling thread's connection, opened on first use."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connection_class(
+                self._netloc, timeout=self.timeout)
+            with self._lock:
+                self._open.add(connection)
+        return connection
+
+    def close(self) -> None:
+        with self._lock:
+            connections = list(self._open)
+        for connection in connections:
+            connection.close()
 
     def request(self, method: str, path: str, body: Optional[bytes] = None,
                 headers: Optional[Dict[str, str]] = None
@@ -429,29 +533,34 @@ class _Transport:
 
         4xx responses return normally (the caller interprets them); 5xx and
         transport-level failures are retried with exponential backoff and
-        finally raised as :class:`BrokerUnavailable`.
+        finally raised as :class:`BrokerUnavailable`.  A kept-alive socket
+        the server has since dropped is reopened at once, not counted as an
+        attempt.
         """
-        url = f"{self.base_url}{path}"
         delay = self.backoff_seconds
-        last: Optional[BaseException] = None
-        for attempt in range(self.retries):
-            if attempt:
+        last: Any = None
+        attempt = 0
+        while attempt < self.retries:
+            connection = self._connection()
+            reused = connection.sock is not None
+            try:
+                connection.request(method, self._prefix + path, body=body,
+                                   headers=headers or {})
+                response = connection.getresponse()
+                payload = response.read()
+            except _TRANSIENT_EXCS as exc:
+                connection.close()
+                last = exc
+                if reused and isinstance(exc, ConnectionError):
+                    continue
+            else:
+                if response.status < 500:
+                    return response.status, payload
+                last = f"HTTP {response.status}"
+            attempt += 1
+            if attempt < self.retries:
                 time.sleep(delay)
                 delay *= 2
-            req = urllib.request.Request(url, data=body, method=method,
-                                         headers=headers or {})
-            try:
-                with urllib.request.urlopen(req, timeout=self.timeout) as rsp:
-                    return rsp.status, rsp.read()
-            except urllib.error.HTTPError as exc:
-                payload = exc.read()
-                if exc.code >= 500:
-                    last = exc
-                    continue
-                return exc.code, payload
-            except _TRANSIENT_EXCS as exc:
-                last = exc
-                continue
         raise BrokerUnavailable(
             f"broker at {self.base_url} unavailable after "
             f"{self.retries} attempt(s): {last}")
@@ -566,7 +675,14 @@ class HTTPBroker:
         return self._lease_seconds
 
     def close(self) -> None:
-        """No persistent connections to tear down; present for symmetry."""
+        """Close the kept-alive connections; a later call reopens one."""
+        self._transport.close()
+
+    def __enter__(self) -> "HTTPBroker":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # -- Broker protocol ---------------------------------------------------
     def create_sweep(self, items: Sequence[WorkItem], label: str = "sweep",
@@ -582,12 +698,15 @@ class HTTPBroker:
 
     def claim(self, worker: str,
               lease_seconds: Optional[float] = None) -> Optional[ClaimedJob]:
-        result = self._call("claim", {"worker": worker,
+        jobs = self.claim_many(worker, 1, lease_seconds=lease_seconds)
+        return jobs[0] if jobs else None
+
+    def claim_many(self, worker: str, limit: int,
+                   lease_seconds: Optional[float] = None) -> List[ClaimedJob]:
+        result = self._call("claim", {"worker": worker, "limit": limit,
                                       "lease_seconds": lease_seconds})
-        job = result.get("job")
-        if job is None:
-            return None
-        return wire.decode_claim(job, self.blobs)
+        return [wire.decode_claim(job, self.blobs)
+                for job in wire.get_field(result, "jobs", (list,))]
 
     def heartbeat(self, claim: ClaimedJob,
                   lease_seconds: Optional[float] = None) -> bool:
@@ -599,11 +718,16 @@ class HTTPBroker:
 
     def complete(self, key: str, value: Any,
                  worker: Optional[str] = None) -> bool:
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        result = self._call("complete", {
-            "key": key, "worker": worker,
-            "value": wire.pack_blob(payload, self.blobs, self.inline_limit)})
-        return bool(result.get("recorded"))
+        return self.complete_many([(key, value)], worker=worker)[0]
+
+    def complete_many(self, results: Sequence[Tuple[str, Any]],
+                      worker: Optional[str] = None) -> List[bool]:
+        encoded = [wire.encode_completion(
+            key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
+            self.blobs, self.inline_limit) for key, value in results]
+        result = self._call("complete", {"results": encoded,
+                                         "worker": worker})
+        return [bool(flag) for flag in result["recorded"]]
 
     def fail(self, claim: ClaimedJob, error: str,
              transient: bool = False) -> None:

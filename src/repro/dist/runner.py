@@ -18,8 +18,8 @@ Per ``map`` call the runner:
 3. optionally spawns local worker processes (``workers=N``); with
    ``workers=0`` it relies on externally started ``repro worker`` processes
    and/or its own **drain** loop (``drain=True``, the default), in which the
-   calling process claims jobs itself between polls — so progress is
-   guaranteed even with no fleet at all,
+   calling process claims and runs a batch of jobs itself before each poll
+   — so progress is guaranteed even with no fleet at all,
 4. streams results back incrementally as workers report them
    (:meth:`map_stream` exposes the stream; :meth:`map` collects it), and
 5. propagates the first job failure eagerly: the sweep is cancelled at the
@@ -74,9 +74,9 @@ class DistributedRunner(SweepRunner):
         attach to the same directory, so the single-process cache becomes
         the fleet's memo tier.
     drain:
-        When True (default), the calling process claims and runs jobs
-        itself whenever a poll finds nothing new — guaranteeing progress
-        with zero workers and soaking up stragglers.
+        When True (default), the calling process claims and runs a batch of
+        jobs itself before each poll — guaranteeing progress with zero
+        workers and soaking up stragglers.
     timeout:
         Overall per-``map`` ceiling in seconds (None = wait forever).
     results:
@@ -84,6 +84,10 @@ class DistributedRunner(SweepRunner):
         :class:`~repro.exec.runner.SweepRunner`: every resolved point is
         appended, and the broker consults the store at enqueue time so a
         point any past run ever persisted is adopted without re-execution.
+
+    A broker opened here from a URL belongs to the runner: :meth:`close`
+    (or leaving a ``with`` block) closes it.  A broker object passed in
+    stays the caller's to close.
     """
 
     def __init__(self, broker: Union[Broker, str, os.PathLike],
@@ -97,7 +101,8 @@ class DistributedRunner(SweepRunner):
                  results: Optional[Any] = None):
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        if isinstance(broker, (str, os.PathLike)):
+        self._owns_broker = isinstance(broker, (str, os.PathLike))
+        if self._owns_broker:
             broker = connect_broker(broker, **(
                 {} if lease_seconds is None else
                 {"lease_seconds": lease_seconds}))
@@ -112,6 +117,17 @@ class DistributedRunner(SweepRunner):
         #: Worker processes spawned by the current ``map`` call (exposed so
         #: crash-recovery tests can kill one mid-run).
         self.worker_processes: List[Any] = []
+
+    def close(self) -> None:
+        """Close the broker if this runner opened it from a URL."""
+        if self._owns_broker:
+            self.broker.close()
+
+    def __enter__(self) -> "DistributedRunner":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ map
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
@@ -213,8 +229,9 @@ class DistributedRunner(SweepRunner):
         self.stats.points_executed += len(executed_keys)
 
         self._spawn_workers(label)
-        drainer = (Worker(self.broker, memo=self.cache,
-                          worker_id=f"{label}-drain",
+        # The drain writes no memo entries: every fetched result is put below,
+        # which also covers jobs external workers ran with private caches.
+        drainer = (Worker(self.broker, worker_id=f"{label}-drain",
                           lease_seconds=self.lease_seconds)
                    if self.drain else None)
         deadline = (time.monotonic() + self.timeout
@@ -222,6 +239,8 @@ class DistributedRunner(SweepRunner):
         seen: set = set()
         try:
             while len(seen) < len(work):
+                # Drain before polling, so one poll sees the batch just run.
+                drained = drainer.run_batch() if drainer is not None else 0
                 finished = self.broker.finished_positions(ticket.sweep_id)
                 new = sorted(set(finished) - seen)
                 if not new:
@@ -230,7 +249,7 @@ class DistributedRunner(SweepRunner):
                             f"distributed sweep {ticket.sweep_id} timed out "
                             f"after {self.timeout}s "
                             f"({len(seen)}/{len(work)} jobs finished)")
-                    if drainer is None or not drainer.run_one():
+                    if not drained:
                         time.sleep(self.poll_interval)
                     continue
                 for job in self.broker.fetch_results(ticket.sweep_id,

@@ -8,17 +8,30 @@ exactly one place.
 Envelope::
 
     request   POST /v1/<method>
-              {"version": 1, "params": {...}}
+              {"version": 2, "params": {...}}
     response  200
-              {"version": 1, "result": ...}
+              {"version": 2, "result": ...}
     error     4xx/5xx
-              {"version": 1, "error": {"type": "...", "message": "...",
+              {"version": 2, "error": {"type": "...", "message": "...",
                                        "field": "..."?}}
 
 Control methods mirror the :class:`~repro.dist.broker.Broker` protocol:
 ``create_sweep``, ``claim``, ``heartbeat``, ``complete``, ``fail``,
 ``cancel``, ``status``, ``sweeps``, ``finished_positions``,
-``fetch_results``, ``retries``.
+``fetch_results``, ``retries``.  Claims and completions travel in batches
+(version 2; version 1 moved one job per request)::
+
+    claim     params  {"worker": "w1", "limit": 16, "lease_seconds": 30?}
+              result  {"jobs": [{"sweep_id", "position", "key", "payload",
+                                 "attempts", "lease_expiry"}, ...]}
+    complete  params  {"worker": "w1"?, "results": [{"key": "...",
+                                                     "value": <blob>}, ...]}
+              result  {"recorded": [true, false, ...]}
+
+``jobs`` is empty when nothing is runnable and never holds more than the
+broker's fair share of the queue (see :mod:`repro.dist.broker`), however
+large ``limit`` is.  ``recorded`` has one flag per result, true where that
+result was the first for its key.
 
 Payloads and result values are opaque byte strings; on the wire they are a
 *blob object*: ``{"inline": "<base64>"}`` for small blobs, or
@@ -40,7 +53,9 @@ Retry semantics note: ``complete``/``heartbeat``/``fail``/``cancel`` are
 idempotent at the broker, so clients may retry them blindly on transient
 transport failures.  ``create_sweep`` is not — a retried enqueue whose
 first attempt actually landed creates a second sweep (its jobs still dedup
-per key, so no work is repeated; only the ticket differs).
+per key, so no work is repeated; only the ticket differs).  Nor is
+``claim``: a retried claim whose first reply was lost leaves that reply's
+leases orphaned until they expire, after which the jobs are re-leased.
 """
 
 from __future__ import annotations
@@ -55,7 +70,7 @@ from .broker import ClaimedJob, JobResult, SweepTicket, WorkItem
 
 #: Bump on any incompatible change to the message shapes above.  Client and
 #: server both refuse mismatched peers (WireVersionError / HTTP 409).
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Job states a finished-row message may carry.
 _RESULT_STATES = ("done", "failed", "cancelled")
@@ -201,6 +216,22 @@ def decode_claim(obj: Any, store: Optional[BlobStore] = None) -> ClaimedJob:
         payload=unpack_blob(get_field(obj, "payload", (dict,)), store),
         attempts=get_field(obj, "attempts", (int,)),
         lease_expiry=float(get_field(obj, "lease_expiry", (int, float))))
+
+
+def encode_completion(key: str, payload: bytes,
+                      store: Optional[BlobStore] = None,
+                      inline_limit: int = DEFAULT_INLINE_LIMIT
+                      ) -> Dict[str, Any]:
+    """One ``complete`` result: a key and its value pickle."""
+    return {"key": key, "value": pack_blob(payload, store, inline_limit)}
+
+
+def decode_completion(obj: Any, store: Optional[BlobStore] = None
+                      ) -> Tuple[str, bytes]:
+    """Wire dict -> ``(key, value pickle)``; the bytes stay unpickled."""
+    return (get_field(obj, "key", (str,)),
+            unpack_blob(get_field(obj, "value", (dict,)), store,
+                        field="value"))
 
 
 def encode_result_row(position: int, key: str, state: str,

@@ -1,14 +1,16 @@
 """Fleet workers: claim → lease → run → report.
 
-A :class:`Worker` drains a :class:`~repro.dist.broker.Broker`: it claims one
-job at a time, unpickles the ``(fn, item)`` payload, executes it (for
-:class:`~repro.exec.jobs.ExperimentJob` payloads that is
+A :class:`Worker` drains a :class:`~repro.dist.broker.Broker` a batch at a
+time: it claims up to :data:`MAX_CLAIM_BATCH` jobs (the broker grants at most
+its fair share of the queue), unpickles each ``(fn, item)`` payload and
+executes it (for :class:`~repro.exec.jobs.ExperimentJob` payloads that is
 :func:`~repro.exec.jobs.run_job`, which picks the execution tier via the
 model's ``tier="auto"`` path exactly as the in-process runner does), stores
-the result in the shared fleet memo store, and reports completion.  While a
-job runs, a daemon heartbeat thread extends the lease so long jobs are not
+the results in its memo store, if it has one, and reports the whole batch
+with one ``complete_many``.  While the batch runs, one daemon heartbeat
+thread extends every lease the batch still holds, so long jobs are not
 re-leased out from under a healthy worker; a worker that dies simply stops
-heartbeating and the broker re-leases its job after expiry.
+heartbeating and the broker re-leases its unreported jobs after expiry.
 
 Failure classification:
 
@@ -18,6 +20,9 @@ Failure classification:
   backoff,
 * the job function raises → **permanent** (points are deterministic, so a
   retry would fail identically); the error string is recorded on the job.
+
+Either way the job is failed at once; the rest of its batch still runs and
+completes.
 
 ``worker_main`` is the module-level process entry point — picklable, so
 :class:`~repro.dist.runner.DistributedRunner` can spawn local workers with
@@ -32,10 +37,15 @@ import socket
 import threading
 import time
 import traceback
-from typing import Callable, Optional, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from ..exec.cache import MemoCache
 from .broker import Broker, ClaimedJob, connect_broker
+
+#: Jobs a worker asks for per claim.  The broker grants at most
+#: ``ceil(runnable keys / FAIR_SHARE)`` of them, so batches shrink as a
+#: sweep's queue drains.
+MAX_CLAIM_BATCH = 16
 
 
 class Worker:
@@ -60,59 +70,80 @@ class Worker:
         self.jobs_run = 0
         self.failures = 0
 
-    # ------------------------------------------------------------- one job
+    # ----------------------------------------------------------- one batch
     def run_one(self) -> bool:
         """Claim and execute one job; False when the queue is idle."""
-        claim = self.broker.claim(self.worker_id,
-                                  lease_seconds=self.lease_seconds)
-        if claim is None:
-            return False
-        self._execute(claim)
-        return True
+        return self.run_batch(1) > 0
 
-    def _execute(self, claim: ClaimedJob) -> None:
+    def run_batch(self, limit: int = MAX_CLAIM_BATCH) -> int:
+        """Claim up to ``limit`` jobs, run them and report them together.
+
+        Returns the number of jobs claimed (0 when the queue is idle),
+        failed ones included.
+        """
+        claims = self.broker.claim_many(self.worker_id, limit,
+                                        lease_seconds=self.lease_seconds)
+        if not claims:
+            return 0
         stop = threading.Event()
         beat = threading.Thread(target=self._heartbeat_loop,
-                                args=(claim, stop), daemon=True)
+                                args=(claims, stop), daemon=True)
         beat.start()
+        results: List[Tuple[str, Any]] = []
         try:
-            try:
-                fn, item = pickle.loads(claim.payload)
-            except BaseException as exc:
-                # This environment can't even decode the job (missing model
-                # registration, version skew): let another worker try.
-                self.failures += 1
-                self.broker.fail(claim, error=_describe(exc), transient=True)
-                return
-            try:
-                value = fn(item)
-            except Exception as exc:
-                self.failures += 1
-                self.broker.fail(claim, error=_describe(exc), transient=False)
-                return
+            for claim in claims:
+                ok, value = self._execute(claim)
+                if ok:
+                    results.append((claim.key, value))
         finally:
             stop.set()
             beat.join()
-        if self.memo is not None:
-            try:
-                self.memo.put(claim.key, value)
-            except Exception:
-                pass            # the memo tier is best-effort, results aren't
-        self.broker.complete(claim.key, value, worker=self.worker_id)
-        self.jobs_run += 1
+        if results:
+            if self.memo is not None:
+                for key, value in results:
+                    try:
+                        self.memo.put(key, value)
+                    except Exception:
+                        pass    # the memo tier is best-effort, results aren't
+            self.broker.complete_many(results, worker=self.worker_id)
+            self.jobs_run += len(results)
+        return len(claims)
 
-    def _heartbeat_loop(self, claim: ClaimedJob,
+    def _execute(self, claim: ClaimedJob) -> Tuple[bool, Any]:
+        """Run one claimed job: ``(True, value)``, or ``(False, None)`` after
+        reporting its failure to the broker."""
+        try:
+            fn, item = pickle.loads(claim.payload)
+        except Exception as exc:
+            # This environment can't even decode the job (missing model
+            # registration, version skew): let another worker try.
+            self.failures += 1
+            self.broker.fail(claim, error=_describe(exc), transient=True)
+            return False, None
+        try:
+            return True, fn(item)
+        except Exception as exc:
+            self.failures += 1
+            self.broker.fail(claim, error=_describe(exc), transient=False)
+            return False, None
+
+    def _heartbeat_loop(self, claims: List[ClaimedJob],
                         stop: threading.Event) -> None:
-        while not stop.wait(self.heartbeat_interval):
-            try:
-                if not self.broker.heartbeat(claim,
-                                             lease_seconds=self.lease_seconds):
-                    # Lease lost (we stalled past expiry and the job was
-                    # re-leased).  Finishing anyway is safe — completion is
-                    # idempotent per key — so just stop beating.
+        held = list(claims)
+        while held and not stop.wait(self.heartbeat_interval):
+            for claim in list(held):
+                if stop.is_set():
                     return
-            except Exception:
-                return
+                try:
+                    alive = self.broker.heartbeat(
+                        claim, lease_seconds=self.lease_seconds)
+                except Exception:
+                    return
+                if not alive:
+                    # Failed (so released), or lost: we stalled past expiry
+                    # and the job was re-leased.  Finishing anyway is safe —
+                    # completion is idempotent per key — so stop beating it.
+                    held.remove(claim)
 
     # ---------------------------------------------------------------- loop
     def run_until_idle(self, idle_grace: float = 0.0,
@@ -126,8 +157,11 @@ class Worker:
         executed = 0
         idle_since: Optional[float] = None
         while max_jobs is None or executed < max_jobs:
-            if self.run_one():
-                executed += 1
+            limit = (MAX_CLAIM_BATCH if max_jobs is None
+                     else min(MAX_CLAIM_BATCH, max_jobs - executed))
+            claimed = self.run_batch(limit)
+            if claimed:
+                executed += claimed
                 idle_since = None
                 continue
             now = self.clock()

@@ -8,6 +8,8 @@ fig5-class results bit-identical to a fresh serial evaluation.
 
 import json
 import pickle
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -16,8 +18,9 @@ import pytest
 from repro.cli import main
 from repro.dist import (BrokerServer, BrokerUnavailable, HTTPBroker,
                         SQLiteBroker, WireError, WireVersionError, Worker,
-                        WorkItem, iter_results, submit_sweep, worker_main)
-from repro.dist.http import _decoded_error
+                        WorkItem, iter_results, submit_sweep, wire,
+                        worker_main)
+from repro.dist.http import _BrokerAPI, _BrokerRequestHandler, _decoded_error
 from repro.exec import SweepRunner, run_job
 from repro.exec.keys import stable_key
 
@@ -52,20 +55,22 @@ def server(backend):
 
 @pytest.fixture()
 def client(server):
-    return HTTPBroker(server.url, retries=2, backoff_seconds=0.01)
+    with HTTPBroker(server.url, retries=2, backoff_seconds=0.01) as client:
+        yield client
 
 
-def _post(url, body):
+def _post(url, body, method="POST"):
     if isinstance(body, dict):
         body = json.dumps(body).encode("utf-8")
     req = urllib.request.Request(
-        url, data=body, method="POST",
+        url, data=body, method=method,
         headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(req, timeout=10) as rsp:
             return rsp.status, rsp.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
+        with exc:
+            return exc.code, exc.read()
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +79,7 @@ def _post(url, body):
 def test_ping_reports_identity_and_lease(client):
     info = client.ping()
     assert info["service"] == "repro-broker"
-    assert info["wire_version"] == 1
+    assert info["wire_version"] == wire.WIRE_VERSION
     assert info["lease_seconds"] == 10.0
     assert client.lease_seconds == 10.0          # lazily adopted from ping
 
@@ -88,7 +93,7 @@ def test_malformed_json_is_a_field_level_400(server):
 
 def test_missing_field_names_the_field(server):
     status, body = _post(f"{server.url}/v1/claim",
-                         {"version": 1, "params": {}})
+                         {"version": wire.WIRE_VERSION, "params": {}})
     assert status == 400
     error = json.loads(body)["error"]
     assert error["type"] == "wire-error" and error["field"] == "worker"
@@ -97,14 +102,14 @@ def test_missing_field_names_the_field(server):
 
 def test_unknown_method_is_404(server):
     status, body = _post(f"{server.url}/v1/no_such_method",
-                         {"version": 1, "params": {}})
+                         {"version": wire.WIRE_VERSION, "params": {}})
     assert status == 404
     assert json.loads(body)["error"]["type"] == "unknown-method"
 
 
 def test_non_dict_params_rejected(server):
     status, body = _post(f"{server.url}/v1/claim",
-                         {"version": 1, "params": [1, 2]})
+                         {"version": wire.WIRE_VERSION, "params": [1, 2]})
     assert status == 400
     assert json.loads(body)["error"]["field"] == "params"
 
@@ -121,11 +126,27 @@ def test_wire_version_mismatch_is_409_and_typed(server):
         raise _decoded_error(status, body)
 
 
+def test_v1_envelope_gets_409(server):
+    """Version-1 peers (one job per claim) and this build refuse each other."""
+    status, body = _post(f"{server.url}/v1/claim",
+                         {"version": 1, "params": {"worker": "old"}})
+    assert status == 409
+    assert "upgrade the older side" in json.loads(body)["error"]["message"]
+
+
+def test_claim_limit_is_validated(server):
+    status, body = _post(f"{server.url}/v1/claim",
+                         {"version": wire.WIRE_VERSION,
+                          "params": {"worker": "w1", "limit": 0}})
+    assert status == 400
+    assert json.loads(body)["error"]["field"] == "limit"
+
+
 def test_oversized_request_is_413(backend):
     server = BrokerServer(backend, max_request_bytes=128).start()
     try:
         status, body = _post(f"{server.url}/v1/status",
-                             {"version": 1,
+                             {"version": wire.WIRE_VERSION,
                               "params": {"sweep_id": "x" * 400}})
         assert status == 413
         assert json.loads(body)["error"]["type"] == "oversized-request"
@@ -155,20 +176,16 @@ def test_blob_put_get_head_roundtrip(server, client):
 
 
 def test_blob_put_with_wrong_digest_is_rejected(server):
-    req = urllib.request.Request(
-        f"{server.url}/v1/blobs/{'0' * 64}", data=b"whatever", method="PUT")
-    with pytest.raises(urllib.error.HTTPError) as err:
-        urllib.request.urlopen(req, timeout=10)
-    assert err.value.code == 400
-    assert json.loads(err.value.read())["error"]["type"] == "digest-mismatch"
+    status, body = _post(f"{server.url}/v1/blobs/{'0' * 64}", b"whatever",
+                         method="PUT")
+    assert status == 400
+    assert json.loads(body)["error"]["type"] == "digest-mismatch"
 
 
 def test_blob_malformed_digest_is_rejected(server):
-    req = urllib.request.Request(
-        f"{server.url}/v1/blobs/not-a-digest", data=b"x", method="PUT")
-    with pytest.raises(urllib.error.HTTPError) as err:
-        urllib.request.urlopen(req, timeout=10)
-    assert err.value.code == 400
+    status, _ = _post(f"{server.url}/v1/blobs/not-a-digest", b"x",
+                      method="PUT")
+    assert status == 400
 
 
 def test_large_payloads_travel_through_the_blob_store(server, backend):
@@ -189,18 +206,17 @@ def test_large_payloads_travel_through_the_blob_store(server, backend):
 def test_client_retries_transient_500(client, backend, monkeypatch):
     ticket = client.create_sweep([_item("k0")])
     calls = {"n": 0}
-    real_urlopen = urllib.request.urlopen
+    real_status = _BrokerAPI.status
 
-    def flaky(req, timeout=None):
+    def flaky(self, params):
         calls["n"] += 1
         if calls["n"] == 1:
-            raise urllib.error.HTTPError(req.full_url, 500, "hiccup", {},
-                                         None)
-        return real_urlopen(req, timeout=timeout)
+            raise RuntimeError("hiccup")         # the server answers 500
+        return real_status(self, params)
 
-    monkeypatch.setattr(urllib.request, "urlopen", flaky)
+    monkeypatch.setattr(_BrokerAPI, "status", flaky)
     assert client.status(ticket.sweep_id)["total"] == 1
-    assert calls["n"] >= 2                       # first attempt 500, retried
+    assert calls["n"] == 2                       # first attempt 500, retried
 
 
 def test_dead_endpoint_raises_broker_unavailable():
@@ -208,6 +224,86 @@ def test_dead_endpoint_raises_broker_unavailable():
                         backoff_seconds=0.01)
     with pytest.raises(BrokerUnavailable, match="unavailable after 2"):
         client.ping()
+
+
+# ---------------------------------------------------------------------------
+# Keep-alive connections
+# ---------------------------------------------------------------------------
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _open_connections(server):
+    return len(server._httpd.connections)
+
+
+def test_handler_turns_off_nagle(server, client):
+    assert _BrokerRequestHandler.disable_nagle_algorithm is True
+    client.ping()
+    (sock,) = server._httpd.connections
+    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_client_reuses_one_connection(server, client):
+    for _ in range(5):
+        client.ping()
+    assert _open_connections(server) == 1
+
+
+def test_stale_keepalive_socket_reconnects_transparently(server, monkeypatch):
+    """A kept-alive socket the server dropped costs no retry attempt."""
+    monkeypatch.setattr(_BrokerRequestHandler, "timeout", 0.2)
+    with HTTPBroker(server.url, retries=1) as client:   # no retry to spend
+        client.ping()
+        assert _wait_for(lambda: _open_connections(server) == 0)
+        assert client.ping()["service"] == "repro-broker"
+
+
+def test_idle_connection_is_closed_by_the_server(server, monkeypatch):
+    monkeypatch.setattr(_BrokerRequestHandler, "timeout", 0.2)
+    host, port = server.url[len("http://"):].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        assert _wait_for(lambda: _open_connections(server) == 1)
+        assert sock.recv(1) == b""               # server hung up on us
+    assert _wait_for(lambda: _open_connections(server) == 0)
+
+
+def test_server_close_ends_kept_alive_connections(backend):
+    server = BrokerServer(backend).start()
+    client = HTTPBroker(server.url, retries=2, backoff_seconds=0.01)
+    client.ping()
+    assert _open_connections(server) == 1
+    started = time.monotonic()
+    server.close()
+    assert time.monotonic() - started < 3.0      # no wait on the idle client
+    assert _open_connections(server) == 0
+    with pytest.raises(BrokerUnavailable):
+        client.ping()
+    client.close()
+
+
+def test_runner_closes_the_http_broker_it_opened(server):
+    from repro.dist import DistributedRunner
+    from repro.exec import MemoCache
+
+    with DistributedRunner(server.url, cache=MemoCache()) as runner:
+        assert runner.map(square, [3, 4]) == [9, 16]
+        assert _open_connections(server) == 1    # one kept-alive connection
+    assert _wait_for(lambda: _open_connections(server) == 0)
+
+
+def test_client_close_closes_its_connections(server):
+    with HTTPBroker(server.url) as client:
+        client.ping()
+        assert _open_connections(server) == 1
+    assert _wait_for(lambda: _open_connections(server) == 0)
+    assert client.ping()["service"] == "repro-broker"   # reopens on demand
+    client.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the broker-backed DistributedRunner behind the runner seam."""
 
+import sqlite3
+from collections import Counter
+
 import pytest
 
 from repro.dist import (DistributedJobError, DistributedRunner, SQLiteBroker)
@@ -120,6 +123,26 @@ def test_broker_result_table_serves_repeat_submissions(broker):
     assert second.map(run_job, jobs) == baseline
     assert second.stats.points_executed == 0
     assert second.stats.cache_hits == len(jobs)
+
+
+class _PutCountingMemo(MemoCache):
+    """An in-memory memo that counts its writes per key."""
+
+    def __init__(self):
+        super().__init__()
+        self.puts = Counter()
+
+    def put(self, key, value):
+        self.puts[key] += 1
+        super().put(key, value)
+
+
+def test_drained_jobs_are_written_to_the_memo_once(broker):
+    memo = _PutCountingMemo()
+    runner = DistributedRunner(broker, cache=memo)
+    assert runner.map(square, range(12)) == [i * i for i in range(12)]
+    assert runner.stats.points_executed == 12
+    assert len(memo.puts) == 12 and set(memo.puts.values()) == {1}
 
 
 def test_duplicate_items_execute_once(broker):
@@ -275,6 +298,19 @@ def test_path_broker_is_constructed_on_demand(tmp_path):
     assert runner.map(square, [3]) == [9]
     assert isinstance(runner.broker, SQLiteBroker)
     runner.broker.close()
+
+
+def test_runner_closes_the_broker_it_opened(tmp_path):
+    with DistributedRunner(tmp_path / "own.db", cache=MemoCache()) as runner:
+        assert runner.map(square, [3]) == [9]
+    with pytest.raises(sqlite3.ProgrammingError):
+        runner.broker.sweeps()                   # closed on exit
+
+
+def test_runner_leaves_a_passed_in_broker_open(broker):
+    with DistributedRunner(broker, cache=MemoCache()) as runner:
+        runner.map(square, [3])
+    assert len(broker.sweeps()) == 1             # still the caller's
 
 
 # ---------------------------------------------------------------------------
