@@ -55,6 +55,6 @@ def run_physically_addressed(platform: Platform, kernel: KernelGenerator,
     return FabricRunResult(
         cycles=(thread.finished_at or platform.sim.now) - start_cycle,
         aborted=not outcome["ok"],
-        mem_bytes=thread.stats.counter("mem_bytes").value,
-        mem_ops=thread.stats.counter("mem_ops").value,
+        mem_bytes=thread.stats.counter_value("mem_bytes"),
+        mem_ops=thread.stats.counter_value("mem_ops"),
     )

@@ -17,6 +17,7 @@ Two translation modes exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Union
 
 from ..mem.port import MemoryRequest, MemoryTarget
@@ -81,22 +82,24 @@ class MemoryInterface(Component):
         if self.recorder is not None:
             self.recorder.on_op(op)
         if GLOBAL_TRACER.enabled:
-            GLOBAL_TRACER.log(self.now, self.name, "op",
+            GLOBAL_TRACER.log(self.sim.now, self.name, "op",
                               f"addr={op.addr:#x} write={op.is_write}")
         if isinstance(op, Access):
-            chunks = self._split(op.addr, op.size, op.is_write)
+            size = op.size
         elif isinstance(op, Burst):
-            chunks = self._split(op.addr, op.total_bytes, op.is_write)
+            size = op.total_bytes
         else:  # pragma: no cover - guarded by the thread model
             raise TypeError(f"unsupported memory operation {op!r}")
+        chunks = self._split(op.addr, size, op.is_write)
         self.count("ops")
-        self.count("bytes", sum(size for _, size, _ in chunks))
+        # The chunks cover all ``size`` bytes (none if ``size <= 0``).
+        self.count("bytes", max(size, 0))
         self._run_chunks(chunks, 0, on_done)
 
     # ----------------------------------------------------------- chunk logic
     def _split(self, vaddr: int, size: int, is_write: bool) -> List[tuple[int, int, bool]]:
         """Split [vaddr, vaddr+size) at page and max-burst boundaries."""
-        page_size = self._page_size()
+        page_size = self.mmu.page_size if self.mmu is not None else 4096
         limit = min(self.config.max_burst_bytes, page_size)
         chunks: List[tuple[int, int, bool]] = []
         remaining = size
@@ -109,11 +112,6 @@ class MemoryInterface(Component):
             remaining -= chunk
         return chunks
 
-    def _page_size(self) -> int:
-        if self.mmu is not None:
-            return self.mmu.page_size
-        return 4096
-
     def _run_chunks(self, chunks: List[tuple[int, int, bool]], index: int,
                     on_done: OpCallback) -> None:
         """Translate and issue chunks sequentially (one transaction at a time
@@ -122,27 +120,36 @@ class MemoryInterface(Component):
         if index >= len(chunks):
             on_done(True)
             return
-        vaddr, size, is_write = chunks[index]
+        vaddr, _, is_write = chunks[index]
         access = AccessType.WRITE if is_write else AccessType.READ
-
-        def issue(paddr: int) -> None:
-            request = MemoryRequest(
-                addr=paddr, size=size, is_write=is_write, master=self.name,
-                callback=lambda _req: self._run_chunks(chunks, index + 1, on_done))
-            self.count("transactions")
-            self.schedule(self.config.issue_latency,
-                          lambda: self.bus_port.access(request))
-
         if self.mmu is not None:
-            def on_translate(translation: Optional[Translation]) -> None:
-                if translation is None:
-                    self.count("aborted_ops")
-                    on_done(False)
-                    return
-                issue(translation.paddr)
-
-            self.mmu.translate(vaddr, access, on_translate,
-                               thread=self.thread_name)
+            self.mmu.translate(
+                vaddr, access,
+                partial(self._on_translate, chunks, index, on_done),
+                thread=self.thread_name)
         else:
             assert self.translator is not None
-            issue(self.translator(vaddr, access))
+            self._issue(chunks, index, on_done, self.translator(vaddr, access))
+
+    def _on_translate(self, chunks: List[tuple[int, int, bool]], index: int,
+                      on_done: OpCallback,
+                      translation: Optional[Translation]) -> None:
+        if translation is None:
+            self.count("aborted_ops")
+            on_done(False)
+            return
+        self._issue(chunks, index, on_done, translation.paddr)
+
+    def _issue(self, chunks: List[tuple[int, int, bool]], index: int,
+               on_done: OpCallback, paddr: int) -> None:
+        _, size, is_write = chunks[index]
+        # addr, size, is_write, master, tag, callback: positional is cheaper.
+        request = MemoryRequest(paddr, size, is_write, self.name,
+                                (chunks, index, on_done), self._on_retired)
+        self.count("transactions")
+        self.schedule(self.config.issue_latency,
+                      partial(self.bus_port.access, request))
+
+    def _on_retired(self, request: MemoryRequest) -> None:
+        chunks, index, on_done = request.tag
+        self._run_chunks(chunks, index + 1, on_done)

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 
 from ..sim.component import Component
 from ..sim.engine import Simulator
-from ..sim.process import Access, Burst, Compute, Fence, Operation, ProcessState, Yield
+from ..sim.process import Access, Burst, Compute, Fence, ProcessState, Yield
 from .memif import MemoryInterface
 
 
@@ -65,8 +65,8 @@ class HardwareThread(Component):
         if self.started_at is not None:
             raise RuntimeError(f"hardware thread {self.name} already started")
         self._done_callback = on_done
-        self.started_at = self.now
-        self.state.started_at = self.now
+        self.started_at = self.sim.now
+        self.state.started_at = self.sim.now
         self.count("starts")
         self.schedule(self.config.start_latency, self._advance)
 
@@ -77,11 +77,7 @@ class HardwareThread(Component):
         op = self.state.advance()
         if op is None:
             self._maybe_finish()
-            return
-        self._dispatch(op)
-
-    def _dispatch(self, op: Operation) -> None:
-        if isinstance(op, Compute):
+        elif isinstance(op, Compute):
             self.count("compute_cycles", op.cycles)
             self.schedule(op.cycles, self._advance)
         elif isinstance(op, (Access, Burst)):
@@ -99,16 +95,13 @@ class HardwareThread(Component):
     # --------------------------------------------------------------- memory
     def _issue_memory(self, op: Union[Access, Burst]) -> None:
         self.count("mem_ops")
-        if isinstance(op, Burst):
-            self.count("mem_bytes", op.total_bytes)
-        else:
-            self.count("mem_bytes", op.size)
-
+        self.count("mem_bytes",
+                   op.total_bytes if isinstance(op, Burst) else op.size)
         if self._outstanding >= self.config.max_outstanding:
             # Datapath stalls until a slot frees up; remember the op.
             self._waiting_for_slot = True
             self._stalled_op = op
-            self._stall_started = self.now
+            self._stall_started = self.sim.now
             return
         self._outstanding += 1
         self.memif.submit(op, self._on_mem_done)
@@ -124,7 +117,7 @@ class HardwareThread(Component):
         if self._waiting_for_slot:
             self._waiting_for_slot = False
             op = self._stalled_op
-            self.sample("stall_cycles", self.now - self._stall_started)
+            self.sample("stall_cycles", self.sim.now - self._stall_started)
             self._outstanding += 1
             self.memif.submit(op, self._on_mem_done)
             self.schedule(0, self._advance)
@@ -142,8 +135,8 @@ class HardwareThread(Component):
             return
         if self.finished_at is not None:
             return
-        self.finished_at = self.now
-        self.state.finish(self.now)
+        self.finished_at = self.sim.now
+        self.state.finish(self.sim.now)
         self.set_stat("cycles", self.finished_at - (self.started_at or 0))
         self.count("completions")
         if self._done_callback is not None:
@@ -153,7 +146,7 @@ class HardwareThread(Component):
         if self._aborted:
             return
         self._aborted = True
-        self.finished_at = self.now
+        self.finished_at = self.sim.now
         self.count("aborts")
         if self._done_callback is not None:
             self._done_callback(False)

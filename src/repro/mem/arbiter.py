@@ -3,7 +3,7 @@
 Arbiters select which requesting master is granted the shared interconnect
 next.  They are deliberately stateless with respect to the bus itself: the
 bus hands them the list of master indices that currently have queued
-requests, and the arbiter returns the chosen index.
+requests, in ascending order, and the arbiter returns the chosen index.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ class RoundRobinArbiter(Arbiter):
     def choose(self, candidates: Sequence[int]) -> int:
         if not candidates:
             raise ValueError("no candidates to arbitrate")
-        ordered = sorted(candidates)
-        for idx in ordered:
+        for idx in candidates:
             if idx > self._last_granted:
                 self._last_granted = idx
                 return idx
         # Wrap around.
-        self._last_granted = ordered[0]
-        return ordered[0]
+        self._last_granted = candidates[0]
+        return candidates[0]
 
 
 class FixedPriorityArbiter(Arbiter):

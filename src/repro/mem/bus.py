@@ -46,6 +46,8 @@ class BusPort:
         self.bus = bus
         self.index = index
         self.name = name
+        self.requests_stat = f"requests_from.{name}"
+        self.latency_stat = f"latency_for.{name}"
 
     def access(self, request: MemoryRequest) -> None:
         request.master = self.name
@@ -71,6 +73,9 @@ class SystemBus(Component):
         self._ports: List[BusPort] = []
         self._inflight: List[int] = []
         self._busy = False
+        # The request in its address/data phase: the bus is serial, so at
+        # most one forward is ever pending.
+        self._granted: Optional[MemoryRequest] = None
 
     # --------------------------------------------------------------- masters
     def attach_master(self, name: str) -> BusPort:
@@ -91,17 +96,19 @@ class SystemBus(Component):
 
     # ---------------------------------------------------------------- submit
     def submit(self, master_index: int, request: MemoryRequest) -> None:
-        request.issue_cycle = self.now
+        request.issue_cycle = self.sim.now
         self._queues[master_index].append(request)
         self.count("requests")
-        self.count(f"requests_from.{self._ports[master_index].name}")
+        self.count(self._ports[master_index].requests_stat)
         if not self._busy:
             self._grant_next()
 
     # ----------------------------------------------------------- arbitration
     def _grant_next(self) -> None:
+        inflight = self._inflight
+        limit = self.config.max_outstanding_per_master
         candidates = [i for i, q in enumerate(self._queues)
-                      if q and self._inflight[i] < self.config.max_outstanding_per_master]
+                      if q and inflight[i] < limit]
         if not candidates:
             self._busy = False
             return
@@ -109,43 +116,46 @@ class SystemBus(Component):
         self._busy = True
         chosen = self.arbiter.choose(candidates)
         request = self._queues[chosen].popleft()
-        self._inflight[chosen] += 1
+        inflight[chosen] += 1
 
-        wait = self.now - request.issue_cycle
+        wait = self.sim.now - request.issue_cycle
         self.sample("queue_wait", wait)
         if wait > 0:
             self.count("contended_grants")
 
-        beats = max(1, (request.size + self.config.bus_width_bytes - 1)
-                    // self.config.bus_width_bytes)
-        occupancy = self.config.address_phase_cycles + beats
+        width = self.config.bus_width_bytes
+        # One beat at least: request sizes are positive.
+        occupancy = (self.config.address_phase_cycles
+                     + (request.size + width - 1) // width)
         self.count("busy_cycles", occupancy)
 
-        original_callback = request.callback
-        port_name = self._ports[chosen].name
-
-        def on_complete(req: MemoryRequest, idx: int = chosen) -> None:
-            self._inflight[idx] -= 1
-            self.sample(f"latency_for.{port_name}", self.now - req.issue_cycle)
-            if original_callback is not None:
-                original_callback(req)
-            # A freed outstanding slot may unblock a queued request even if
-            # the bus itself went idle in the meantime.
-            if not self._busy:
-                self._grant_next()
-
-        request.callback = on_complete
-
+        request.bus_port = chosen
+        request.bus_callback = request.callback
+        request.callback = self._retire
         # Forward to the memory target after the occupancy elapses, then look
         # for the next grant.
-        def forward(req: MemoryRequest = request) -> None:
-            self.target.access(req)
-            self._grant_next()
+        self._granted = request
+        self.schedule(occupancy, self._forward)
 
-        self.schedule(occupancy, forward)
+    def _forward(self) -> None:
+        self.target.access(self._granted)
+        self._grant_next()
+
+    def _retire(self, request: MemoryRequest) -> None:
+        index = request.bus_port
+        self._inflight[index] -= 1
+        self.sample(self._ports[index].latency_stat,
+                    self.sim.now - request.issue_cycle)
+        if request.bus_callback is not None:
+            request.bus_callback(request)
+        # A freed outstanding slot may unblock this master's queued request
+        # even if the bus itself went idle in the meantime.  (An idle bus has
+        # no other eligible master: it would have granted it.)
+        if not self._busy and self._queues[index]:
+            self._grant_next()
 
     # ------------------------------------------------------------------ info
     def utilisation(self, elapsed_cycles: int) -> float:
         if elapsed_cycles <= 0:
             return 0.0
-        return min(1.0, self.stats.counter("busy_cycles").value / elapsed_cycles)
+        return min(1.0, self.stats.counter_value("busy_cycles") / elapsed_cycles)

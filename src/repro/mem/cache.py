@@ -113,10 +113,10 @@ class Cache(Component):
     # ------------------------------------------------------------------ info
     @property
     def hit_rate(self) -> float:
-        accesses = self.stats.counter("accesses").value
+        accesses = self.stats.counter_value("accesses")
         if not accesses:
             return 0.0
-        return self.stats.counter("hits").value / accesses
+        return self.stats.counter_value("hits") / accesses
 
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty lines flushed."""

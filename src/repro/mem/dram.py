@@ -10,6 +10,7 @@ closed-page/open-page hybrid: each bank keeps its last-open row; hits pay
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..sim.component import Component
 from ..sim.engine import Simulator
@@ -64,12 +65,13 @@ class DRAMModel(Component):
     def access(self, request: MemoryRequest) -> None:
         """Accept a request and schedule its completion."""
         cfg = self.config
-        request.issue_cycle = self.now
+        now = self.sim.now
+        request.issue_cycle = now
 
-        bank = self.bank_of(request.addr)
-        row = self.row_of(request.addr)
+        # Row-interleaved: bank_of() and row_of() in one division.
+        row, bank = divmod(request.addr // cfg.row_bytes, cfg.num_banks)
 
-        start = max(self.now + cfg.controller_latency, self._bank_free[bank])
+        start = max(now + cfg.controller_latency, self._bank_free[bank])
 
         if self._open_rows[bank] == row:
             access_latency = cfg.row_hit_latency
@@ -79,9 +81,9 @@ class DRAMModel(Component):
             self._open_rows[bank] = row
             self.count("row_misses")
 
-        transfer_cycles = max(
-            1, (request.size + cfg.data_bus_bytes_per_cycle - 1)
-            // cfg.data_bus_bytes_per_cycle)
+        # One transfer cycle at least: request sizes are positive.
+        transfer_cycles = ((request.size + cfg.data_bus_bytes_per_cycle - 1)
+                           // cfg.data_bus_bytes_per_cycle)
 
         data_start = max(start + access_latency, self._data_bus_free)
         finish = data_start + transfer_cycles
@@ -96,16 +98,16 @@ class DRAMModel(Component):
         self._bank_free[bank] = finish
         self._data_bus_free = data_start + transfer_cycles
 
-        self.sample("latency", finish - self.now)
+        self.sample("latency", finish - now)
         self.count("requests")
 
-        self.schedule(finish - self.now, lambda r=request: r.complete(self.now))
+        self.schedule(finish - now, partial(request.complete, finish))
 
     # ------------------------------------------------------------------ info
     @property
     def total_bytes_transferred(self) -> int:
-        return (self.stats.counter("bytes_read").value
-                + self.stats.counter("bytes_written").value)
+        return (self.stats.counter_value("bytes_read")
+                + self.stats.counter_value("bytes_written"))
 
     def utilisation(self, elapsed_cycles: int) -> float:
         """Fraction of peak bandwidth used over ``elapsed_cycles``."""

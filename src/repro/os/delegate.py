@@ -78,7 +78,7 @@ class DelegateThread(Component):
         call ``done()`` when it finishes.  The returned record is filled in
         as the lifecycle progresses.
         """
-        created_at = self.now
+        created_at = self.sim.now
         setup = self.kernel.cost_hw_thread_create()
         if pinned_areas:
             for area in pinned_areas:
@@ -100,11 +100,11 @@ class DelegateThread(Component):
         return completion
 
     def _on_fabric_done(self, completion: ThreadCompletion) -> None:
-        completion.finished_at = self.now
+        completion.finished_at = self.sim.now
         join_cost = self.kernel.cost_hw_thread_join()
 
         def joined() -> None:
-            completion.joined_at = self.now
+            completion.joined_at = self.sim.now
             self.count("threads_joined")
             self.sample("wall_cycles", completion.wall_cycles or 0)
             for hook in self._on_joined:

@@ -84,13 +84,13 @@ class DemandPagingHandler(Component):
             self._busy = False
             return
         fault, resume = self._queue.popleft()
-        started = self.now
+        started = self.sim.now
 
         resolved, extra_cycles = self._resolve(fault)
         total = self.config.service_cycles + extra_cycles
 
         def finish() -> None:
-            self.sample("service_latency", self.now - started)
+            self.sample("service_latency", self.sim.now - started)
             if resolved:
                 self.count("faults_resolved")
             else:
@@ -152,4 +152,4 @@ class DemandPagingHandler(Component):
 
     @property
     def faults_resolved(self) -> int:
-        return self.stats.counter("faults_resolved").value
+        return self.stats.counter_value("faults_resolved")

@@ -1,19 +1,28 @@
 """Event-driven, cycle-level simulation engine.
 
-The engine keeps a priority queue of (cycle, sequence, callback) events.  All
-timing in the model is expressed in clock cycles of a single global clock
-domain (the paper's platform runs the fabric and the memory subsystem from
-one clock; the host CPU is modelled with a cycle-ratio, see
-:mod:`repro.baselines.software`).
+The engine keeps a priority queue of events.  All timing in the model is
+expressed in clock cycles of a single global clock domain (the paper's
+platform runs the fabric and the memory subsystem from one clock; the host
+CPU is modelled with a cycle-ratio, see :mod:`repro.baselines.software`).
 
 Components never busy-tick: every interaction is an event, so simulation cost
 scales with the number of transactions, not with the number of cycles.
+
+Invariants the hot path keeps:
+
+* Events run in ``(cycle, seq)`` order, ``seq`` counting schedule calls:
+  same-cycle events run first in, first out, so a zero delay runs later in
+  the same cycle, after every event already scheduled for it.
+* Delays are whole cycles: ints and NumPy ints pass, a float raises.
+* A queue entry is its :class:`Event` handle, the list
+  ``[cycle, seq, callback]``, which the heap compares as a list, in C
+  (``seq`` is unique, so callbacks are never compared).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import index
 from typing import Callable, Optional
 
 from .stats import StatsRegistry
@@ -23,46 +32,39 @@ class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-@dataclass(order=True)
-class _Event:
-    cycle: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    popped: bool = field(default=False, compare=False)
+#: The callback slot of a cancelled event.  Taking an event off the queue to
+#: run it sets the slot to None.
+_CANCELLED = False
 
 
-class Event:
-    """Handle to a scheduled event, allowing cancellation."""
+class Event(list):
+    """A scheduled event, ``[cycle, seq, callback]``, and its handle."""
 
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: _Event, sim: "Simulator"):
-        self._event = event
-        self._sim = sim
+    __slots__ = ()
 
     @property
     def cycle(self) -> int:
-        return self._event.cycle
+        return self[0]
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self[2] is _CANCELLED
 
     def cancel(self) -> None:
         """Prevent the event's callback from running.
 
-        A no-op once the event has already been taken off the queue (run or
-        skipped): there is nothing left to cancel, and counting it would
-        corrupt the live-event accounting.
+        A no-op once the event has been taken off the queue: there is
+        nothing left to cancel.
         """
-        if not self._event.cancelled and not self._event.popped:
-            self._event.cancelled = True
-            self._sim._note_cancelled()
+        if self[2] is not None:
+            self[2] = _CANCELLED
 
 
 class Simulator:
     """Global event queue and clock.
+
+    ``now`` is the current simulation time in cycles; only the engine
+    advances it.
 
     Parameters
     ----------
@@ -73,41 +75,36 @@ class Simulator:
     """
 
     def __init__(self, max_cycles: Optional[int] = None):
-        self._queue: list[_Event] = []
+        self._queue: list[Event] = []
         self._seq = 0
-        self._now = 0
+        self.now = 0
         self._max_cycles = max_cycles
-        self._cancelled = 0
         self.stats = StatsRegistry()
-        self._running = False
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> int:
-        """Current simulation time in cycles."""
-        return self._now
-
     def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` cycles from now.
 
-        ``delay`` must be non-negative; a zero delay runs later in the same
-        cycle (after all previously scheduled same-cycle events).
+        ``delay`` must be a non-negative integer; a zero delay runs later in
+        the same cycle (after all previously scheduled same-cycle events).
         """
+        try:
+            delay = index(delay)
+        except TypeError:
+            raise TypeError(f"delay must be a whole number of cycles, "
+                            f"got {delay!r}") from None
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        event = _Event(self._now + int(delay), self._seq, callback)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
-        return Event(event, self)
-
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
+        self._seq = seq = self._seq + 1
+        event = Event((self.now + delay, seq, callback))
+        heappush(self._queue, event)
+        return event
 
     def schedule_at(self, cycle: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at an absolute cycle (must not be in the past)."""
-        if cycle < self._now:
-            raise ValueError(f"cannot schedule in the past: {cycle} < {self._now}")
-        return self.schedule(cycle - self._now, callback)
+        if cycle < self.now:
+            raise ValueError(f"cannot schedule in the past: {cycle} < {self.now}")
+        return self.schedule(cycle - self.now, callback)
 
     # ------------------------------------------------------------------- run
     def run(self, until: Optional[int] = None) -> int:
@@ -115,31 +112,32 @@ class Simulator:
 
         Returns the cycle at which the simulation stopped.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise ValueError(
-                f"cannot run backwards: until={until} < now={self._now}")
-        self._running = True
-        try:
-            while self._queue:
-                event = self._queue[0]
-                if until is not None and event.cycle > until:
-                    self._now = until
-                    return self._now
-                heapq.heappop(self._queue)
-                event.popped = True
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                if self._max_cycles is not None and event.cycle > self._max_cycles:
-                    raise SimulationError(
-                        f"simulation exceeded max_cycles={self._max_cycles} "
-                        f"(next event at {event.cycle})"
-                    )
-                self._now = event.cycle
-                event.callback()
-        finally:
-            self._running = False
-        return self._now
+                f"cannot run backwards: until={until} < now={self.now}")
+        queue = self._queue
+        # One comparison per event covers both ``until`` and ``max_cycles``.
+        limit = self._max_cycles
+        if until is not None and (limit is None or until < limit):
+            limit = until
+        while queue:
+            event = queue[0]
+            cycle = event[0]
+            if limit is not None and cycle > limit:
+                if until is not None and cycle > until:
+                    self.now = until
+                    return until
+                heappop(queue)
+                self._exceeded(event)
+                continue
+            heappop(queue)
+            callback = event[2]
+            if callback is _CANCELLED:
+                continue
+            event[2] = None
+            self.now = cycle
+            callback()
+        return self.now
 
     def step(self) -> bool:
         """Run a single event.  Returns False when the queue is empty.
@@ -148,23 +146,30 @@ class Simulator:
         the safety limit raises :class:`SimulationError` instead of silently
         executing the event.
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            event.popped = True
-            if event.cancelled:
-                self._cancelled -= 1
+        queue = self._queue
+        while queue:
+            event = heappop(queue)
+            callback = event[2]
+            if callback is _CANCELLED:
                 continue
-            if self._max_cycles is not None and event.cycle > self._max_cycles:
-                raise SimulationError(
-                    f"simulation exceeded max_cycles={self._max_cycles} "
-                    f"(next event at {event.cycle})"
-                )
-            self._now = event.cycle
-            event.callback()
+            if self._max_cycles is not None and event[0] > self._max_cycles:
+                self._exceeded(event)
+            event[2] = None
+            self.now = event[0]
+            callback()
             return True
         return False
+
+    def _exceeded(self, event: Event) -> None:
+        """Raise for ``event``, just taken off the queue past ``max_cycles``
+        (a cancelled one is dropped instead)."""
+        if event[2] is not _CANCELLED:
+            event[2] = None
+            raise SimulationError(
+                f"simulation exceeded max_cycles={self._max_cycles} "
+                f"(next event at {event[0]})")
 
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return len(self._queue) - self._cancelled
+        return sum(event[2] is not _CANCELLED for event in self._queue)

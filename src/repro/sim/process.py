@@ -91,15 +91,14 @@ class ProcessState:
     started_at: int = 0
     finished_at: Optional[int] = None
     ops_executed: int = 0
-    last_value: Any = None
     on_finish: List[Callable[["ProcessState"], None]] = field(default_factory=list)
 
-    def advance(self, send_value: Any = None) -> Optional[Operation]:
+    def advance(self) -> Optional[Operation]:
         """Resume the generator; return the next operation or None if done."""
         if self.finished:
             return None
         try:
-            op = self.generator.send(send_value) if self.ops_executed else next(self.generator)
+            op = next(self.generator)
         except StopIteration:
             self.finished = True
             return None

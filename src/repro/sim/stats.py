@@ -124,9 +124,16 @@ class StatGroup:
     histograms: Dict[str, Histogram] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
+        """The counter ``name``, created (at 0) if it does not exist yet."""
         if name not in self.counters:
             self.counters[name] = Counter(name)
         return self.counters[name]
+
+    def counter_value(self, name: str) -> int:
+        """Counter ``name``'s value, 0 if absent: readers must not create a
+        counter, which would add a key to every later snapshot."""
+        counter = self.counters.get(name)
+        return 0 if counter is None else counter.value
 
     def scalar(self, name: str) -> Scalar:
         if name not in self.scalars:

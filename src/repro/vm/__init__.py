@@ -14,12 +14,8 @@ from .types import (
     AccessType,
     FaultType,
     PageFault,
-    PageFaultError,
     Permissions,
     Translation,
-    page_base,
-    pages_covering,
-    split_vaddr,
 )
 from .walker import PageTableWalker, WalkerConfig
 
@@ -34,7 +30,6 @@ __all__ = [
     "MMU",
     "MMUConfig",
     "PageFault",
-    "PageFaultError",
     "PageTable",
     "PageTableConfig",
     "PageTableEntry",
@@ -46,7 +41,4 @@ __all__ = [
     "TranslateCallback",
     "Translation",
     "WalkerConfig",
-    "page_base",
-    "pages_covering",
-    "split_vaddr",
 ]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ..sim.component import Component
@@ -122,7 +123,8 @@ class MMU(Component):
     def translate(self, vaddr: int, access: AccessType,
                   callback: TranslateCallback, thread: str = "?") -> None:
         """Translate ``vaddr``; invoke ``callback`` when done."""
-        vpn, offset = divmod(vaddr, self.page_size)
+        page_size = self.page_table.config.page_size
+        vpn, offset = divmod(vaddr, page_size)
         self.count("translations")
         entry = self.tlb.lookup(vpn, asid=self.page_table.asid)
         if entry is not None and (not access.is_write or entry.writable):
@@ -137,12 +139,10 @@ class MMU(Component):
                     self.PREFETCH_SCORE_MAX,
                     self._prefetch_score + self.PREFETCH_HIT_BONUS)
                 self._maybe_prefetch(vpn, entry.prefetch_stride)
-            translation = Translation(vaddr=vaddr,
-                                      paddr=entry.frame * self.page_size + offset,
-                                      page_size=self.page_size,
-                                      writable=entry.writable)
+            translation = Translation(vaddr, entry.frame * page_size + offset,
+                                      page_size, entry.writable)
             self.schedule(self.tlb.config.hit_latency,
-                          lambda: callback(translation))
+                          partial(callback, translation))
             return
 
         self.count("tlb_misses")
@@ -150,10 +150,10 @@ class MMU(Component):
         if tracer.enabled:
             # Guarded: a disabled tracer costs one attribute load here, and
             # the f-string is only built when the record is stored.
-            tracer.log(self.now, self.name, "tlb_miss",
+            tracer.log(self.sim.now, self.name, "tlb_miss",
                        f"vaddr={vaddr:#x} vpn={vpn} "
                        f"asid={self.page_table.asid} thread={thread}")
-        started = self.now
+        started = self.sim.now
         self._walk(vaddr, vpn, offset, access, callback, thread, started,
                    retries_left=self.config.max_fault_retries)
         # Prefetches queue behind the demand walk on the (serial) walker.
@@ -245,12 +245,10 @@ class MMU(Component):
                 entry.accessed = True
                 if access.is_write:
                     entry.dirty = True
-                self.sample("miss_latency", self.now - started)
-                translation = Translation(vaddr=vaddr,
-                                          paddr=entry.frame * self.page_size + offset,
-                                          page_size=self.page_size,
-                                          writable=entry.writable)
-                callback(translation)
+                self.sample("miss_latency", self.sim.now - started)
+                page_size = self.page_size
+                callback(Translation(vaddr, entry.frame * page_size + offset,
+                                     page_size, entry.writable))
                 return
             self._fault(vaddr, vpn, offset, access, callback, thread, started,
                         retries_left, fault_type)
@@ -275,17 +273,17 @@ class MMU(Component):
         self.count("faults")
         self.count(f"faults.{fault_type.value}")
         fault = PageFault(vaddr=vaddr, access=access, fault_type=fault_type,
-                          thread=thread, cycle=self.now)
+                          thread=thread, cycle=self.sim.now)
 
         if self.fault_handler is None or retries_left <= 0:
             self.count("fatal_faults")
             callback(None)
             return
 
-        fault_started = self.now
+        fault_started = self.sim.now
 
         def resume(resolved: bool) -> None:
-            self.sample("fault_service_latency", self.now - fault_started)
+            self.sample("fault_service_latency", self.sim.now - fault_started)
             if not resolved:
                 self.count("fatal_faults")
                 callback(None)

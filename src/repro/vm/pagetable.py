@@ -13,6 +13,7 @@ The geometry is configurable so the evaluation can sweep the page size
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .types import AccessType, FaultType, PageFault, Permissions, Translation
@@ -67,15 +68,19 @@ class PageTableConfig:
         bits[0] += remainder
         return bits
 
+    @cached_property
+    def _index_fields(self) -> Tuple[Tuple[int, int], ...]:
+        """``(shift, mask)`` of each level's index bits, top level first."""
+        shift = self.vpn_bits
+        fields = []
+        for level_bits in self.bits_per_level:
+            shift -= level_bits
+            fields.append((shift, (1 << level_bits) - 1))
+        return tuple(fields)
+
     def indices(self, vpn: int) -> List[int]:
         """Radix indices of ``vpn`` at each level, top level first."""
-        bits = self.bits_per_level
-        out: List[int] = []
-        shift = sum(bits)
-        for level_bits in bits:
-            shift -= level_bits
-            out.append((vpn >> shift) & ((1 << level_bits) - 1))
-        return out
+        return [(vpn >> shift) & mask for shift, mask in self._index_fields]
 
 
 @dataclass

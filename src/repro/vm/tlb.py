@@ -83,8 +83,9 @@ class TLB:
     def __init__(self, config: TLBConfig | None = None, name: str = "tlb"):
         self.config = config or TLBConfig()
         self.name = name
+        self._num_sets = self.config.num_sets
         self._sets: List[OrderedDict[TLBKey, TLBEntry]] = [
-            OrderedDict() for _ in range(self.config.num_sets)]
+            OrderedDict() for _ in range(self._num_sets)]
         self._rng = random.Random(self.config.seed)
         self._tick = 0
         self.hits = 0
@@ -94,7 +95,7 @@ class TLB:
 
     # ------------------------------------------------------------ addressing
     def _set_index(self, vpn: int) -> int:
-        return vpn % self.config.num_sets
+        return vpn % self._num_sets
 
     # ---------------------------------------------------------------- lookup
     def lookup(self, vpn: int, asid: int = 0) -> Optional[TLBEntry]:

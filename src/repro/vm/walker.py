@@ -48,7 +48,11 @@ class _WalkRequest:
 
 
 class PageTableWalker(Component):
-    """Serial page-table walker with an optional shared request queue."""
+    """Serial page-table walker with an optional shared request queue.
+
+    One walk runs at a time, so its progress lives on the walker and every
+    level's read completes into a bound method.
+    """
 
     def __init__(self, sim: Simulator, port: Optional[MemoryTarget] = None,
                  config: WalkerConfig | None = None, name: str = "ptw"):
@@ -57,6 +61,10 @@ class PageTableWalker(Component):
         self.port = port
         self._queue: Deque[_WalkRequest] = deque()
         self._busy = False
+        # The walk in progress: request, PTE addresses, level, start cycle.
+        self._walk: Optional[_WalkRequest] = None
+        self._addresses: list[int] = []
+        self._level = self._started_at = 0
 
     # ------------------------------------------------------------------ walk
     def walk(self, vpn: int, page_table: PageTable, callback: WalkCallback) -> None:
@@ -67,8 +75,8 @@ class PageTableWalker(Component):
         unmapped leaf slot.
         """
         self.count("walks_requested")
-        request = _WalkRequest(vpn, page_table, callback, self.now)
-        self._queue.append(request)
+        self._queue.append(_WalkRequest(vpn, page_table, callback,
+                                        self.sim.now))
         if not self._busy:
             self._start_next()
 
@@ -77,44 +85,44 @@ class PageTableWalker(Component):
             self._busy = False
             return
         self._busy = True
-        request = self._queue.popleft()
-        queue_wait = self.now - request.issued_at
-        self.sample("queue_wait", queue_wait)
-        addresses = request.page_table.walk_addresses(request.vpn)
-        self._do_level(request, addresses, 0, self.now)
+        request = self._walk = self._queue.popleft()
+        self.sample("queue_wait", self.sim.now - request.issued_at)
+        self._addresses = request.page_table.walk_addresses(request.vpn)
+        self._level = 0
+        self._started_at = self.sim.now
+        self._fetch_level()
 
-    def _do_level(self, request: _WalkRequest, addresses: list[int],
-                  level: int, started_at: int) -> None:
-        if level >= len(addresses):
-            self._finish(request, addresses, started_at)
+    def _fetch_level(self) -> None:
+        """Read the current level's PTE; retire the walk after the last."""
+        if self._level >= len(self._addresses):
+            self._finish()
             return
-
-        def next_level(_req: Optional[MemoryRequest] = None) -> None:
-            self.schedule(self.config.per_level_overhead,
-                          lambda: self._do_level(request, addresses, level + 1, started_at))
-
         self.count("levels_fetched")
         if self.port is not None:
-            mem_request = MemoryRequest(addr=addresses[level],
-                                        size=request.page_table.config.pte_bytes,
-                                        is_write=False, master=self.name,
-                                        callback=next_level)
-            self.port.access(mem_request)
+            # addr, size, is_write, master, tag, callback: positional is cheaper.
+            self.port.access(MemoryRequest(
+                self._addresses[self._level],
+                self._walk.page_table.config.pte_bytes, False, self.name,
+                None, self._level_read))
         else:
-            self.schedule(self.config.fixed_level_latency, next_level)
+            self.schedule(self.config.fixed_level_latency, self._level_read)
 
-    def _finish(self, request: _WalkRequest, addresses: list[int],
-                started_at: int) -> None:
-        expected_levels = request.page_table.config.levels
+    def _level_read(self, _request: Optional[MemoryRequest] = None) -> None:
+        self._level += 1
+        self.schedule(self.config.per_level_overhead, self._fetch_level)
+
+    def _finish(self) -> None:
+        request = self._walk
+        addresses = self._addresses
         entry: Optional[PageTableEntry] = None
-        if len(addresses) == expected_levels:
+        if len(addresses) == request.page_table.config.levels:
             entry = request.page_table.entry(request.vpn)
-        walk_cycles = self.now - started_at
+        walk_cycles = self.sim.now - self._started_at
         self.count("walks_completed")
         self.count("walk_cycles", walk_cycles)
         self.sample("walk_latency", walk_cycles)
         if GLOBAL_TRACER.enabled:
-            GLOBAL_TRACER.log(self.now, self.name, "walk_done",
+            GLOBAL_TRACER.log(self.sim.now, self.name, "walk_done",
                               f"vpn={request.vpn} levels={len(addresses)} "
                               f"cycles={walk_cycles} "
                               f"faulted={entry is None}")

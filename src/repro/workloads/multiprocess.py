@@ -122,23 +122,23 @@ def duet(kernel_a: str, kernel_b: str | None = None, scale: str = "tiny",
 # ---------------------------------------------------------------------------
 # Slicing
 # ---------------------------------------------------------------------------
+def _op_demand(op: Operation) -> int:
+    if isinstance(op, Compute):
+        return op.cycles
+    if isinstance(op, Burst):
+        return 1 + op.total_bytes // 8
+    if isinstance(op, Access):
+        return 1 + op.size // 8
+    return 1
+
+
 def estimate_demand(ops: Iterable[Operation]) -> int:
     """Rough fabric-cycle demand of an operation list.
 
     Only *relative* accuracy matters: the estimate shapes how many operations
     fall into each scheduler slice, not any reported cycle count.
     """
-    total = 0
-    for op in ops:
-        if isinstance(op, Compute):
-            total += op.cycles
-        elif isinstance(op, Burst):
-            total += 1 + op.total_bytes // 8
-        elif isinstance(op, Access):
-            total += 1 + op.size // 8
-        else:
-            total += 1
-    return total
+    return sum(map(_op_demand, ops))
 
 
 #: Upper bound on an estimated pressure value.  A degenerate near-zero-cycle
@@ -210,7 +210,7 @@ def _take_chunk(ops: List[Operation], cursor: int,
     while cursor < len(ops) and budget > 0:
         op = ops[cursor]
         chunk.append(op)
-        budget -= max(1, estimate_demand((op,)))
+        budget -= max(1, _op_demand(op))
         cursor += 1
     return chunk, cursor
 

@@ -5,12 +5,13 @@ experiments report, and ``test_differential_models.py`` compares the two
 tiers only where the replay tier can run.  Neither sees the rest of an
 event-tier run's statistics: a drift in ``bus.latency_for.*.max`` or a
 counter that appears at zero would pass both.  This suite pins the whole
-``SVMResult.system_result.stats`` snapshot (every key, exact values) and
-the telemetry epochs of four event-tier runs that the replay tier cannot
-execute: an adaptive multi-process fig14 candidate, a fault-heavy
-single-process run, and one fig5 point under each non-default bus arbiter.
-The fig5 point runs on two hardware threads: with one thread the bus never
-holds two masters' requests at once, so every arbiter grants alike.
+``SVMResult.system_result.stats`` snapshot (every key, exact values) of
+four event-tier runs that the replay tier cannot execute, and the
+telemetry epochs of the one that has them: an adaptive multi-process fig14
+candidate, a fault-heavy single-process run, and one fig5 point under each
+non-default bus arbiter.  The fig5 point runs on two hardware threads: on
+one thread all three arbiters give identical statistics, so the point
+would not tell them apart.
 
 Regenerate with ``--update-golden`` (see ``tests/README.md``).
 """

@@ -1,6 +1,11 @@
 """Unit tests for the event-driven simulation engine."""
 
+import re
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -189,3 +194,152 @@ def test_cancel_after_execution_does_not_corrupt_pending_count():
     assert sim.pending_events == 0
     sim.schedule(2, lambda: None)
     assert sim.pending_events == 1     # live event not masked
+
+
+@pytest.mark.parametrize("delay", [0.5, 1.7, 2.0])
+def test_fractional_delay_is_rejected_not_truncated(delay):
+    sim = Simulator()
+    with pytest.raises(TypeError, match=re.escape(repr(delay))):
+        sim.schedule(delay, lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_integer_like_delays_are_accepted():
+    sim = Simulator()
+    seen = []
+    sim.schedule(np.int64(3), lambda: seen.append(sim.now))
+    sim.schedule(True, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [1, 3]
+
+
+# ---------------------------------------------------------------------------
+# Property test: random interleavings against a sorted-list reference model
+# ---------------------------------------------------------------------------
+class _ModelEvent:
+    def __init__(self, cycle, seq, label, child_delay):
+        self.cycle = cycle
+        self.seq = seq
+        self.label = label
+        self.child_delay = child_delay
+        self.cancelled = False
+        self.queued = True
+
+
+class _ModelSimulator:
+    """The engine's contract, as plainly as possible: a list kept sorted by
+    ``(cycle, seq)``, popped from the front."""
+
+    def __init__(self):
+        self.now = 0
+        self.queue = []
+        self.fired = []
+        self.children = []
+        self.seq = 0
+
+    def schedule(self, delay, label, child_delay):
+        event = _ModelEvent(self.now + delay, self.seq, label, child_delay)
+        self.seq += 1
+        self.queue.append(event)
+        self.queue.sort(key=lambda e: (e.cycle, e.seq))
+        return event
+
+    def cancel(self, event):
+        if event.queued:
+            event.cancelled = True
+
+    def _execute(self, event):
+        self.now = event.cycle
+        self.fired.append((event.label, self.now))
+        if event.child_delay is not None:
+            self.children.append(self.schedule(event.child_delay,
+                                               event.label + "/child", None))
+
+    def step(self):
+        while self.queue:
+            event = self.queue.pop(0)
+            event.queued = False
+            if not event.cancelled:
+                self._execute(event)
+                return True
+        return False
+
+    def run(self, until):
+        while self.queue:
+            if self.queue[0].cycle > until:
+                self.now = until
+                return self.now
+            event = self.queue.pop(0)
+            event.queued = False
+            if not event.cancelled:
+                self._execute(event)
+        return self.now
+
+    @property
+    def pending_events(self):
+        return sum(not e.cancelled for e in self.queue)
+
+
+_delays = st.integers(min_value=0, max_value=4)
+_engine_ops = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), _delays, st.none() | _delays),
+    st.tuples(st.just("schedule_at"), _delays, st.none() | _delays),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run_until"), st.integers(min_value=0, max_value=6)),
+), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_engine_ops)
+def test_engine_matches_sorted_list_model(ops):
+    sim, model = Simulator(), _ModelSimulator()
+    fired = []
+    scheduled = []      # (engine Event, model event) of scheduled events
+    children = []       # engine Events scheduled by callbacks, in order
+
+    def make_callback(label, child_delay):
+        def callback():
+            fired.append((label, sim.now))
+            if child_delay is not None:
+                children.append(sim.schedule(
+                    child_delay, make_callback(label + "/child", None)))
+        return callback
+
+    handles = []
+    for index, op in enumerate(ops):
+        kind = op[0]
+        if kind in ("schedule", "schedule_at"):
+            _, delay, child_delay = op
+            label = str(index)
+            callback = make_callback(label, child_delay)
+            if kind == "schedule":
+                handle = sim.schedule(delay, callback)
+            else:
+                handle = sim.schedule_at(sim.now + delay, callback)
+            scheduled.append((handle,
+                              model.schedule(delay, label, child_delay)))
+        elif kind == "cancel":
+            if handles:
+                handle, event = handles[op[1] % len(handles)]
+                handle.cancel()
+                model.cancel(event)
+        elif kind == "step":
+            assert sim.step() == model.step()
+        else:
+            until = sim.now + op[1]
+            assert sim.run(until=until) == model.run(until)
+
+        assert fired == model.fired
+        assert sim.now == model.now
+        assert sim.pending_events == model.pending_events
+        assert len(children) == len(model.children)
+        handles = scheduled + list(zip(children, model.children))
+        for handle, event in handles:
+            assert handle.cycle == event.cycle
+            assert handle.cancelled == event.cancelled
+
+    sim.run()
+    model.run(float("inf"))
+    assert fired == model.fired
+    assert sim.pending_events == model.pending_events == 0

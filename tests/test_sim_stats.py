@@ -104,3 +104,37 @@ def test_group_is_reused_per_owner():
 def test_merge_snapshots_collects_values():
     merged = merge_snapshots([{"a": 1, "b": 2}, {"a": 3}])
     assert merged == {"a": [1, 3], "b": [2]}
+
+
+def test_counter_value_reads_without_creating_the_counter():
+    group = StatsRegistry().group("dram")
+    assert group.counter_value("bytes_written") == 0
+    assert group.snapshot() == {}
+    group.counter("bytes_written").inc(8)
+    assert group.counter_value("bytes_written") == 8
+
+
+def test_stat_readers_leave_later_snapshots_unchanged():
+    # A counter appears in a snapshot only once incremented (both tiers rely
+    # on it); reading a derived figure must not add a zero counter.
+    from repro.eval.harness import HarnessConfig, _build_svm_system
+    from repro.mem.cache import Cache
+    from repro.mem.port import LatencyPipe
+    from repro.workloads.suite import workload
+
+    platform, system, bound = _build_svm_system(
+        workload("linked_list", scale="tiny"), HarnessConfig(), 1)
+    system.run({"hwt0": bound[0].make_kernel()})
+    before = platform.snapshot()
+    assert "dram.bytes_written" not in before
+    elapsed = platform.sim.now
+    assert platform.dram.utilisation(elapsed) > 0
+    assert platform.dram.total_bytes_transferred > 0
+    assert platform.bus.utilisation(elapsed) > 0
+    assert platform.kernel.fault_handler(platform.process_name).faults_resolved == 0
+    assert platform.snapshot() == before
+
+    cache = Cache(platform.sim, backing=LatencyPipe(platform.sim))
+    cache.lookup(0x40)
+    assert cache.hit_rate == 0.0
+    assert "hits" not in cache.stats.snapshot()
