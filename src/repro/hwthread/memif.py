@@ -143,9 +143,9 @@ class MemoryInterface(Component):
     def _issue(self, chunks: List[tuple[int, int, bool]], index: int,
                on_done: OpCallback, paddr: int) -> None:
         _, size, is_write = chunks[index]
-        # addr, size, is_write, master, tag, callback: positional is cheaper.
-        request = MemoryRequest(paddr, size, is_write, self.name,
-                                (chunks, index, on_done), self._on_retired)
+        request = MemoryRequest(addr=paddr, size=size, is_write=is_write,
+                                master=self.name, tag=(chunks, index, on_done),
+                                callback=self._on_retired)
         self.count("transactions")
         self.schedule(self.config.issue_latency,
                       partial(self.bus_port.access, request))

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from functools import partial
+from typing import Callable, Deque, List, Optional
 
 from ..sim.component import Component
 from ..sim.engine import Simulator
@@ -73,9 +74,6 @@ class SystemBus(Component):
         self._ports: List[BusPort] = []
         self._inflight: List[int] = []
         self._busy = False
-        # The request in its address/data phase: the bus is serial, so at
-        # most one forward is ever pending.
-        self._granted: Optional[MemoryRequest] = None
 
     # --------------------------------------------------------------- masters
     def attach_master(self, name: str) -> BusPort:
@@ -129,25 +127,23 @@ class SystemBus(Component):
                      + (request.size + width - 1) // width)
         self.count("busy_cycles", occupancy)
 
-        request.bus_port = chosen
-        request.bus_callback = request.callback
-        request.callback = self._retire
+        request.callback = partial(self._retire, chosen, request.callback)
         # Forward to the memory target after the occupancy elapses, then look
         # for the next grant.
-        self._granted = request
-        self.schedule(occupancy, self._forward)
+        self.schedule(occupancy, partial(self._forward, request))
 
-    def _forward(self) -> None:
-        self.target.access(self._granted)
+    def _forward(self, request: MemoryRequest) -> None:
+        self.target.access(request)
         self._grant_next()
 
-    def _retire(self, request: MemoryRequest) -> None:
-        index = request.bus_port
+    def _retire(self, index: int,
+                callback: Optional[Callable[[MemoryRequest], None]],
+                request: MemoryRequest) -> None:
         self._inflight[index] -= 1
         self.sample(self._ports[index].latency_stat,
                     self.sim.now - request.issue_cycle)
-        if request.bus_callback is not None:
-            request.bus_callback(request)
+        if callback is not None:
+            callback(request)
         # A freed outstanding slot may unblock this master's queued request
         # even if the bus itself went idle in the meantime.  (An idle bus has
         # no other eligible master: it would have granted it.)

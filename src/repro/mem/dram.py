@@ -56,10 +56,13 @@ class DRAMModel(Component):
     # ------------------------------------------------------------ addressing
     def bank_of(self, addr: int) -> int:
         """Bank index of an address (row-interleaved mapping)."""
-        return (addr // self.config.row_bytes) % self.config.num_banks
+        return self._bank_row(addr)[0]
 
-    def row_of(self, addr: int) -> int:
-        return addr // (self.config.row_bytes * self.config.num_banks)
+    def _bank_row(self, addr: int) -> tuple[int, int]:
+        """``(bank, row)`` of an address: consecutive rows go to
+        consecutive banks."""
+        row, bank = divmod(addr // self.config.row_bytes, self.config.num_banks)
+        return bank, row
 
     # ---------------------------------------------------------------- access
     def access(self, request: MemoryRequest) -> None:
@@ -68,8 +71,7 @@ class DRAMModel(Component):
         now = self.sim.now
         request.issue_cycle = now
 
-        # Row-interleaved: bank_of() and row_of() in one division.
-        row, bank = divmod(request.addr // cfg.row_bytes, cfg.num_banks)
+        bank, row = self._bank_row(request.addr)
 
         start = max(now + cfg.controller_latency, self._bank_free[bank])
 

@@ -13,8 +13,7 @@ class MemoryRequest:
     ``addr`` is a *physical* address — address translation happens upstream
     in the MMU (:mod:`repro.vm.mmu`).  ``callback`` is invoked exactly once
     when the request retires; it receives the request itself so the issuer
-    can recover its context via ``tag``.  A bus that grants the request
-    takes over ``callback`` and keeps the issuer's in ``bus_callback``.
+    can recover its context via ``tag``.
     """
 
     addr: int
@@ -25,9 +24,6 @@ class MemoryRequest:
     callback: Optional[Callable[["MemoryRequest"], None]] = None
     issue_cycle: int = 0
     complete_cycle: Optional[int] = None
-    #: Index of the bus master that was granted the request.
-    bus_port: int = -1
-    bus_callback: Optional[Callable[["MemoryRequest"], None]] = None
 
     def __post_init__(self) -> None:
         if self.addr < 0:

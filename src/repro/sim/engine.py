@@ -116,25 +116,20 @@ class Simulator:
             raise ValueError(
                 f"cannot run backwards: until={until} < now={self.now}")
         queue = self._queue
-        # One comparison per event covers both ``until`` and ``max_cycles``.
-        limit = self._max_cycles
-        if until is not None and (limit is None or until < limit):
-            limit = until
+        max_cycles = self._max_cycles
         while queue:
             event = queue[0]
             cycle = event[0]
-            if limit is not None and cycle > limit:
-                if until is not None and cycle > until:
-                    self.now = until
-                    return until
-                heappop(queue)
-                self._exceeded(event)
-                continue
+            if until is not None and cycle > until:
+                self.now = until
+                return until
             heappop(queue)
             callback = event[2]
             if callback is _CANCELLED:
                 continue
             event[2] = None
+            if max_cycles is not None and cycle > max_cycles:
+                raise self._exceeded(cycle)
             self.now = cycle
             callback()
         return self.now
@@ -152,22 +147,18 @@ class Simulator:
             callback = event[2]
             if callback is _CANCELLED:
                 continue
-            if self._max_cycles is not None and event[0] > self._max_cycles:
-                self._exceeded(event)
             event[2] = None
+            if self._max_cycles is not None and event[0] > self._max_cycles:
+                raise self._exceeded(event[0])
             self.now = event[0]
             callback()
             return True
         return False
 
-    def _exceeded(self, event: Event) -> None:
-        """Raise for ``event``, just taken off the queue past ``max_cycles``
-        (a cancelled one is dropped instead)."""
-        if event[2] is not _CANCELLED:
-            event[2] = None
-            raise SimulationError(
-                f"simulation exceeded max_cycles={self._max_cycles} "
-                f"(next event at {event[0]})")
+    def _exceeded(self, cycle: int) -> SimulationError:
+        return SimulationError(
+            f"simulation exceeded max_cycles={self._max_cycles} "
+            f"(next event at {cycle})")
 
     @property
     def pending_events(self) -> int:

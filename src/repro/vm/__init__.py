@@ -14,8 +14,12 @@ from .types import (
     AccessType,
     FaultType,
     PageFault,
+    PageFaultError,
     Permissions,
     Translation,
+    page_base,
+    pages_covering,
+    split_vaddr,
 )
 from .walker import PageTableWalker, WalkerConfig
 
@@ -30,6 +34,7 @@ __all__ = [
     "MMU",
     "MMUConfig",
     "PageFault",
+    "PageFaultError",
     "PageTable",
     "PageTableConfig",
     "PageTableEntry",
@@ -41,4 +46,7 @@ __all__ = [
     "TranslateCallback",
     "Translation",
     "WalkerConfig",
+    "page_base",
+    "pages_covering",
+    "split_vaddr",
 ]

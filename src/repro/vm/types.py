@@ -25,6 +25,14 @@ class FaultType(enum.Enum):
     PROTECTION = "protection"          # write to a read-only mapping
 
 
+class PageFaultError(Exception):
+    """Raised when a fault cannot be resolved (e.g. access outside any mapping)."""
+
+    def __init__(self, fault: "PageFault"):
+        super().__init__(f"{fault.fault_type.value} fault at {fault.vaddr:#x}")
+        self.fault = fault
+
+
 @dataclass(frozen=True)
 class PageFault:
     """Record of a translation fault delivered to the OS fault handler."""
@@ -66,3 +74,24 @@ class Permissions:
         if access is AccessType.READ:
             return self.readable
         return self.writable
+
+
+def split_vaddr(vaddr: int, page_size: int) -> tuple[int, int]:
+    """Split a virtual address into (virtual page number, page offset)."""
+    if vaddr < 0:
+        raise ValueError(f"negative virtual address {vaddr:#x}")
+    return vaddr // page_size, vaddr % page_size
+
+
+def page_base(vaddr: int, page_size: int) -> int:
+    """Base virtual address of the page containing ``vaddr``."""
+    return (vaddr // page_size) * page_size
+
+
+def pages_covering(addr: int, size: int, page_size: int) -> list[int]:
+    """Virtual page numbers of all pages touched by ``[addr, addr+size)``."""
+    if size <= 0:
+        return []
+    first = addr // page_size
+    last = (addr + size - 1) // page_size
+    return list(range(first, last + 1))

@@ -99,11 +99,10 @@ class PageTableWalker(Component):
             return
         self.count("levels_fetched")
         if self.port is not None:
-            # addr, size, is_write, master, tag, callback: positional is cheaper.
             self.port.access(MemoryRequest(
-                self._addresses[self._level],
-                self._walk.page_table.config.pte_bytes, False, self.name,
-                None, self._level_read))
+                addr=self._addresses[self._level],
+                size=self._walk.page_table.config.pte_bytes,
+                is_write=False, master=self.name, callback=self._level_read))
         else:
             self.schedule(self.config.fixed_level_latency, self._level_read)
 

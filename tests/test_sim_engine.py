@@ -2,7 +2,6 @@
 
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,11 +203,31 @@ def test_fractional_delay_is_rejected_not_truncated(delay):
     assert sim.pending_events == 0
 
 
+class _Cycles:
+    """An integer-like delay: defines ``__index__``, as NumPy ints do."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_integer_like_delays_are_accepted():
     sim = Simulator()
     seen = []
-    sim.schedule(np.int64(3), lambda: seen.append(sim.now))
+    sim.schedule(_Cycles(3), lambda: seen.append(sim.now))
     sim.schedule(True, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [1, 3]
+
+
+def test_numpy_integer_delays_are_accepted():
+    np = pytest.importorskip("numpy")
+    sim = Simulator()
+    seen = []
+    sim.schedule(np.int64(3), lambda: seen.append(sim.now))
+    sim.schedule(np.uint8(1), lambda: seen.append(sim.now))
     sim.run()
     assert seen == [1, 3]
 
