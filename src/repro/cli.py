@@ -348,10 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8754, metavar="N",
                        help="listen port (default: %(default)s; 0 picks a "
                             "free port and prints it)")
-    serve.add_argument("--blob-dir", metavar="DIR", default=None,
-                       help="persist large payloads/values as "
-                            "content-addressed files here (default: "
-                            "in-memory, lost on restart)")
     serve.add_argument("--lease-seconds", type=positive_float, default=None,
                        metavar="S",
                        help="fleet-wide claim lease duration; connecting "
@@ -768,15 +764,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _broker_command(args: argparse.Namespace) -> int:
-    from .dist import BrokerServer, DirBlobStore, SQLiteBroker
+    from .dist import BrokerServer, SQLiteBroker
 
     broker = SQLiteBroker(args.db, **(
         {} if args.lease_seconds is None
         else {"lease_seconds": args.lease_seconds}))
-    blobs = DirBlobStore(args.blob_dir) if args.blob_dir else None
     try:
         server = BrokerServer(
-            broker, host=args.host, port=args.port, blobs=blobs,
+            broker, host=args.host, port=args.port,
             memo=_sweep_memo(args), results=_sweep_results(args),
             max_request_bytes=int(args.max_request_mb * 1024 * 1024),
             quiet=not args.verbose)
@@ -784,8 +779,7 @@ def _broker_command(args: argparse.Namespace) -> int:
         print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         broker.close()
         return 1
-    print(f"serving broker {args.db} at {server.url} "
-          f"(blobs: {args.blob_dir or 'in-memory'}; stop with Ctrl-C)",
+    print(f"serving broker {args.db} at {server.url} (stop with Ctrl-C)",
           file=sys.stderr)
     try:
         server.serve_forever()

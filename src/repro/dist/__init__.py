@@ -9,10 +9,9 @@ fleet coordinated through a shared work queue, without changing any caller:
   consult), and :func:`connect_broker`, the broker-URL front door
   (``sqlite:///path`` / bare path / ``http://host:port``; third-party
   backends plug in with :func:`register_broker_scheme`),
-* :mod:`~repro.dist.blobs` — the :class:`BlobStore` payload/value transport
-  seam (content-addressed, SHA-256),
 * :mod:`~repro.dist.wire` — the versioned JSON wire format the HTTP
-  backend speaks,
+  backend speaks (payloads and result values travel inside each message,
+  base64-encoded),
 * :mod:`~repro.dist.http` — :class:`BrokerServer` (``repro broker serve``)
   and the :class:`HTTPBroker` client: the fleet without a shared
   filesystem,
@@ -24,11 +23,10 @@ fleet coordinated through a shared work queue, without changing any caller:
   ``repro sweep``.
 """
 
-from .blobs import BlobStore, DirBlobStore, MemoryBlobStore
 from .broker import (Broker, ClaimedJob, JobResult, SQLiteBroker, SweepTicket,
                      WorkItem, broker_schemes, connect_broker,
                      register_broker_scheme)
-from .http import (BrokerServer, BrokerUnavailable, HTTPBlobStore, HTTPBroker)
+from .http import BrokerServer, BrokerUnavailable, HTTPBroker
 from .runner import DistributedJobError, DistributedRunner
 from .service import (SpecError, expand_spec, iter_results, submit_sweep,
                       sweep_status)
@@ -40,7 +38,6 @@ __all__ = [
     "JobResult", "Worker", "worker_main", "DistributedRunner",
     "DistributedJobError", "SpecError", "expand_spec", "submit_sweep",
     "sweep_status", "iter_results", "connect_broker",
-    "register_broker_scheme", "broker_schemes", "BlobStore", "DirBlobStore",
-    "MemoryBlobStore", "BrokerServer", "HTTPBroker", "HTTPBlobStore",
+    "register_broker_scheme", "broker_schemes", "BrokerServer", "HTTPBroker",
     "BrokerUnavailable", "WireError", "WireVersionError", "WIRE_VERSION",
 ]

@@ -64,19 +64,12 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Protocol, Sequence, Tuple, Union, runtime_checkable)
 
 from ..exec.cache import MemoCache
-from .blobs import DEFAULT_INLINE_LIMIT, BlobStore
 
 #: Terminal job states: nothing transitions out of these.
 FINISHED_STATES = ("done", "failed", "cancelled")
 
 #: A claim leases at most ``ceil(runnable keys / FAIR_SHARE)`` jobs.
 FAIR_SHARE = 4
-
-#: In-row marker for a payload that lives in the attached blob store.  Real
-#: payloads are pickles, which always start with b"\\x80", so the marker can
-#: never collide with inline bytes.
-_BLOB_MARKER = b"blobref:sha256:"
-
 
 @dataclass(frozen=True)
 class WorkItem:
@@ -294,12 +287,6 @@ class SQLiteBroker:
 
     ``clock`` is injectable so lease expiry, backoff and retry exhaustion
     are deterministically testable without sleeping.
-
-    Payloads and result values are stored in-row (the PR-7 behaviour) by
-    default.  With a ``blobs`` store attached, byte strings larger than
-    ``inline_limit`` live in the store and the row holds a
-    ``blobref:sha256:<digest>`` marker instead — same seam the HTTP wire
-    format uses, so the queue's row size stays bounded either way.
     """
 
     def __init__(self, path: Union[str, os.PathLike], *,
@@ -307,9 +294,7 @@ class SQLiteBroker:
                  max_attempts: int = 3,
                  backoff_seconds: float = 0.25,
                  busy_timeout: float = 30.0,
-                 clock: Callable[[], float] = time.time,
-                 blobs: Optional[BlobStore] = None,
-                 inline_limit: int = DEFAULT_INLINE_LIMIT) -> None:
+                 clock: Callable[[], float] = time.time) -> None:
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be positive")
         if max_attempts < 1:
@@ -319,8 +304,6 @@ class SQLiteBroker:
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.clock = clock
-        self.blobs = blobs
-        self.inline_limit = inline_limit
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
         self._db = sqlite3.connect(self.path, timeout=busy_timeout,
@@ -351,26 +334,6 @@ class SQLiteBroker:
     def url(self) -> str:
         """The broker URL that reopens this backend from any process."""
         return f"sqlite://{self.path.resolve()}"
-
-    # ---------------------------------------------------------- byte seam
-    def _store_bytes(self, data: bytes) -> bytes:
-        """Bytes -> in-row representation (raw, or a blob-store marker)."""
-        if self.blobs is None or len(data) <= self.inline_limit:
-            return data
-        digest = self.blobs.put(data)
-        return _BLOB_MARKER + digest.encode("ascii")
-
-    def _load_bytes(self, stored: bytes) -> bytes:
-        """In-row representation -> original bytes."""
-        stored = bytes(stored)
-        if not stored.startswith(_BLOB_MARKER):
-            return stored
-        digest = stored[len(_BLOB_MARKER):].decode("ascii")
-        if self.blobs is None:
-            raise RuntimeError(
-                f"row references blob {digest[:12]}… but this broker has "
-                "no blob store attached")
-        return self.blobs.get(digest)
 
     # ------------------------------------------------------------- enqueue
     def create_sweep(self, items: Sequence[WorkItem], label: str = "sweep",
@@ -417,8 +380,7 @@ class SQLiteBroker:
                         "INSERT OR IGNORE INTO results "
                         "(key, payload, worker, created) VALUES (?, ?, ?, ?)",
                         (item.key,
-                         self._store_bytes(pickle.dumps(
-                             value, protocol=pickle.HIGHEST_PROTOCOL)),
+                         pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
                          source, now))
                     state = "done"
                 if state == "done":
@@ -428,8 +390,8 @@ class SQLiteBroker:
                 self._db.execute(
                     "INSERT INTO jobs (sweep_id, position, key, payload,"
                     " meta, state) VALUES (?, ?, ?, ?, ?, ?)",
-                    (sweep_id, position, item.key,
-                     self._store_bytes(item.payload), meta, state))
+                    (sweep_id, position, item.key, item.payload, meta,
+                     state))
         already_done = sum(1 for item in items if item.key in done_keys)
         return SweepTicket(sweep_id=sweep_id, total=len(items),
                            already_done=already_done,
@@ -500,7 +462,7 @@ class SQLiteBroker:
                 [(attempts, expiry, worker, sweep_id, position)
                  for sweep_id, position, _, _, attempts in batch])
         return [ClaimedJob(sweep_id=sweep_id, position=position, key=key,
-                           payload=self._load_bytes(payload),
+                           payload=payload,
                            attempts=attempts, lease_expiry=expiry)
                 for sweep_id, position, key, payload, attempts in batch]
 
@@ -563,12 +525,10 @@ class SQLiteBroker:
         idempotency guard as :meth:`complete` — one ``INSERT OR IGNORE`` per
         key, so a retried batch records nothing twice.
         """
-        stored = [(key, self._store_bytes(payload))
-                  for key, payload in results]
         now = self.clock()
         recorded: List[bool] = []
         with self._write():
-            for key, payload in stored:
+            for key, payload in results:
                 cursor = self._db.execute(
                     "INSERT OR IGNORE INTO results (key, payload, worker,"
                     " created) VALUES (?, ?, ?, ?)",
@@ -672,11 +632,11 @@ class SQLiteBroker:
         value_bytes_or_None)`` tuples, ordered by position.
 
         The byte-level sibling of :meth:`fetch_results`: value pickles are
-        returned as-is (resolved through the blob store if offloaded) and
-        never loaded, so a relay — the HTTP broker server — can ship them
-        to clients whose classes it cannot import.  With ``values=False``
-        the result column is skipped entirely: no row bytes read, nothing
-        to unpickle, which is what status-only consumers should ask for.
+        returned as-is and never loaded, so a relay — the HTTP broker
+        server — can ship them to clients whose classes it cannot import.
+        With ``values=False`` the result column is skipped entirely: no row
+        bytes read, nothing to unpickle, which is what status-only consumers
+        should ask for.
         """
         value_column = "r.payload" if values else "NULL"
         query = (f"SELECT j.position, j.key, j.state, j.meta, j.error,"
@@ -695,15 +655,10 @@ class SQLiteBroker:
         query += " ORDER BY j.position"
         with self._lock:
             rows = self._db.execute(query, params).fetchall()
-        out: List[tuple] = []
-        for position, key, state, meta, error, worker, payload in rows:
-            blob = None
-            if values and state == "done" and payload is not None:
-                blob = self._load_bytes(payload)
-            out.append((position, key, state,
-                        json.loads(meta) if meta else None,
-                        error, worker, blob))
-        return out
+        return [(position, key, state, json.loads(meta) if meta else None,
+                 error, worker, payload if state == "done" else None)
+                for position, key, state, meta, error, worker, payload
+                in rows]
 
     def fetch_results(self, sweep_id: str,
                       positions: Optional[Iterable[int]] = None, *,

@@ -2,10 +2,9 @@
 
 Two halves, both speaking :mod:`repro.dist.wire`:
 
-* :class:`BrokerServer` — a stdlib ``ThreadingHTTPServer`` wrapping any
-  :class:`~repro.dist.broker.Broker` (in practice the
+* :class:`BrokerServer` — a stdlib ``ThreadingHTTPServer`` wrapping a
   :class:`~repro.dist.broker.SQLiteBroker`, whose lease/retry/idempotency
-  machinery is reused wholesale, never re-implemented here).  Exposed from
+  machinery is reused wholesale, never re-implemented here.  Exposed from
   the CLI as ``repro broker serve --db sweeps.db --port N``.
 * :class:`HTTPBroker` — a client satisfying the same runtime-checkable
   ``Broker`` protocol, so :class:`~repro.dist.worker.Worker`,
@@ -14,10 +13,9 @@ Two halves, both speaking :mod:`repro.dist.wire`:
 
 The server treats payloads and result values as opaque bytes end to end —
 it never unpickles them, so workers may run functions whose modules the
-server cannot import.  Bytes above the inline limit travel through the
-server's :class:`~repro.dist.blobs.BlobStore` via content-addressed
-``GET``/``PUT /v1/blobs/<digest>`` endpoints; :class:`HTTPBlobStore` is the
-client-side view of that store.
+server cannot import.  The bytes travel base64-encoded inside the JSON
+messages; a request body larger than the server's cap (64 MiB by default)
+is refused with HTTP 413.
 
 The client keeps one HTTP/1.1 connection open per calling thread and reuses
 it for every request; workers claim and complete jobs in batches, so a fleet
@@ -47,12 +45,11 @@ import time
 import urllib.parse
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import wire
-from .blobs import (DEFAULT_INLINE_LIMIT, BlobStore, MemoryBlobStore,
-                    blob_digest, valid_digest)
-from .broker import (Broker, ClaimedJob, JobResult, SweepTicket, WorkItem)
+from .broker import (ClaimedJob, JobResult, SQLiteBroker, SweepTicket,
+                     WorkItem)
 
 #: Hard cap on a single request body; oversized posts get HTTP 413 without
 #: being read.  Configurable per server for tests and tight deployments.
@@ -72,7 +69,7 @@ class BrokerUnavailable(ConnectionError):
 # Server
 # ---------------------------------------------------------------------------
 class _BrokerAPI:
-    """Wire-method dispatch table over a wrapped :class:`Broker`.
+    """Wire-method dispatch table over a wrapped :class:`SQLiteBroker`.
 
     Each public method takes validated-on-entry ``params`` (a dict from the
     request envelope) and returns the JSON-able ``result``.  Validation
@@ -80,18 +77,15 @@ class _BrokerAPI:
     :class:`KeyError`; both are mapped to HTTP statuses by the handler.
     """
 
-    def __init__(self, broker: Broker, blobs: BlobStore, *,
-                 memo=None, results=None,
-                 inline_limit: int = DEFAULT_INLINE_LIMIT) -> None:
+    def __init__(self, broker: SQLiteBroker, *, memo=None,
+                 results=None) -> None:
         self.broker = broker
-        self.blobs = blobs
         self.memo = memo
         self.results = results
-        self.inline_limit = inline_limit
 
     def create_sweep(self, params: Dict[str, Any]) -> Dict[str, Any]:
         raw_items = wire.get_field(params, "items", (list,))
-        items = [wire.decode_work_item(obj, self.blobs) for obj in raw_items]
+        items = [wire.decode_work_item(obj) for obj in raw_items]
         label = wire.get_field(params, "label", (str,), required=False,
                                default="sweep")
         spec = wire.get_field(params, "spec", (str,), required=False)
@@ -112,8 +106,7 @@ class _BrokerAPI:
         lease = wire.get_field(params, "lease_seconds", (int, float),
                                required=False)
         jobs = self.broker.claim_many(worker, limit, lease_seconds=lease)
-        return {"jobs": [wire.encode_claim(job, self.blobs, self.inline_limit)
-                         for job in jobs]}
+        return {"jobs": [wire.encode_claim(job) for job in jobs]}
 
     def _decode_claim_stub(self, params: Dict[str, Any]) -> ClaimedJob:
         # heartbeat/fail only need identity fields (sweep, position,
@@ -135,18 +128,11 @@ class _BrokerAPI:
 
     def complete(self, params: Dict[str, Any]) -> Dict[str, Any]:
         worker = wire.get_field(params, "worker", (str,), required=False)
-        results = [wire.decode_completion(obj, self.blobs)
+        results = [wire.decode_completion(obj)
                    for obj in wire.get_field(params, "results", (list,))]
-        complete_bytes = getattr(self.broker, "complete_many_bytes", None)
-        if complete_bytes is not None:
-            recorded = complete_bytes(results, worker=worker)
-        else:
-            # Fallback for third-party brokers without the byte-level hook;
-            # requires the values' classes to be importable server-side.
-            recorded = self.broker.complete_many(
-                [(key, pickle.loads(payload)) for key, payload in results],
-                worker=worker)
-        return {"recorded": [bool(flag) for flag in recorded]}
+        # Value pickles are recorded verbatim, never loaded server-side.
+        recorded = self.broker.complete_many_bytes(results, worker=worker)
+        return {"recorded": recorded}
 
     def fail(self, params: Dict[str, Any]) -> Dict[str, Any]:
         claim = self._decode_claim_stub(params)
@@ -183,28 +169,10 @@ class _BrokerAPI:
         positions = wire.decode_positions(params)
         values = wire.get_field(params, "values", (bool,), required=False,
                                 default=True)
-        rows = self._result_rows(sweep_id, positions, values)
-        encoded = [wire.encode_result_row(*row, store=self.blobs,
-                                          inline_limit=self.inline_limit)
-                   for row in rows]
-        return {"results": encoded}
-
-    def _result_rows(self, sweep_id: str, positions: Optional[List[int]],
-                     values: bool) -> Iterable[Tuple]:
-        fetch_rows = getattr(self.broker, "fetch_result_rows", None)
-        if fetch_rows is not None:
-            # Raw byte passthrough: value pickles are relayed verbatim,
-            # never loaded into server objects.
-            return fetch_rows(sweep_id, positions=positions, values=values)
-        rows = []
-        for res in self.broker.fetch_results(sweep_id, positions=positions):
-            payload = None
-            if values and res.state == "done":
-                payload = pickle.dumps(res.value,
-                                       protocol=pickle.HIGHEST_PROTOCOL)
-            rows.append((res.position, res.key, res.state, res.meta,
-                         res.error, res.worker, payload))
-        return rows
+        # Value pickles are relayed verbatim, never loaded server-side.
+        rows = self.broker.fetch_result_rows(sweep_id, positions=positions,
+                                             values=values)
+        return {"results": [wire.encode_result_row(*row) for row in rows]}
 
 
 def _error_body(kind: str, message: str,
@@ -239,7 +207,8 @@ class _BrokerRequestHandler(BaseHTTPRequestHandler):
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(data)
+        if self.command != "HEAD":
+            self.wfile.write(data)
 
     def _send_error(self, status: int, kind: str, message: str,
                     field: Optional[str] = None) -> None:
@@ -257,12 +226,6 @@ class _BrokerRequestHandler(BaseHTTPRequestHandler):
                 f"{self.server.max_request_bytes} bytes")
             return None
         return self.rfile.read(length)
-
-    def _blob_digest_from_path(self) -> Optional[str]:
-        prefix = "/v1/blobs/"
-        if not self.path.startswith(prefix):
-            return None
-        return self.path[len(prefix):]
 
     # -- control plane -----------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
@@ -310,64 +273,27 @@ class _BrokerRequestHandler(BaseHTTPRequestHandler):
             self._send_json(200, {"version": wire.WIRE_VERSION,
                                   "result": result})
 
-    # -- blob plane --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802
-        if self.path == "/v1/ping":
-            broker = self.server.api.broker
-            self._send_json(200, {
-                "version": wire.WIRE_VERSION,
-                "result": {"service": "repro-broker",
-                           "wire_version": wire.WIRE_VERSION,
-                           "lease_seconds": float(getattr(
-                               broker, "lease_seconds", 30.0))}})
-            return
-        digest = self._blob_digest_from_path()
-        if digest is None:
+        if self.path != "/v1/ping":
             self._send_error(404, "unknown-method",
                              f"no such endpoint {self.path!r}")
             return
-        try:
-            data = self.server.api.blobs.get(digest)
-        except KeyError:
-            self._send_error(404, "unknown-blob",
-                             f"no blob {digest!r} on this server")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        broker = self.server.api.broker
+        self._send_json(200, {
+            "version": wire.WIRE_VERSION,
+            "result": {"service": "repro-broker",
+                       "wire_version": wire.WIRE_VERSION,
+                       "lease_seconds": float(broker.lease_seconds)}})
 
-    def do_HEAD(self) -> None:  # noqa: N802
-        digest = self._blob_digest_from_path()
-        known = digest is not None and digest in self.server.api.blobs
-        self.send_response(200 if known else 404)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
+    # Same status and headers as GET; _send_json leaves the body out.
+    do_HEAD = do_GET
 
     def do_PUT(self) -> None:  # noqa: N802
-        digest = self._blob_digest_from_path()
-        if digest is None:
-            self._send_error(404, "unknown-method",
-                             f"no such endpoint {self.path!r}")
-            return
-        if not valid_digest(digest):
-            self._send_error(400, "wire-error",
-                             f"malformed blob digest {digest!r}",
-                             field="digest")
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        if blob_digest(body) != digest:
-            self._send_error(
-                400, "digest-mismatch",
-                f"body hashes to {blob_digest(body)[:12]}…, not the "
-                f"addressed {digest[:12]}…")
-            return
-        self.server.api.blobs.put(body)
-        self._send_json(200, {"version": wire.WIRE_VERSION,
-                              "result": {"blob": digest, "size": len(body)}})
+        # No endpoint takes PUT.  The body stays unread, so the connection
+        # cannot carry another request.
+        self.close_connection = True
+        self._send_error(404, "unknown-method",
+                         f"no such endpoint {self.path!r}")
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -416,7 +342,7 @@ class _HTTPServer(ThreadingHTTPServer):
 
 
 class BrokerServer:
-    """A wire-speaking HTTP front for any :class:`Broker`.
+    """A wire-speaking HTTP front for a :class:`SQLiteBroker`.
 
     >>> server = BrokerServer(SQLiteBroker("sweeps.db")).start()
     >>> server.url
@@ -428,16 +354,12 @@ class BrokerServer:
     it also ends the connections clients keep alive.
     """
 
-    def __init__(self, broker: Broker, host: str = "127.0.0.1",
-                 port: int = 0, *, blobs: Optional[BlobStore] = None,
-                 memo=None, results=None,
-                 inline_limit: int = DEFAULT_INLINE_LIMIT,
+    def __init__(self, broker: SQLiteBroker, host: str = "127.0.0.1",
+                 port: int = 0, *, memo=None, results=None,
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
                  quiet: bool = True) -> None:
         self.broker = broker
-        self.blobs = blobs if blobs is not None else MemoryBlobStore()
-        self.api = _BrokerAPI(broker, self.blobs, memo=memo, results=results,
-                              inline_limit=inline_limit)
+        self.api = _BrokerAPI(broker, memo=memo, results=results)
         self._httpd = _HTTPServer((host, port), self.api,
                                   max_request_bytes=max_request_bytes,
                                   quiet=quiet)
@@ -566,37 +488,6 @@ class _Transport:
             f"{self.retries} attempt(s): {last}")
 
 
-class HTTPBlobStore:
-    """Client half of the server's ``/v1/blobs/<digest>`` endpoints."""
-
-    def __init__(self, transport: _Transport) -> None:
-        self._transport = transport
-
-    def put(self, data: bytes) -> str:
-        digest = blob_digest(data)
-        status, body = self._transport.request(
-            "PUT", f"/v1/blobs/{digest}", body=data,
-            headers={"Content-Type": "application/octet-stream"})
-        if status != 200:
-            raise _decoded_error(status, body)
-        return digest
-
-    def get(self, digest: str) -> bytes:
-        status, body = self._transport.request("GET", f"/v1/blobs/{digest}")
-        if status == 404:
-            raise KeyError(f"unknown blob {digest!r}")
-        if status != 200:
-            raise _decoded_error(status, body)
-        if blob_digest(body) != digest:
-            raise wire.WireError(
-                "blob", f"bytes for {digest[:12]}… failed digest check")
-        return body
-
-    def __contains__(self, digest: str) -> bool:
-        status, _ = self._transport.request("HEAD", f"/v1/blobs/{digest}")
-        return status == 200
-
-
 def _decoded_error(status: int, body: bytes) -> Exception:
     """Map an error response body to the typed exception it stands for."""
     try:
@@ -610,8 +501,7 @@ def _decoded_error(status: int, body: bytes) -> Exception:
         return wire.WireVersionError(found=text or "unknown")
     if kind == "unknown-sweep":
         return KeyError(text or "unknown sweep")
-    if kind in ("wire-error", "digest-mismatch", "oversized-request",
-                "malformed-request"):
+    if kind in ("wire-error", "oversized-request", "malformed-request"):
         exc = wire.WireError(error.get("field", kind), "was rejected")
         exc.args = (text or exc.args[0],)
         return exc
@@ -636,14 +526,11 @@ class HTTPBroker:
 
     def __init__(self, url: str, *, lease_seconds: Optional[float] = None,
                  timeout: float = 30.0, retries: int = 5,
-                 backoff_seconds: float = 0.2,
-                 inline_limit: int = DEFAULT_INLINE_LIMIT) -> None:
+                 backoff_seconds: float = 0.2) -> None:
         self.url = url.rstrip("/")
         self._transport = _Transport(self.url, timeout=timeout,
                                      retries=retries,
                                      backoff_seconds=backoff_seconds)
-        self.blobs = HTTPBlobStore(self._transport)
-        self.inline_limit = inline_limit
         self._lease_seconds = lease_seconds
 
     # -- wire plumbing -----------------------------------------------------
@@ -689,8 +576,7 @@ class HTTPBroker:
                      spec: Optional[str] = None, memo=None,
                      results=None) -> SweepTicket:
         del memo, results  # server-side stores apply; see class docstring
-        encoded = [wire.encode_work_item(item, self.blobs, self.inline_limit)
-                   for item in items]
+        encoded = [wire.encode_work_item(item) for item in items]
         result = self._call("create_sweep", {"items": encoded,
                                              "label": label, "spec": spec})
         return wire.decode_ticket(
@@ -705,7 +591,7 @@ class HTTPBroker:
                    lease_seconds: Optional[float] = None) -> List[ClaimedJob]:
         result = self._call("claim", {"worker": worker, "limit": limit,
                                       "lease_seconds": lease_seconds})
-        return [wire.decode_claim(job, self.blobs)
+        return [wire.decode_claim(job)
                 for job in wire.get_field(result, "jobs", (list,))]
 
     def heartbeat(self, claim: ClaimedJob,
@@ -723,8 +609,8 @@ class HTTPBroker:
     def complete_many(self, results: Sequence[Tuple[str, Any]],
                       worker: Optional[str] = None) -> List[bool]:
         encoded = [wire.encode_completion(
-            key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
-            self.blobs, self.inline_limit) for key, value in results]
+            key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+            for key, value in results]
         result = self._call("complete", {"results": encoded,
                                          "worker": worker})
         return [bool(flag) for flag in result["recorded"]]
@@ -761,4 +647,4 @@ class HTTPBroker:
         if positions is not None:
             params["positions"] = [int(p) for p in positions]
         rows = self._call("fetch_results", params)["results"]
-        return [wire.decode_result_row(obj, self.blobs) for obj in rows]
+        return [wire.decode_result_row(obj) for obj in rows]

@@ -2,30 +2,30 @@
 
 The HTTP backend (:mod:`repro.dist.http`) does not invent a protocol of its
 own — it speaks *this* module: one schema version, one envelope shape, one
-blob encoding, shared by the client and the server so the contract lives in
+byte encoding, shared by the client and the server so the contract lives in
 exactly one place.
 
 Envelope::
 
     request   POST /v1/<method>
-              {"version": 2, "params": {...}}
+              {"version": 3, "params": {...}}
     response  200
-              {"version": 2, "result": ...}
+              {"version": 3, "result": ...}
     error     4xx/5xx
-              {"version": 2, "error": {"type": "...", "message": "...",
+              {"version": 3, "error": {"type": "...", "message": "...",
                                        "field": "..."?}}
 
 Control methods mirror the :class:`~repro.dist.broker.Broker` protocol:
 ``create_sweep``, ``claim``, ``heartbeat``, ``complete``, ``fail``,
 ``cancel``, ``status``, ``sweeps``, ``finished_positions``,
-``fetch_results``, ``retries``.  Claims and completions travel in batches
-(version 2; version 1 moved one job per request)::
+``fetch_results``, ``retries``.  Claims and completions travel in batches::
 
     claim     params  {"worker": "w1", "limit": 16, "lease_seconds": 30?}
               result  {"jobs": [{"sweep_id", "position", "key", "payload",
                                  "attempts", "lease_expiry"}, ...]}
     complete  params  {"worker": "w1"?, "results": [{"key": "...",
-                                                     "value": <blob>}, ...]}
+                                                     "value": "<base64>"},
+                                                    ...]}
               result  {"recorded": [true, false, ...]}
 
 ``jobs`` is empty when nothing is runnable and never holds more than the
@@ -33,12 +33,9 @@ broker's fair share of the queue (see :mod:`repro.dist.broker`), however
 large ``limit`` is.  ``recorded`` has one flag per result, true where that
 result was the first for its key.
 
-Payloads and result values are opaque byte strings; on the wire they are a
-*blob object*: ``{"inline": "<base64>"}`` for small blobs, or
-``{"blob": "<sha256>", "size": N}`` for large ones, where the bytes travel
-separately through a :class:`~repro.dist.blobs.BlobStore` (content-addressed
-``PUT``/``GET`` endpoints on the server).  ``DEFAULT_INLINE_LIMIT`` (in
-:mod:`repro.dist.blobs`) decides the split.
+Payloads and result values are opaque byte strings (pickles); on the wire
+each is a plain base64 string inside the message, so a request's size is
+bounded only by the server's request cap.
 
 Validation is field-level, mirroring the service layer's
 :class:`~repro.dist.service.SpecError`: a malformed message raises
@@ -61,16 +58,14 @@ leases orphaned until they expire, after which the jobs are re-leased.
 from __future__ import annotations
 
 import base64
-import binascii
 import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
-from .blobs import DEFAULT_INLINE_LIMIT, BlobStore
 from .broker import ClaimedJob, JobResult, SweepTicket, WorkItem
 
 #: Bump on any incompatible change to the message shapes above.  Client and
 #: server both refuse mismatched peers (WireVersionError / HTTP 409).
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: Job states a finished-row message may carry.
 _RESULT_STATES = ("done", "failed", "cancelled")
@@ -131,55 +126,31 @@ def get_field(params: Any, name: str, kinds: Tuple[type, ...], *,
 
 
 # ---------------------------------------------------------------------------
-# Blob objects: how opaque bytes travel
-# ---------------------------------------------------------------------------
-def pack_blob(data: bytes, store: Optional[BlobStore] = None,
-              inline_limit: int = DEFAULT_INLINE_LIMIT) -> Dict[str, Any]:
-    """Bytes -> wire blob object (inline base64, or a blob-store ref)."""
-    if store is None or len(data) <= inline_limit:
-        return {"inline": base64.b64encode(data).decode("ascii")}
-    return {"blob": store.put(data), "size": len(data)}
-
-
-def unpack_blob(obj: Any, store: Optional[BlobStore] = None,
-                field: str = "payload") -> bytes:
-    """Wire blob object -> bytes (fetching referenced blobs from ``store``)."""
-    if not isinstance(obj, dict):
-        raise WireError(field, "must be a blob object")
-    if "inline" in obj:
-        text = get_field(obj, "inline", (str,))
-        try:
-            return base64.b64decode(text.encode("ascii"), validate=True)
-        except (ValueError, binascii.Error):
-            raise WireError(field, "carries invalid base64") from None
-    if "blob" in obj:
-        digest = get_field(obj, "blob", (str,))
-        if store is None:
-            raise WireError(field, "references a blob but no blob store "
-                                   "is attached")
-        try:
-            return store.get(digest)
-        except KeyError:
-            raise WireError(
-                field, f"references unknown blob {digest[:12]}…") from None
-    raise WireError(field, "must carry 'inline' or 'blob'")
-
-
-# ---------------------------------------------------------------------------
 # Message bodies: broker dataclasses <-> JSON-able dicts
 # ---------------------------------------------------------------------------
-def encode_work_item(item: WorkItem, store: Optional[BlobStore] = None,
-                     inline_limit: int = DEFAULT_INLINE_LIMIT
-                     ) -> Dict[str, Any]:
-    return {"key": item.key,
-            "payload": pack_blob(item.payload, store, inline_limit),
+def encode_bytes(data: bytes) -> str:
+    """Opaque bytes -> their wire form, a base64 string."""
+    return base64.b64encode(data).decode("ascii")
+
+
+def decode_bytes(obj: Any, field: str) -> bytes:
+    """The base64 string field ``field`` of ``obj`` -> bytes."""
+    text = get_field(obj, field, (str,))
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError:      # binascii.Error, or text that is not ASCII
+        raise WireError(field, "carries invalid base64") from None
+
+
+def encode_work_item(item: WorkItem) -> Dict[str, Any]:
+    return {"key": item.key, "payload": encode_bytes(item.payload),
             "meta": item.meta}
 
 
-def decode_work_item(obj: Any, store: Optional[BlobStore] = None) -> WorkItem:
+def decode_work_item(obj: Any) -> WorkItem:
     return WorkItem(
         key=get_field(obj, "key", (str,)),
-        payload=unpack_blob(get_field(obj, "payload", (dict,)), store),
+        payload=decode_bytes(obj, "payload"),
         meta=get_field(obj, "meta", (dict,), required=False))
 
 
@@ -200,45 +171,35 @@ def decode_ticket(obj: Any) -> SweepTicket:
         done_keys=frozenset(keys))
 
 
-def encode_claim(claim: ClaimedJob, store: Optional[BlobStore] = None,
-                 inline_limit: int = DEFAULT_INLINE_LIMIT) -> Dict[str, Any]:
+def encode_claim(claim: ClaimedJob) -> Dict[str, Any]:
     return {"sweep_id": claim.sweep_id, "position": claim.position,
-            "key": claim.key,
-            "payload": pack_blob(claim.payload, store, inline_limit),
+            "key": claim.key, "payload": encode_bytes(claim.payload),
             "attempts": claim.attempts, "lease_expiry": claim.lease_expiry}
 
 
-def decode_claim(obj: Any, store: Optional[BlobStore] = None) -> ClaimedJob:
+def decode_claim(obj: Any) -> ClaimedJob:
     return ClaimedJob(
         sweep_id=get_field(obj, "sweep_id", (str,)),
         position=get_field(obj, "position", (int,)),
         key=get_field(obj, "key", (str,)),
-        payload=unpack_blob(get_field(obj, "payload", (dict,)), store),
+        payload=decode_bytes(obj, "payload"),
         attempts=get_field(obj, "attempts", (int,)),
         lease_expiry=float(get_field(obj, "lease_expiry", (int, float))))
 
 
-def encode_completion(key: str, payload: bytes,
-                      store: Optional[BlobStore] = None,
-                      inline_limit: int = DEFAULT_INLINE_LIMIT
-                      ) -> Dict[str, Any]:
+def encode_completion(key: str, payload: bytes) -> Dict[str, Any]:
     """One ``complete`` result: a key and its value pickle."""
-    return {"key": key, "value": pack_blob(payload, store, inline_limit)}
+    return {"key": key, "value": encode_bytes(payload)}
 
 
-def decode_completion(obj: Any, store: Optional[BlobStore] = None
-                      ) -> Tuple[str, bytes]:
+def decode_completion(obj: Any) -> Tuple[str, bytes]:
     """Wire dict -> ``(key, value pickle)``; the bytes stay unpickled."""
-    return (get_field(obj, "key", (str,)),
-            unpack_blob(get_field(obj, "value", (dict,)), store,
-                        field="value"))
+    return get_field(obj, "key", (str,)), decode_bytes(obj, "value")
 
 
 def encode_result_row(position: int, key: str, state: str,
                       meta: Optional[Dict[str, Any]], error: Optional[str],
-                      worker: Optional[str], payload: Optional[bytes],
-                      store: Optional[BlobStore] = None,
-                      inline_limit: int = DEFAULT_INLINE_LIMIT
+                      worker: Optional[str], payload: Optional[bytes]
                       ) -> Dict[str, Any]:
     """One finished job row -> wire dict (``payload`` = raw value pickle).
 
@@ -249,19 +210,18 @@ def encode_result_row(position: int, key: str, state: str,
                               "state": state, "meta": meta, "error": error,
                               "worker": worker}
     if payload is not None:
-        record["value"] = pack_blob(payload, store, inline_limit)
+        record["value"] = encode_bytes(payload)
     return record
 
 
-def decode_result_row(obj: Any, store: Optional[BlobStore] = None
-                      ) -> JobResult:
+def decode_result_row(obj: Any) -> JobResult:
     """Wire dict -> :class:`JobResult`, unpickling the value client-side."""
     state = get_field(obj, "state", (str,))
     if state not in _RESULT_STATES:
         raise WireError("state", f"must be one of {_RESULT_STATES}")
     value = None
     if obj.get("value") is not None:
-        value = pickle.loads(unpack_blob(obj["value"], store, field="value"))
+        value = pickle.loads(decode_bytes(obj, "value"))
     return JobResult(
         position=get_field(obj, "position", (int,)),
         key=get_field(obj, "key", (str,)),

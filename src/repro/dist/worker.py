@@ -18,8 +18,9 @@ Failure classification:
   environment lacks something — e.g. an execution model registered only in
   the submitting process; another worker may well succeed), retried with
   backoff,
-* the job function raises → **permanent** (points are deterministic, so a
-  retry would fail identically); the error string is recorded on the job.
+* the job function raises, or returns a value that cannot be pickled →
+  **permanent** (points are deterministic, so a retry would fail
+  identically); the error string is recorded on the job.
 
 Either way the job is failed at once; the rest of its batch still runs and
 completes.
@@ -121,11 +122,15 @@ class Worker:
             self.broker.fail(claim, error=_describe(exc), transient=True)
             return False, None
         try:
-            return True, fn(item)
+            value = fn(item)
+            # The value travels to the broker as a pickle; checking here
+            # fails this job alone instead of the batch's complete_many.
+            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             self.failures += 1
             self.broker.fail(claim, error=_describe(exc), transient=False)
             return False, None
+        return True, value
 
     def _heartbeat_loop(self, claims: List[ClaimedJob],
                         stop: threading.Event) -> None:

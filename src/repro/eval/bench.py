@@ -19,13 +19,12 @@ a downloaded CI artifact, not a laptop (see README, "Benchmark CI").
 from __future__ import annotations
 
 import json
-import os
 import platform as platform_mod
-import subprocess
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..store.results import git_sha
 from .harness import HarnessConfig
 
 #: Relative growth tolerated before a metric counts as regressed.
@@ -196,21 +195,6 @@ class BenchReport:
                 "python": platform_mod.python_version(),
                 "machine": platform_mod.machine(),
                 "records": self.records}
-
-
-def git_sha() -> str:
-    """Commit identity for the output filename (CI env var, then git)."""
-    sha = os.environ.get("GITHUB_SHA")
-    if sha:
-        return sha[:12]
-    try:
-        out = subprocess.run(["git", "rev-parse", "--short=12", "HEAD"],
-                             capture_output=True, text=True, timeout=10)
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return "local"
 
 
 def run_suite(progress: Optional[Callable[[str], None]] = None,

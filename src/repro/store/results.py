@@ -82,9 +82,8 @@ class SchemaMismatchError(RuntimeError):
 
 
 def git_sha() -> str:
-    """Commit identity for provenance columns (CI env var, then git).
+    """Commit identity for provenance columns and bench report filenames.
 
-    The same resolution order the bench suite uses for its report filenames:
     ``GITHUB_SHA`` when CI provides it, the working tree's ``HEAD``
     otherwise, and the literal ``"local"`` outside any repository.
     """

@@ -50,8 +50,15 @@ def test_run_tlb_sweep_renders_series(capsys):
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_run_smoke_every_registered_experiment(experiment, capsys):
-    """Every experiment in the registry runs end-to-end at tiny scale."""
-    assert main(["run", experiment, "--scale", "tiny"]) == 0
+    """Every experiment in the registry runs end-to-end at tiny scale.
+
+    Adaptive-DSE experiments get a small evaluation budget, as in CI's CLI
+    smoke; their golden and pinned tests cover the default budget.
+    """
+    argv = ["run", experiment, "--scale", "tiny"]
+    if "budget" in EXPERIMENTS[experiment].knobs:
+        argv += ["--budget", "24"]
+    assert main(argv) == 0
     assert capsys.readouterr().out.strip()
 
 

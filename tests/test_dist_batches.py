@@ -20,8 +20,8 @@ from collections import Counter
 
 import pytest
 
-from repro.dist import (BrokerServer, DistributedRunner, HTTPBroker,
-                        SQLiteBroker, Worker, WorkItem)
+from repro.dist import (BrokerServer, DistributedJobError, DistributedRunner,
+                        HTTPBroker, SQLiteBroker, Worker, WorkItem)
 from repro.dist.broker import FAIR_SHARE
 from repro.dist.worker import MAX_CLAIM_BATCH
 from repro.exec import MemoCache
@@ -50,6 +50,10 @@ def echo(x):
 def nap(x):
     time.sleep(0.3)
     return x
+
+
+def returns_lambda(x):
+    return lambda: x
 
 
 def _items(n, fn=square, prefix="k"):
@@ -155,6 +159,26 @@ def test_partial_failure_inside_a_batch(broker):
     # The rest of the queue is untouched and still drains.
     assert worker.run_until_idle() == 6
     assert broker.status(ticket.sweep_id)["done"] == 7
+
+
+def test_a_value_that_cannot_be_pickled_fails_alone(broker):
+    items = _items(10)
+    items[3] = WorkItem(key="k3", payload=pickle.dumps((returns_lambda, 3)))
+    ticket = broker.create_sweep(items)
+    worker = Worker(broker, worker_id="w1")
+    assert worker.run_until_idle() == 10
+    assert worker.jobs_run == 9 and worker.failures == 1
+    results = {r.key: r for r in broker.fetch_results(ticket.sweep_id)}
+    assert sorted(key for key, r in results.items()
+                  if r.state == "done") == sorted(set(results) - {"k3"})
+    assert results["k3"].state == "failed"
+    assert "Can't pickle" in results["k3"].error
+
+
+def test_the_runner_reports_an_unpicklable_value_as_a_job_error(broker):
+    runner = DistributedRunner(broker, cache=MemoCache())
+    with pytest.raises(DistributedJobError, match="Can't pickle"):
+        runner.map(returns_lambda, [5])
 
 
 def test_one_heartbeat_thread_keeps_the_whole_batch_leased(tmp_path):

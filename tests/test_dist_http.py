@@ -8,6 +8,7 @@ fig5-class results bit-identical to a fresh serial evaluation.
 
 import json
 import pickle
+import random
 import socket
 import time
 import urllib.error
@@ -126,10 +127,12 @@ def test_wire_version_mismatch_is_409_and_typed(server):
         raise _decoded_error(status, body)
 
 
-def test_v1_envelope_gets_409(server):
-    """Version-1 peers (one job per claim) and this build refuse each other."""
+@pytest.mark.parametrize("version", [1, 2])
+def test_v1_envelope_gets_409(server, version):
+    """Older peers (v1: one job per claim; v2: blob objects) and this build
+    refuse each other."""
     status, body = _post(f"{server.url}/v1/claim",
-                         {"version": 1, "params": {"worker": "old"}})
+                         {"version": version, "params": {"worker": "old"}})
     assert status == 409
     assert "upgrade the older side" in json.loads(body)["error"]["message"]
 
@@ -162,42 +165,27 @@ def test_unknown_sweep_maps_to_keyerror(client):
         client.status("nope")
 
 
+def test_blob_endpoints_answer_404(server):
+    path = f"{server.url}/v1/blobs/{'0' * 64}"
+    for method, body in (("GET", None), ("HEAD", None), ("PUT", b"x" * 64)):
+        status, _ = _post(path, body, method=method)
+        assert status == 404, method
+
+
 # ---------------------------------------------------------------------------
-# Blob endpoints
+# Bytes travel inline
 # ---------------------------------------------------------------------------
-def test_blob_put_get_head_roundtrip(server, client):
-    data = b"\x80" + b"payload" * 100
-    digest = client.blobs.put(data)
-    assert digest in client.blobs
-    assert client.blobs.get(digest) == data
-    assert "0" * 64 not in client.blobs
-    with pytest.raises(KeyError):
-        client.blobs.get("0" * 64)
+def reverse(data):
+    return data[::-1]
 
 
-def test_blob_put_with_wrong_digest_is_rejected(server):
-    status, body = _post(f"{server.url}/v1/blobs/{'0' * 64}", b"whatever",
-                         method="PUT")
-    assert status == 400
-    assert json.loads(body)["error"]["type"] == "digest-mismatch"
-
-
-def test_blob_malformed_digest_is_rejected(server):
-    status, _ = _post(f"{server.url}/v1/blobs/not-a-digest", b"x",
-                      method="PUT")
-    assert status == 400
-
-
-def test_large_payloads_travel_through_the_blob_store(server, backend):
-    # inline_limit=1 forces every byte string through PUT/GET blobs.
-    client = HTTPBroker(server.url, retries=2, backoff_seconds=0.01,
-                        inline_limit=1)
-    ticket = client.create_sweep([_item("k0", arg=9)], label="blobby")
-    assert len(server.blobs) >= 1                # payload was offloaded
-    worker = Worker(client, worker_id="w1")
-    assert worker.run_until_idle() == 1
+def test_megabyte_payload_and_value_round_trip_inline(client):
+    data = random.Random(7).randbytes(1 << 20)
+    item = WorkItem(key="big", payload=pickle.dumps((reverse, data)))
+    ticket = client.create_sweep([item], label="big")
+    assert Worker(client, worker_id="w1").run_until_idle() == 1
     (result,) = client.fetch_results(ticket.sweep_id)
-    assert result.value == 81
+    assert result.state == "done" and result.value == data[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,53 +1,14 @@
-"""Tests for the wire format and the blob-store seam."""
+"""Tests for the wire format, broker URLs and SQLiteBroker's byte-level
+methods."""
 
 import pickle
 
 import pytest
 
-from repro.dist import (DirBlobStore, MemoryBlobStore, SQLiteBroker,
-                        WireError, WireVersionError, connect_broker)
+from repro.dist import (SQLiteBroker, WireError, WireVersionError,
+                        connect_broker)
 from repro.dist import wire
-from repro.dist.blobs import blob_digest, valid_digest
 from repro.dist.broker import ClaimedJob, SweepTicket, WorkItem
-
-
-# ---------------------------------------------------------------------------
-# Blob stores
-# ---------------------------------------------------------------------------
-@pytest.fixture(params=["memory", "dir"])
-def blob_store(request, tmp_path):
-    if request.param == "memory":
-        return MemoryBlobStore()
-    return DirBlobStore(tmp_path / "blobs")
-
-
-def test_blob_store_roundtrip(blob_store):
-    store = blob_store
-    data = b"\x80hello blob"
-    digest = store.put(data)
-    assert valid_digest(digest) and digest == blob_digest(data)
-    assert digest in store
-    assert store.get(digest) == data
-    # Idempotent: same bytes, same digest, no error.
-    assert store.put(data) == digest
-    assert len(store) == 1
-
-
-def test_blob_store_unknown_and_malformed_digests(tmp_path):
-    for store in (MemoryBlobStore(), DirBlobStore(tmp_path / "blobs")):
-        with pytest.raises(KeyError):
-            store.get("0" * 64)
-        with pytest.raises(KeyError):
-            store.get("../../../etc/passwd")     # traversal-safe
-        assert "not-a-digest" not in store
-
-
-def test_dir_blob_store_shards_and_lists(tmp_path):
-    store = DirBlobStore(tmp_path / "blobs")
-    digests = {store.put(bytes([i]) * 10) for i in range(5)}
-    assert set(store.digests()) == digests
-    for digest in digests:
-        assert (tmp_path / "blobs" / digest[:2] / digest).is_file()
 
 
 # ---------------------------------------------------------------------------
@@ -82,30 +43,21 @@ def err_field(name):
 
 
 # ---------------------------------------------------------------------------
-# Blob objects
+# Bytes fields
 # ---------------------------------------------------------------------------
-def test_pack_blob_inlines_small_and_offloads_large():
-    store = MemoryBlobStore()
-    small = wire.pack_blob(b"tiny", store, inline_limit=1024)
-    assert "inline" in small and len(store) == 0
-    big = wire.pack_blob(b"x" * 2048, store, inline_limit=1024)
-    assert big["blob"] == blob_digest(b"x" * 2048) and big["size"] == 2048
-    assert len(store) == 1
-    assert wire.unpack_blob(small) == b"tiny"
-    assert wire.unpack_blob(big, store) == b"x" * 2048
-
-
-def test_unpack_blob_rejects_bad_shapes():
-    with pytest.raises(WireError, match="must be a blob object"):
-        wire.unpack_blob("nope")
-    with pytest.raises(WireError, match="invalid base64"):
-        wire.unpack_blob({"inline": "!!!not base64!!!"})
-    with pytest.raises(WireError, match="no blob store"):
-        wire.unpack_blob({"blob": "0" * 64})
-    with pytest.raises(WireError, match="unknown blob"):
-        wire.unpack_blob({"blob": "0" * 64}, MemoryBlobStore())
-    with pytest.raises(WireError, match="'inline' or 'blob'"):
-        wire.unpack_blob({})
+def test_bytes_fields_are_base64_strings_named_on_error():
+    data = bytes(range(256))
+    assert wire.decode_bytes({"payload": wire.encode_bytes(data)},
+                             "payload") == data
+    with pytest.raises(WireError, match="'value' carries invalid base64"):
+        wire.decode_bytes({"value": "!!!not base64!!!"}, "value")
+    with pytest.raises(WireError, match="'value' carries invalid base64"):
+        wire.decode_bytes({"value": "d\u00e9j\u00e0"}, "value")
+    # A version-2 blob object is not a string.
+    with pytest.raises(WireError, match="'payload' must be a string"):
+        wire.decode_bytes({"payload": {"inline": "AA=="}}, "payload")
+    with pytest.raises(WireError, match="'payload' is required"):
+        wire.decode_bytes({}, "payload")
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +77,13 @@ def test_ticket_roundtrip():
     assert decoded == ticket
 
 
-def test_claim_roundtrip_through_store():
-    store = MemoryBlobStore()
+def test_claim_roundtrip():
     claim = ClaimedJob(sweep_id="s", position=2, key="k",
                        payload=b"\x80" * 4096, attempts=2,
                        lease_expiry=123.5)
-    encoded = wire.encode_claim(claim, store, inline_limit=64)
-    assert "blob" in encoded["payload"]          # forced through the store
-    assert wire.decode_claim(encoded, store) == claim
+    encoded = wire.encode_claim(claim)
+    assert isinstance(encoded["payload"], str)   # base64, inside the message
+    assert wire.decode_claim(encoded) == claim
 
 
 def test_result_row_roundtrip_and_state_validation():
@@ -215,26 +166,8 @@ def test_register_broker_scheme_extends_the_registry(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# SQLiteBroker behind the blob seam
+# SQLiteBroker's byte-level methods (the broker server's relay path)
 # ---------------------------------------------------------------------------
-def test_sqlite_broker_offloads_large_payloads(tmp_path):
-    store = MemoryBlobStore()
-    broker = SQLiteBroker(tmp_path / "b.db", blobs=store, inline_limit=64)
-    try:
-        payload = pickle.dumps((min, list(range(200))))
-        assert len(payload) > 64
-        broker.create_sweep([WorkItem(key="k0", payload=payload)])
-        assert len(store) == 1                   # payload went to the store
-        claim = broker.claim("w1")
-        assert claim.payload == payload          # transparently rehydrated
-        broker.complete(claim.key, list(range(200)), worker="w1")
-        assert len(store) == 2                   # the value pickle too
-        (result,) = broker.fetch_results(claim.sweep_id)
-        assert result.value == list(range(200))
-    finally:
-        broker.close()
-
-
 def test_sqlite_broker_complete_bytes_matches_complete(tmp_path):
     broker = SQLiteBroker(tmp_path / "b.db")
     try:
