@@ -53,7 +53,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import sqlite3
 import threading
 import time
 import uuid
@@ -64,6 +63,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Protocol, Sequence, Tuple, Union, runtime_checkable)
 
 from ..exec.cache import MemoCache
+from ..exec.db import open_db
 
 #: Terminal job states: nothing transitions out of these.
 FINISHED_STATES = ("done", "failed", "cancelled")
@@ -304,15 +304,8 @@ class SQLiteBroker:
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.clock = clock
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        self._db = sqlite3.connect(self.path, timeout=busy_timeout,
-                                   check_same_thread=False,
-                                   isolation_level=None)
-        with self._lock:
-            self._db.execute("PRAGMA journal_mode=WAL")
-            self._db.execute("PRAGMA synchronous=NORMAL")
-            self._db.executescript(_SCHEMA)
+        self._db = open_db(self.path, _SCHEMA, busy_timeout=busy_timeout)
 
     def close(self) -> None:
         with self._lock:

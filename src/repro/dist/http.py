@@ -371,22 +371,24 @@ class BrokerServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "BrokerServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
+        self._thread = threading.Thread(target=self.serve_forever,
                                         name="repro-broker-server",
                                         daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+        # Checking for shutdown every 20 ms bounds how long close() waits;
+        # an idle loop costs ~0.5% of a core.
+        self._httpd.serve_forever(poll_interval=0.02)
 
     def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.close_connections()
-        self._httpd.server_close()
-        if self._thread is not None:
+        if self._thread is not None:     # shutdown() waits for the loop
+            self._httpd.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._httpd.close_connections()
+        self._httpd.server_close()
 
     def __enter__(self) -> "BrokerServer":
         return self.start()

@@ -71,8 +71,8 @@ class DistributedRunner(SweepRunner):
         external workers and/or the drain loop).
     cache:
         The shared fleet memo store.  When disk-backed, spawned workers
-        attach to the same directory, so the single-process cache becomes
-        the fleet's memo tier.
+        open the same ``<path>/memo.sqlite``, so the single-process cache
+        becomes the fleet's memo tier.
     drain:
         When True (default), the calling process claims and runs a batch of
         jobs itself before each poll — guaranteeing progress with zero
@@ -280,9 +280,7 @@ class DistributedRunner(SweepRunner):
                 "spawning local workers requires a URL-addressable broker "
                 "(one exposing .url, like SQLiteBroker or HTTPBroker); "
                 "pass workers=0 and start workers yourself")
-        cache_dir = (str(self.cache.path)
-                     if self.cache is not None and self.cache.path is not None
-                     else None)
+        cache_dir = self.cache.path if self.cache is not None else None
         import multiprocessing
         context = multiprocessing.get_context()
         for index in range(self.workers):

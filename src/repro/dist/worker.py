@@ -101,11 +101,8 @@ class Worker:
             beat.join()
         if results:
             if self.memo is not None:
-                for key, value in results:
-                    try:
-                        self.memo.put(key, value)
-                    except Exception:
-                        pass    # the memo tier is best-effort, results aren't
+                for key, value in results:      # best-effort: never raises
+                    self.memo.put(key, value)
             self.broker.complete_many(results, worker=self.worker_id)
             self.jobs_run += len(results)
         return len(claims)

@@ -9,15 +9,15 @@ sweeps from serial loops into schedulable work:
   and bit-identical results,
 * :class:`MemoCache` / :func:`default_cache` — content-addressed result
   reuse keyed by :func:`stable_key` hashes of (function, spec, config),
-  optionally persisted to disk (``path=``) so hits survive across processes,
+  optionally shared across processes through ``<path>/memo.sqlite``,
 * :class:`ExperimentJob` / :func:`run_job` — the canonical picklable unit
   of work: one workload under one registered execution model
   (:mod:`repro.models`) with one harness configuration.
 
 The same seam scales past one machine: :mod:`repro.dist` provides a
 broker-backed :class:`~repro.dist.runner.DistributedRunner` (same ``map``
-contract, same keys) whose workers share one disk-backed :class:`MemoCache`
-as the fleet-wide memo store.
+contract, same keys) whose workers share one :class:`MemoCache` file as
+the fleet-wide memo store.
 
 See the "Execution models & sweeps" section of the README for usage, and
 ``repro.cli`` for the ``--jobs`` / ``--no-cache`` / ``--cache-dir`` flags.

@@ -9,15 +9,15 @@ two layers:
   *across* figures (e.g. the same ``run_svm`` configuration appearing in
   Fig. 5 and Fig. 9) are evaluated once per process, and
 * an optional on-disk layer (``path=``): every stored result is also
-  pickled to ``<path>/v<version>/<key[:2]>/<key>.pkl``, and probes that miss
-  in memory fall through to disk — so cache hits survive across processes
-  and CLI invocations.  Entries are namespaced by the package version:
-  changes to the built-in simulator ship with a version bump, so a stale
-  cache directory cannot serve a previous *release's* numbers.  (Keys
-  identify externally-registered execution models by name only — after
-  editing such a model's logic, point the cache at a fresh directory or
-  ``clear()`` it.)  Disk writes are atomic (temp file + rename) and disk
-  reads are best-effort: a corrupt or unreadable entry is treated as a miss.
+  pickled into one WAL-mode SQLite file, ``<path>/memo.sqlite``, that
+  every process pointed at the directory shares; probes that miss in
+  memory fall through to it, so hits survive across processes and CLI
+  invocations.  Rows are namespaced by the package version, which misses
+  source edits made without a version bump and the code of externally
+  registered models: after such an edit, ``clear()`` the cache or use a
+  fresh directory.  The disk layer is best-effort: a database error or a
+  row that does not unpickle is a miss, and a value that does not pickle
+  stays in memory.
 
 The CLI persists to ``.repro-cache/`` by default (``--cache-dir`` /
 ``REPRO_CACHE_DIR`` override); library callers opt in via
@@ -28,33 +28,42 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
+import threading
+import time
 import warnings
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 _MISSING = object()
 
+_SCHEMA = """CREATE TABLE IF NOT EXISTS memo (
+    namespace TEXT NOT NULL,
+    key       TEXT NOT NULL,
+    value     BLOB NOT NULL,
+    used      REAL NOT NULL,
+    PRIMARY KEY (namespace, key))"""
+
+#: Keep the most recently used rows, of every namespace, whose pickles fit
+#: the cap; delete the rest.
+_PRUNE = """DELETE FROM memo WHERE rowid IN (SELECT rowid FROM (
+    SELECT rowid, SUM(length(value)) OVER (ORDER BY used DESC, rowid DESC)
+    AS kept FROM memo) WHERE kept > ?)"""
+
 
 def _version_namespace() -> str:
-    """Per-release subdirectory for disk entries.
-
-    Imported lazily (``repro`` pulls this module in during its own import).
-    This guards the built-in simulator only; cache keys cannot see the
-    *implementation* of externally-registered models (they carry just the
-    registered name), so edits to those require a fresh cache directory.
-    """
-    from .. import __version__
+    """The namespace of this release's disk rows."""
+    from .. import __version__      # lazily: ``repro`` imports this module
     return f"v{__version__}"
 
 
 class MemoCache:
     """Result store keyed by stable content hashes, optionally disk-backed.
 
-    ``max_bytes`` caps the disk layer: after every store the cache prunes
-    least-recently-*used* entries (mtime order — reads refresh an entry's
-    mtime) until the layout fits the cap.  The in-memory layer is never
-    pruned; long-lived cache *directories* are what grow without bound.
+    ``max_bytes`` caps the disk layer's stored pickles: once a store takes
+    them past the cap, the least-recently-*used* rows (a read refreshes a
+    row's ``used`` time) are deleted until the rest fit.  The in-memory
+    layer is never pruned.  A lock guards the connection, so server threads
+    may share one instance.
     """
 
     def __init__(self, path: Union[str, os.PathLike, None] = None,
@@ -67,149 +76,88 @@ class MemoCache:
         self.hits = 0
         self.misses = 0
         self.disk_evictions = 0
-        #: Running estimate of the disk layout's size; None until the first
-        #: capped store scans the directory.  Keeps pruning O(1) per store
-        #: while under the cap (the full rescan happens only when crossed).
+        #: Running estimate of the stored pickles' size; None until a capped
+        #: prune measures it.  While it fits the cap a store costs no prune.
         self._disk_bytes: Optional[int] = None
-        # A capped cache over a pre-existing directory enforces the cap up
-        # front — hit-only runs must shrink an oversized layout too.
-        if self.path is not None and self.max_bytes is not None:
+        self._db = None
+        if self.path is not None:
+            import sqlite3                  # loaded only for disk caches
+            from .db import open_db
+            self._namespace = _version_namespace()
+            self._lock = threading.Lock()
+            try:
+                self._db = open_db(self.path / "memo.sqlite", _SCHEMA)
+            except (OSError, sqlite3.Error) as exc:
+                warnings.warn(f"memo cache {self.path} is unusable ({exc}); "
+                              "caching in memory only", stacklevel=2)
+            # A capped cache over an existing file enforces the cap up
+            # front: hit-only runs must shrink an oversized store too.
             self._prune()
 
     # ------------------------------------------------------------ disk layer
-    def _entry_path(self, key: str) -> Path:
-        assert self.path is not None
-        return self.path / _version_namespace() / key[:2] / f"{key}.pkl"
-
     def _load_from_disk(self, key: str) -> Any:
         """The persisted value for ``key``, or ``_MISSING`` on any failure."""
-        if self.path is None:
+        if self._db is None:
             return _MISSING
-        entry = self._entry_path(key)
-        try:
-            with open(entry, "rb") as fh:
-                value = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, MemoryError):
-            return _MISSING
-        try:
-            os.utime(entry)          # LRU touch: recently-used survives pruning
-        except OSError:
-            pass
+        with self._lock:
+            try:
+                row = self._db.execute(
+                    "SELECT value FROM memo WHERE namespace = ? AND key = ?",
+                    (self._namespace, key)).fetchone()
+                if row is None:
+                    return _MISSING
+                value = pickle.loads(row[0])
+                # LRU touch: a recently read row survives pruning.
+                self._db.execute(
+                    "UPDATE memo SET used = ? WHERE namespace = ? AND key = ?",
+                    (time.time(), self._namespace, key))
+            except Exception:       # a database or any unpickling error
+                return _MISSING
         return value
 
     def _store_to_disk(self, key: str, value: Any) -> None:
-        """Best-effort atomic persist; unpicklable values stay memory-only."""
-        if self.path is None:
+        """Best-effort persist; unpicklable values stay memory-only."""
+        if self._db is None:
             return
-        entry = self._entry_path(key)
         try:
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=entry.parent,
-                                            prefix=f".{key[:8]}-")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_name, entry)
-            except BaseException:
-                os.unlink(tmp_name)
-                raise
-        except (OSError, pickle.PicklingError, TypeError, AttributeError):
+            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            with self._lock:
+                self._db.execute(
+                    "INSERT OR REPLACE INTO memo VALUES (?, ?, ?, ?)",
+                    (self._namespace, key, blob, time.time()))
+                if self._disk_bytes is not None:
+                    # Overwrites double-count: that only prunes early.
+                    self._disk_bytes += len(blob)
+        except Exception:           # a database or any pickling error
             return
-        if self.max_bytes is not None and self._disk_bytes is not None:
-            try:
-                # Overwrites double-count; that only triggers a rescan early.
-                self._disk_bytes += entry.stat().st_size
-            except OSError:
-                self._disk_bytes = None          # unknown -> next prune rescans
         self._prune()
 
-    def _disk_entry_files(self, root: Optional[Path] = None):
-        """Yield the layout's ``v*/<xx>/<key>.pkl`` files, race-tolerantly.
-
-        Several workers may share one cache directory (the fleet-wide memo
-        store), so another process's eviction — or ``clear()`` — can remove
-        files and directories between listing and inspection.  ``Path.glob``
-        can propagate ``FileNotFoundError`` from a vanished intermediate
-        directory mid-scan; this walk treats anything that disappears as
-        simply not there.
-        """
-        roots = [root] if root is not None else []
-        if root is None:
-            if self.path is None:
-                return
-            try:
-                roots = [child for child in self.path.iterdir()
-                         if child.name.startswith("v")]
-            except OSError:
-                return
-        for namespace in roots:
-            try:
-                shards = list(namespace.iterdir())
-            except OSError:
-                continue
-            for shard in shards:
-                try:
-                    files = list(shard.iterdir())
-                except OSError:
-                    continue
-                for entry in files:
-                    if entry.suffix == ".pkl":
-                        yield entry
-
     def _prune(self) -> None:
-        """Evict least-recently-used disk entries until under ``max_bytes``.
-
-        Guarded by a running size estimate, so while the layout fits the cap
-        each store costs one stat, not a directory walk.  When the estimate
-        crosses the cap, the cache's own ``v*/<xx>/<key>.pkl`` layout (all
-        version namespaces — entries of older releases are typically the
-        coldest and go first) is rescanned authoritatively and oldest-mtime
-        entries are unlinked until under the cap.  A corrupt or concurrently-
-        deleted entry is skipped; it cannot block eviction of the rest, and
-        an entry another worker evicted between our scan and our unlink
-        still counts as freed bytes (just not as one of *our* evictions).
-        """
-        if self.path is None or self.max_bytes is None:
+        """Delete least-recently-used rows until under ``max_bytes``, once
+        the size estimate crosses it.  Concurrent pruners just find less."""
+        if self._db is None or self.max_bytes is None:
             return
         if self._disk_bytes is not None and self._disk_bytes <= self.max_bytes:
             return
-        entries = []
-        total = 0
-        for entry in self._disk_entry_files():
+        import sqlite3
+        with self._lock:
             try:
-                stat = entry.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, entry))
-            total += stat.st_size
-        if total > self.max_bytes:
-            for _mtime, size, entry in sorted(entries):
-                try:
-                    entry.unlink()
-                except FileNotFoundError:
-                    # A concurrent writer's eviction won the race: the bytes
-                    # are gone either way.
-                    total -= size
-                    if total <= self.max_bytes:
-                        break
-                    continue
-                except OSError:
-                    continue
-                self.disk_evictions += 1
-                total -= size
-                if total <= self.max_bytes:
-                    break
-        self._disk_bytes = total
+                self.disk_evictions += self._db.execute(
+                    _PRUNE, (self.max_bytes,)).rowcount
+                self._disk_bytes = self._db.execute(
+                    "SELECT IFNULL(SUM(length(value)), 0) FROM memo"
+                ).fetchone()[0]
+            except sqlite3.Error:
+                self._disk_bytes = None     # unknown: the next store retries
 
     def disk_entries(self) -> int:
         """Number of persisted results for this code version (0 if none)."""
-        if self.path is None:
+        if self._db is None:
             return 0
-        namespace = self.path / _version_namespace()
-        if not namespace.is_dir():
-            return 0
-        return sum(1 for _ in self._disk_entry_files(root=namespace))
+        with self._lock:
+            return self._db.execute(
+                "SELECT COUNT(*) FROM memo WHERE namespace = ?",
+                (self._namespace,)).fetchone()[0]
 
     # --------------------------------------------------------------- mapping
     def get(self, key: str, default: Any = None) -> Any:
@@ -241,20 +189,13 @@ class MemoCache:
         return len(self._data)
 
     def clear(self) -> None:
-        """Drop every entry, in memory and (when disk-backed) on disk.
-
-        Disk deletion is scoped to the cache's own ``v*/<xx>/<key>.pkl``
-        layout (all versions), so a cache pointed at a shared directory
-        never touches files it did not write.
-        """
+        """Drop every entry, in memory and on disk: the rows of every
+        version namespace, and no file a shared directory holds."""
         self._data.clear()
         self._disk_bytes = None
-        if self.path is not None and self.path.is_dir():
-            for entry in self._disk_entry_files():
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
+        if self._db is not None:
+            with self._lock:
+                self._db.execute("DELETE FROM memo")
 
     def stats(self) -> Dict[str, int]:
         stats = {"entries": len(self._data),

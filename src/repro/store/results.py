@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import sqlite3
 import subprocess
 import threading
 import time
@@ -41,6 +40,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
+from ..exec.db import open_db
 from ..exec.keys import stable_key
 
 #: Bump on any incompatible change to the ``runs`` table layout.
@@ -155,16 +155,9 @@ class ResultsStore:
         self.path = Path(path)
         self.clock = clock
         self.sha = sha if sha is not None else git_sha()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        self._db = sqlite3.connect(self.path, timeout=busy_timeout,
-                                   check_same_thread=False,
-                                   isolation_level=None)
-        with self._lock:
-            self._db.execute("PRAGMA journal_mode=WAL")
-            self._db.execute("PRAGMA synchronous=NORMAL")
-            self._db.executescript(_SCHEMA)
-            self._check_schema()
+        self._db = open_db(self.path, _SCHEMA, busy_timeout=busy_timeout)
+        self._check_schema()
 
     def _check_schema(self) -> None:
         row = self._db.execute("SELECT value FROM meta WHERE key = ?",

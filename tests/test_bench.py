@@ -78,9 +78,16 @@ def test_compare_fails_on_missing_benchmarks_and_metrics(report):
     assert any("svm_cycles" in p and "missing" in p for p in problems)
 
 
-def test_cli_bench_gate_round_trip(tmp_path, capsys, monkeypatch):
+def _reuse_report(monkeypatch, report):
+    """Serve the module's suite run to ``repro bench``, which looks
+    ``run_suite`` up on the bench module at call time."""
+    monkeypatch.setattr(bench, "run_suite", lambda **kwargs: report)
+
+
+def test_cli_bench_gate_round_trip(tmp_path, capsys, monkeypatch, report):
     from repro.cli import main
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    _reuse_report(monkeypatch, report)
     out = tmp_path / "BENCH_test.json"
     base = tmp_path / "baseline.json"
 
@@ -164,9 +171,10 @@ def test_check_freshness_flags_missing_records_both_ways(report):
                for p in problems)
 
 
-def test_cli_check_baseline_fresh_gate(tmp_path, monkeypatch):
+def test_cli_check_baseline_fresh_gate(tmp_path, monkeypatch, report):
     from repro.cli import main
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    _reuse_report(monkeypatch, report)
     out = tmp_path / "BENCH_test.json"
     base = tmp_path / "baseline.json"
 

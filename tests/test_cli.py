@@ -145,12 +145,12 @@ def test_cache_dir_persists_across_invocations(tmp_path, capsys):
             "--cache-dir", str(cache_dir)]
     assert main(argv) == 0
     first_out, _ = capsys.readouterr()
-    assert list(cache_dir.rglob("*.pkl")), "results were persisted to disk"
+    from repro.exec import default_cache
+    cache = default_cache(str(cache_dir))
+    assert cache.disk_entries(), "results were persisted to disk"
 
     # A fresh process would re-read from disk; simulate by clearing the
     # in-memory layer of the process-global cache for that directory.
-    from repro.exec import default_cache
-    cache = default_cache(str(cache_dir))
     cache._data.clear()
     executed_before = cache.hits
     assert main(argv) == 0
@@ -160,15 +160,16 @@ def test_cache_dir_persists_across_invocations(tmp_path, capsys):
 
 
 def test_refresh_cache_works_from_non_sweepable_experiments(tmp_path, capsys):
+    from repro.exec import default_cache
     cache_dir = tmp_path / "memo"
     assert main(["run", "fig8_pinning", "--scale", "tiny",
                  "--cache-dir", str(cache_dir)]) == 0
-    assert list(cache_dir.rglob("*.pkl"))
+    assert default_cache(str(cache_dir)).disk_entries()
     capsys.readouterr()
     # table2 runs no sweep, but its cache flags must still take effect.
     assert main(["run", "table2", "--scale", "tiny",
                  "--cache-dir", str(cache_dir), "--refresh-cache"]) == 0
-    assert not list(cache_dir.rglob("*.pkl"))
+    assert default_cache(str(cache_dir)).disk_entries() == 0
 
 
 def test_refresh_cache_reexecutes_points(tmp_path, capsys):

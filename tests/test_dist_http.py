@@ -10,6 +10,7 @@ import json
 import pickle
 import random
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -273,6 +274,28 @@ def test_server_close_ends_kept_alive_connections(backend):
     with pytest.raises(BrokerUnavailable):
         client.ping()
     client.close()
+
+
+def test_closing_an_unstarted_server_returns(backend):
+    # shutdown() would wait forever for a serve loop that never ran; run
+    # close() on a daemon thread so a regression fails instead of hanging.
+    closer = threading.Thread(target=BrokerServer(backend).close,
+                              daemon=True)
+    closer.start()
+    closer.join(timeout=1.0)
+    assert not closer.is_alive()
+
+
+def test_closing_a_started_server_is_prompt(backend):
+    # A serve loop notices shutdown within its poll interval, not 0.5 s.
+    # Best of three, so one descheduled close on a loaded host cannot fail.
+    durations = []
+    for _ in range(3):
+        server = BrokerServer(backend).start()
+        started = time.monotonic()
+        server.close()
+        durations.append(time.monotonic() - started)
+    assert min(durations) < 0.1, durations
 
 
 def test_runner_closes_the_http_broker_it_opened(server):

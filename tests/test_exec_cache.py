@@ -1,6 +1,8 @@
 """Tests for the disk-persistent memoization cache layer."""
 
 import pickle
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -8,8 +10,19 @@ from repro.exec import MemoCache, SweepRunner, default_cache
 from repro.exec.cache import _default_caches, _version_namespace
 
 
-def _entry(tmp_path, key):
-    return tmp_path / _version_namespace() / key[:2] / f"{key}.pkl"
+def _sql(path, statement, params=()):
+    """Run one statement on the cache's table; returns all rows."""
+    with closing(sqlite3.connect(path / "memo.sqlite",
+                                 isolation_level=None)) as db:
+        return db.execute(statement, params).fetchall()
+
+
+def _stored_bytes(path):
+    return _sql(path, "SELECT IFNULL(SUM(length(value)), 0) FROM memo")[0][0]
+
+
+def _corrupt(path, key, data=b"not a pickle"):
+    _sql(path, "UPDATE memo SET value = ? WHERE key = ?", (data, key))
 
 
 def square(x):
@@ -48,11 +61,16 @@ def test_memory_only_cache_unchanged(tmp_path):
     assert "disk_entries" in MemoCache(path=tmp_path).stats()
 
 
-def test_corrupt_disk_entry_is_a_miss(tmp_path):
+@pytest.mark.parametrize("data", [
+    b"not a pickle",
+    pickle.dumps(list(range(100)))[:20],
+    b"\x80\x09" + pickle.dumps(42)[2:],
+], ids=["garbage", "truncated", "unsupported-protocol"])
+def test_corrupt_disk_entry_is_a_miss(tmp_path, data):
     cache = MemoCache(path=tmp_path)
     key = "b" * 64
     cache.put(key, 42)
-    _entry(tmp_path, key).write_bytes(b"not a pickle")
+    _corrupt(tmp_path, key, data)
 
     fresh = MemoCache(path=tmp_path)
     assert key not in fresh
@@ -64,7 +82,17 @@ def test_unpicklable_value_stays_memory_only(tmp_path):
     cache = MemoCache(path=tmp_path)
     cache.put("c" * 64, lambda: None)      # cannot pickle a lambda
     assert cache.disk_entries() == 0
+    assert _sql(tmp_path, "SELECT COUNT(*) FROM memo") == [(0,)]
     assert cache.get("c" * 64) is not None # memory layer still serves it
+
+
+def test_unusable_database_file_degrades_to_memory_only(tmp_path):
+    (tmp_path / "memo.sqlite").write_bytes(b"not a database" * 100)
+    with pytest.warns(UserWarning, match="caching in memory only"):
+        cache = MemoCache(path=tmp_path)
+    cache.put("a" * 64, 1)
+    assert cache.get("a" * 64) == 1
+    assert cache.disk_entries() == 0
 
 
 def test_clear_removes_disk_entries_too(tmp_path):
@@ -97,10 +125,13 @@ def test_clear_never_touches_foreign_files(tmp_path):
 def test_disk_write_is_atomic_no_partial_files(tmp_path):
     cache = MemoCache(path=tmp_path)
     cache.put("e" * 64, list(range(1000)))
-    names = [f.name for f in tmp_path.rglob("*") if f.is_file()]
-    assert names == [f"{'e' * 64}.pkl"]    # no leftover temp files
-    with open(_entry(tmp_path, "e" * 64), "rb") as fh:
-        assert pickle.load(fh) == list(range(1000))
+    # One database file (plus its WAL companions), no per-entry files.
+    names = {f.name for f in tmp_path.rglob("*")}
+    assert "memo.sqlite" in names
+    assert names <= {"memo.sqlite", "memo.sqlite-wal", "memo.sqlite-shm"}
+    [(blob,)] = _sql(tmp_path, "SELECT value FROM memo WHERE key = ?",
+                     ("e" * 64,))
+    assert pickle.loads(blob) == list(range(1000))
 
 
 def test_disk_entries_are_namespaced_by_code_version(tmp_path, monkeypatch):
@@ -108,7 +139,8 @@ def test_disk_entries_are_namespaced_by_code_version(tmp_path, monkeypatch):
     # different version's simulator (stale-results hazard).
     cache = MemoCache(path=tmp_path)
     cache.put("f" * 64, "old-code-result")
-    assert _version_namespace() in str(_entry(tmp_path, "f" * 64))
+    assert _sql(tmp_path, "SELECT namespace FROM memo") == [
+        (_version_namespace(),)]
 
     from repro.exec import cache as cache_mod
     monkeypatch.setattr(cache_mod, "_version_namespace", lambda: "v999.0.0")
@@ -156,7 +188,7 @@ def test_default_cache_honours_environment(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Size cap / LRU-by-mtime eviction
+# Size cap / least-recently-used eviction
 # ---------------------------------------------------------------------------
 def _key(i):
     return f"{i:02d}" + "e" * 62
@@ -180,23 +212,20 @@ def test_eviction_prunes_oldest_entries_past_the_cap(tmp_path):
 
 
 def test_reads_refresh_lru_order(tmp_path):
-    import os as _os
     cache = MemoCache(path=tmp_path)
     for i in range(3):
         cache.put(_key(i), b"v" * 128)
     # Age all entries, then touch entry 0 by reading it from disk.
     for i in range(3):
-        entry = _entry(tmp_path, _key(i))
-        _os.utime(entry, (1, 1 + i))
+        _sql(tmp_path, "UPDATE memo SET used = ? WHERE key = ?",
+             (1 + i, _key(i)))
     fresh = MemoCache(path=tmp_path)                 # cold memory layer
-    assert fresh.get(_key(0)) == b"v" * 128          # refreshes mtime
-    sizes = sum(e.stat().st_size
-                for e in tmp_path.glob("v*/*/*.pkl"))
-    fresh.max_bytes = sizes - 1                      # force one eviction
+    assert fresh.get(_key(0)) == b"v" * 128          # refreshes `used`
+    fresh.max_bytes = _stored_bytes(tmp_path) - 1    # force one eviction
     fresh.put(_key(3), b"v" * 128)
-    survivors = {e.stem for e in tmp_path.glob("v*/*/*.pkl")}
+    survivors = {key for (key,) in _sql(tmp_path, "SELECT key FROM memo")}
     assert _key(0) in survivors                      # recently read: kept
-    assert _key(1) not in survivors                  # oldest mtime: evicted
+    assert _key(1) not in survivors                  # least recent: evicted
 
 
 def test_eviction_composes_with_corrupt_entries(tmp_path):
@@ -204,14 +233,15 @@ def test_eviction_composes_with_corrupt_entries(tmp_path):
     cache.put(_key(0), b"a" * 128)
     cache.put(_key(1), b"b" * 128)
     # Corrupt one entry on disk: reads degrade to misses...
-    entry = _entry(tmp_path, _key(0))
-    entry.write_bytes(b"not a pickle")
+    _corrupt(tmp_path, _key(0))
     fresh = MemoCache(path=tmp_path, max_bytes=600)
     assert fresh.get(_key(0), "miss") == "miss"
-    # ...and the corrupt file still participates in (and yields to) pruning.
+    # ...and the corrupt row still participates in (and yields to) pruning.
     for i in range(2, 8):
         fresh.put(_key(i), b"c" * 128)
-    assert sum(e.stat().st_size for e in tmp_path.glob("v*/*/*.pkl")) <= 600
+    assert _stored_bytes(tmp_path) <= 600
+    assert _key(0) not in {key for (key,) in
+                           _sql(tmp_path, "SELECT key FROM memo")}
     assert fresh.get(_key(7)) == b"c" * 128
     assert fresh.disk_evictions > 0
 
@@ -230,21 +260,19 @@ def test_cap_is_enforced_on_hit_only_caches(tmp_path):
     grower = MemoCache(path=tmp_path)
     for i in range(6):
         grower.put(_key(i), b"z" * 512)
-    oversized = sum(e.stat().st_size for e in tmp_path.glob("v*/*/*.pkl"))
+    oversized = _stored_bytes(tmp_path)
     # Opening the directory with a cap prunes immediately — a fully
-    # memoized run (no stores) must still shrink an oversized layout.
+    # memoized run (no stores) must still shrink an oversized store.
     capped = MemoCache(path=tmp_path, max_bytes=oversized // 2)
     assert capped.disk_evictions > 0
-    assert sum(e.stat().st_size
-               for e in tmp_path.glob("v*/*/*.pkl")) <= oversized // 2
+    assert _stored_bytes(tmp_path) <= oversized // 2
     # Reconfiguring the cap through default_cache() also prunes right away.
     cache = default_cache(tmp_path)
     for i in range(6, 12):
         cache.put(_key(i), b"z" * 512)
-    total = sum(e.stat().st_size for e in tmp_path.glob("v*/*/*.pkl"))
+    total = _stored_bytes(tmp_path)
     default_cache(tmp_path, max_bytes=total // 2)
-    assert sum(e.stat().st_size
-               for e in tmp_path.glob("v*/*/*.pkl")) <= total // 2
+    assert _stored_bytes(tmp_path) <= total // 2
     with pytest.raises(ValueError):
         default_cache(tmp_path, max_bytes=0)
 
@@ -259,9 +287,9 @@ def _stress_key(worker, i):
 def _cache_stress_worker(args):
     """One fleet worker hammering a tiny, capped shared cache directory.
 
-    Constant eviction pressure makes every process race every other in
-    ``_prune``: files vanish between scan and stat, and between stat and
-    unlink.  Returns an error string, or "ok".
+    Constant eviction pressure makes every process prune rows that every
+    other process is reading and writing.  Returns an error string, or
+    "ok".
     """
     path, worker, rounds = args
     from repro.exec.cache import MemoCache
@@ -275,7 +303,51 @@ def _cache_stress_worker(args):
             value = cache.get(probe, None)
             if value is not None and value != probe:
                 return f"corrupt read: {probe} -> {value!r}"
+    if cache.disk_entries() == 0:       # the newest row always fits the cap
+        return "disk layer unavailable"
     return "ok"
+
+
+def test_threads_share_one_capped_disk_cache(tmp_path):
+    import sys
+    import threading
+
+    writer = MemoCache(path=tmp_path)            # rows cold for `shared`
+    for i in range(30):
+        writer.put(_stress_key(9, i), _stress_key(9, i))
+    # Every value pickles to the same size, and the cap falls one byte
+    # short of all 150 rows: only the last store may prune, and only if
+    # every store counted toward the size estimate.
+    size = len(pickle.dumps(_stress_key(0, 0), pickle.HIGHEST_PROTOCOL))
+    shared = MemoCache(path=tmp_path, max_bytes=150 * size - 1)
+    errors = []
+
+    def hammer(worker):
+        try:
+            for i in range(30):
+                key = _stress_key(worker, i)
+                shared.put(key, key)
+                probe = _stress_key(9, i)
+                if shared.get(probe, probe) != probe:    # a disk read
+                    errors.append(f"corrupt read of {probe}")
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=hammer, args=(worker,))
+               for worker in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert shared.disk_evictions == 1
+    assert _stored_bytes(tmp_path) == 149 * size
 
 
 def test_concurrent_writers_race_safely(tmp_path):
@@ -290,49 +362,7 @@ def test_concurrent_writers_race_safely(tmp_path):
     assert outcomes == ["ok"] * 4
     # Whatever survived the crossfire is intact and correctly keyed.
     survivor = MemoCache(path=tmp_path)
-    for entry in tmp_path.glob("v*/*/*.pkl"):
-        key = entry.stem
+    survivors = [key for (key,) in _sql(tmp_path, "SELECT key FROM memo")]
+    assert survivors
+    for key in survivors:
         assert survivor.get(key) == key
-
-
-def test_prune_tolerates_losing_every_unlink_race(tmp_path, monkeypatch):
-    from pathlib import Path
-
-    grower = MemoCache(path=tmp_path)
-    for i in range(6):
-        grower.put(_key(i), b"z" * 512)
-    oversized = sum(e.stat().st_size for e in tmp_path.glob("v*/*/*.pkl"))
-
-    real_unlink = Path.unlink
-
-    def racing_unlink(self, *args, **kwargs):
-        # Another worker evicted the same entry first: the file is gone by
-        # the time our unlink lands.
-        real_unlink(self, *args, **kwargs)
-        raise FileNotFoundError(str(self))
-
-    monkeypatch.setattr(Path, "unlink", racing_unlink)
-    capped = MemoCache(path=tmp_path, max_bytes=oversized // 2)
-    monkeypatch.undo()
-    # The race loser must neither crash nor claim the evictions as its own,
-    # and the freed bytes still count toward the cap.
-    assert capped.disk_evictions == 0
-    assert sum(e.stat().st_size
-               for e in tmp_path.glob("v*/*/*.pkl")) <= oversized // 2
-
-
-def test_prune_tolerates_directories_vanishing_mid_scan(tmp_path):
-    cache = MemoCache(path=tmp_path)
-    for i in range(4):
-        cache.put(_key(i), b"z" * 128)
-    # A concurrent clear() removed a whole shard between listing and
-    # descending into it; the walk must skip it, not raise.
-    entries = list(cache._disk_entry_files())
-    assert len(entries) == 4
-    import shutil
-    shard = entries[0].parent
-    walker = cache._disk_entry_files()
-    next(walker)                                 # walk is underway
-    shutil.rmtree(shard, ignore_errors=True)
-    remaining = list(walker)                     # no FileNotFoundError
-    assert all(entry.suffix == ".pkl" for entry in remaining)
