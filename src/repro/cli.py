@@ -36,6 +36,7 @@ import os
 import sys
 from typing import List, Optional
 
+from .dse import BudgetExhaustedError, explorer_names
 from .eval.experiments import EXPERIMENTS
 from .eval.harness import HarnessConfig, compare
 from .eval.report import (format_nested_series, format_output, format_series,
@@ -554,7 +555,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"backend (knobs: {', '.join(exp.knobs)})",
                       file=sys.stderr)
                 return 2
-            from .dse import explorer_names
             if args.explorer not in explorer_names():
                 print(f"unknown explorer {args.explorer!r} "
                       f"(registered: {', '.join(explorer_names())})",
@@ -571,9 +571,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Built unconditionally so cache flags (--refresh-cache in
         # particular) take effect even for non-sweepable experiments.
         runner = _make_runner(args)
-        result = exp.run(scale=args.scale,
-                         runner=runner if exp.sweepable else None,
-                         **overrides)
+        try:
+            result = exp.run(scale=args.scale,
+                             runner=runner if exp.sweepable else None,
+                             **overrides)
+        except BudgetExhaustedError as exc:
+            print(f"repro run: {exc}", file=sys.stderr)
+            return 2
         _emit(result, args)
         _report_runner(runner, args)
         return 0

@@ -8,7 +8,9 @@ user-supplied evaluation function (normally "synthesize + simulate the
 workload"), and reports every point plus the runtime-vs-area Pareto front
 (Fig. 10).
 
-Candidate evaluation goes through the ``runner=`` seam
+Every exploration, the classic grid included, runs a :mod:`repro.dse`
+explorer backend over a :class:`~repro.dse.DesignSpace` of specs built on
+demand.  Candidate evaluation goes through the ``runner=`` seam
 (:class:`~repro.exec.runner.SweepRunner`), so an exploration parallelizes,
 memoizes, or distributes (pass a
 :class:`~repro.dist.runner.DistributedRunner`) without this module knowing
@@ -17,11 +19,13 @@ which executor is behind it.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, replace
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence, Tuple)
 
+from ..dse import DesignSpace, DseObjectives, FidelityRung, get_explorer
+from ..dse.explorer import pareto_positions
 from .resources import ResourceEstimate
 from .spec import SystemSpec
 
@@ -61,31 +65,16 @@ class DesignPoint:
 def pareto_front(points: Iterable[DesignPoint]) -> List[DesignPoint]:
     """Non-dominated subset, sorted by runtime.
 
-    Sort-then-scan in O(n log n): walk points in (runtime, luts) order and
-    keep each group of runtime-ties whose minimum LUT count strictly improves
-    on everything faster.  Within a group, only the minimum-LUT points
-    survive (higher-LUT ties are dominated at equal runtime); exact
-    duplicates are all kept, since neither dominates the other.  Ties on
-    both objectives break on the points' parameters, so the returned list —
-    order included — is a pure function of the point *set*, independent of
-    input order (front-equality comparisons rely on this).
+    One :func:`~repro.dse.explorer.pareto_positions` scan over (runtime,
+    LUTs) with ``repr(parameters)`` as the tie token: at equal runtime the
+    higher-LUT points are dominated, exact duplicates are all kept (neither
+    dominates the other), and the returned list — order included — is a
+    pure function of the point *set* (front-equality comparisons rely on it).
     """
-    ordered = sorted(points, key=lambda p: (p.runtime_cycles, p.luts,
-                                            repr(p.parameters)))
-    front: List[DesignPoint] = []
-    best_luts: Optional[int] = None   # min LUTs over strictly faster points
-    i = 0
-    while i < len(ordered):
-        j = i
-        runtime = ordered[i].runtime_cycles
-        while j < len(ordered) and ordered[j].runtime_cycles == runtime:
-            j += 1
-        group_min = ordered[i].luts
-        if best_luts is None or group_min < best_luts:
-            front.extend(p for p in ordered[i:j] if p.luts == group_min)
-            best_luts = group_min
-        i = j
-    return front
+    points = list(points)
+    front = pareto_positions([(p.runtime_cycles, p.luts) for p in points],
+                             [repr(p.parameters) for p in points])
+    return [points[i] for i in front]
 
 
 #: Evaluation callback: given a candidate spec, return (runtime, resources).
@@ -118,11 +107,46 @@ class SweepAxes:
                 * len(self.tlb_prefetch) * len(self.policy))
 
 
+def _spec_for(base: SystemSpec, knobs: Dict[str, Any]) -> SystemSpec:
+    """One candidate: ``base`` with the knobs applied to every thread."""
+    threads = [replace(t, tlb_entries=knobs["tlb_entries"],
+                       max_burst_bytes=knobs["max_burst_bytes"],
+                       max_outstanding=knobs["max_outstanding"],
+                       tlb_prefetch=knobs["tlb_prefetch"])
+               for t in base.threads]
+    return replace(base, threads=threads, shared_walker=knobs["shared_walker"],
+                   scheduling_policy=knobs["policy"])
+
+
+class _Unscored(DseObjectives):
+    """No objectives: the classic call takes any pair an evaluator returns."""
+
+    def extract(self, evaluation: Any) -> Tuple[Any, ...]:
+        return ()
+
+
 class DesignSpaceExplorer:
     """Grid sweep over system parameters with Pareto extraction."""
 
     def __init__(self, evaluator: Evaluator):
         self.evaluator = evaluator
+
+    def _space(self, base: SystemSpec, axes: SweepAxes) -> DesignSpace:
+        """The grid as a space of specs, its axes in reported order: the
+        one-value ``num_threads`` axis reports the base's thread count, and
+        a ``None`` policy keeps the base spec's (named only when set)."""
+        policies = tuple(base.scheduling_policy if policy is None else policy
+                         for policy in axes.policy)
+        return DesignSpace.from_axes(
+            {"tlb_entries": axes.tlb_entries,
+             "max_burst_bytes": axes.max_burst_bytes,
+             "max_outstanding": axes.max_outstanding,
+             "shared_walker": axes.shared_walker,
+             "tlb_prefetch": axes.tlb_prefetch,
+             "num_threads": (base.num_threads,),
+             "policy": policies},
+            (FidelityRung("full", self.evaluator),),
+            build=functools.partial(_spec_for, base))
 
     def candidates(self, base: SystemSpec, axes: SweepAxes) -> List[SystemSpec]:
         """Enumerate candidate specs over the axis grid.
@@ -131,36 +155,8 @@ class DesignSpaceExplorer:
         base spec (per-thread heterogeneous sweeps explode combinatorially
         and are not what the paper's flow explores).
         """
-        specs: List[SystemSpec] = []
-        grid = itertools.product(axes.tlb_entries, axes.max_burst_bytes,
-                                 axes.max_outstanding, axes.shared_walker,
-                                 axes.tlb_prefetch, axes.policy)
-        for tlb, burst, outstanding, shared, prefetch, policy in grid:
-            threads = [replace(t, tlb_entries=tlb, max_burst_bytes=burst,
-                               max_outstanding=outstanding,
-                               tlb_prefetch=prefetch)
-                       for t in base.threads]
-            specs.append(replace(base, threads=threads, shared_walker=shared,
-                                 scheduling_policy=(base.scheduling_policy
-                                                    if policy is None
-                                                    else policy)))
-        return specs
-
-    @staticmethod
-    def _params_for(spec: SystemSpec) -> Tuple[Tuple[str, object], ...]:
-        """The reported knob assignment of one candidate spec."""
-        thread0 = spec.threads[0]
-        params = (
-            ("tlb_entries", thread0.tlb_entries),
-            ("max_burst_bytes", thread0.max_burst_bytes),
-            ("max_outstanding", thread0.max_outstanding),
-            ("shared_walker", spec.shared_walker),
-            ("tlb_prefetch", thread0.tlb_prefetch),
-            ("num_threads", spec.num_threads),
-        )
-        if spec.scheduling_policy is not None:
-            params = params + (("policy", spec.scheduling_policy),)
-        return params
+        space = self._space(base, axes)
+        return [space.candidate(i) for i in range(space.size())]
 
     def explore(self, base: SystemSpec, axes: Optional[SweepAxes] = None,
                 runner: Optional["SweepRunner"] = None, *,
@@ -169,55 +165,37 @@ class DesignSpaceExplorer:
                 budget: Optional[int] = None,
                 results: Optional[object] = None,
                 seed: int = 0):
-        """Evaluate the grid and return design points.
+        """Evaluate the grid through a :mod:`repro.dse` explorer backend.
 
-        With only the classic arguments this is the exhaustive grid sweep:
-        every candidate evaluated in order, returned as a
-        ``List[DesignPoint]``.  ``runner`` (a :class:`repro.exec.SweepRunner`)
-        evaluates in parallel and/or with memoization; candidate order — and
-        therefore the returned point order — is identical to the serial path
-        either way.
+        With only the classic arguments this is the ``exhaustive`` backend
+        without warm start, its points returned as a ``List[DesignPoint]``
+        in candidate order.  ``runner`` (a :class:`repro.exec.SweepRunner`)
+        evaluates in parallel and/or memoized, in serial point order.
 
-        Passing any of the adaptive keywords switches to the
-        :mod:`repro.dse` explorer protocol and returns an
-        :class:`~repro.dse.Exploration` instead: ``explorer`` names a
+        Passing any of the adaptive keywords returns the
+        :class:`~repro.dse.Exploration` itself: ``explorer`` names a
         backend (``"exhaustive"``/``"successive-halving"`` or an instance),
         ``objectives`` a :class:`~repro.dse.DseObjectives`, ``budget`` a
         hard evaluation cap, ``results`` a
-        :class:`~repro.store.results.ResultsStore` for warm-starting (the
-        runner's attached store is used when present), and ``seed`` drives
-        the subsampling of budget-constrained backends.
+        :class:`~repro.store.results.ResultsStore` for warm-starting (else
+        the runner's attached store, if any), and ``seed`` drives the
+        subsampling of budget-constrained backends.
         """
-        axes = axes or SweepAxes()
-        specs = self.candidates(base, axes)
         adaptive = (explorer is not None or objectives is not None
                     or budget is not None or results is not None)
+        space = self._space(base, axes or SweepAxes())
+        if adaptive and results is None:
+            results = getattr(runner, "results", None)
+        backend = get_explorer("exhaustive" if explorer is None else explorer)
+        exploration = backend.explore(
+            space, objectives=objectives if adaptive else _Unscored(),
+            runner=runner, budget=budget, results=results, seed=seed)
         if adaptive:
-            from ..dse import (DesignSpace, DseObjectives, FidelityRung,
-                               get_explorer)
-            space = DesignSpace(
-                candidates=tuple(specs),
-                coords=tuple(tuple(sorted(self._params_for(s)))
-                             for s in specs),
-                ladder=(FidelityRung("full", self.evaluator),))
-            if results is None:
-                results = getattr(runner, "results", None)
-            backend = get_explorer(explorer if explorer is not None
-                                   else "exhaustive")
-            return backend.explore(space,
-                                   objectives=objectives or DseObjectives(),
-                                   runner=runner, budget=budget,
-                                   results=results, seed=seed)
-        if runner is not None:
-            evaluations = runner.map(self.evaluator, specs, label="dse")
-        else:
-            evaluations = [self.evaluator(spec) for spec in specs]
-        points: List[DesignPoint] = []
-        for spec, (runtime, resources) in zip(specs, evaluations):
-            points.append(DesignPoint(parameters=self._params_for(spec),
-                                      runtime_cycles=runtime,
-                                      resources=resources))
-        return points
+            return exploration
+        rank = {name: k for k, (name, _) in enumerate(space.axes)}
+        return [DesignPoint(tuple(sorted(p.coords, key=lambda c: rank[c[0]])),
+                            *p.payload)    # (runtime, resources)
+                for p in exploration.points]
 
     def explore_pareto(self, base: SystemSpec,
                        axes: Optional[SweepAxes] = None,

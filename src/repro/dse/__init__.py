@@ -1,10 +1,10 @@
 """Adaptive design-space exploration: explorer backends and objectives.
 
-The classic grid sweep in :mod:`repro.core.dse` evaluates every candidate;
-this package generalizes it behind an :class:`Explorer` protocol so a
-budgeted, telemetry-objective search (successive halving over a fidelity
-ladder, warm-started from the results store) drops in where the exhaustive
-grid used to be — ``explore(explorer="successive-halving", budget=...)``.
+Every exploration, the classic grid of :mod:`repro.core.dse` included, runs
+an :class:`Explorer` backend over an index-addressed :class:`DesignSpace`.
+The grid is the ``exhaustive`` backend; a budgeted, telemetry-objective
+search (successive halving over a fidelity ladder, warm-started from the
+results store) is ``explore(explorer="successive-halving", budget=...)``.
 """
 
 from .explorer import (

@@ -1,12 +1,12 @@
 """Explorer backends: exhaustive grids and budgeted successive halving.
 
-An :class:`Explorer` turns a :class:`DesignSpace` — candidates, their sweep
-coordinates, and a fidelity ladder of evaluators from cheapest to full —
-into an :class:`Exploration`: the full-fidelity points it trusts and their
-Pareto front.  Two backends ship:
+An :class:`Explorer` turns a :class:`DesignSpace` — index-addressed
+candidates and a fidelity ladder of evaluators from cheapest to full — into
+an :class:`Exploration`: the full-fidelity points it trusts and their Pareto
+front.  Two backends ship:
 
-* ``exhaustive`` — today's grid: every candidate through the full-fidelity
-  evaluator, in candidate order, bit-identical to the classic sweep path;
+* ``exhaustive`` — every candidate through the full-fidelity evaluator, in
+  candidate order; the classic grid sweep of :mod:`repro.core.dse` runs here;
 * ``successive-halving`` — rounds of evaluate-at-the-cheap-rung → keep the
   non-dominated-plus-margin survivors → promote to the next rung, under a
   deterministic seeded sampler and a hard evaluation budget.
@@ -21,7 +21,6 @@ into ``runner.stats`` (``explore_evaluations`` / ``explore_warm_hits``).
 from __future__ import annotations
 
 import inspect
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -49,42 +48,62 @@ class FidelityRung:
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """Candidates, their coordinates, and the fidelity ladder."""
+    """Index-addressed candidates and the fidelity ladder: candidate ``i`` is
+    the ``i``-th assignment in ``itertools.product`` order, decoded in mixed
+    radix when an explorer asks for it, so nothing is built up front."""
 
-    candidates: Tuple[Any, ...]
-    coords: Tuple[Coords, ...]
+    #: Ordered ``(name, values)`` pairs; the last axis varies fastest.
+    axes: Tuple[Tuple[str, Tuple[Any, ...]], ...]
     #: Cheapest rung first; the last rung is the trusted full fidelity.
     ladder: Tuple[FidelityRung, ...]
+    #: Turns one ``{axis: value}`` assignment into the candidate the
+    #: evaluators receive; by default the candidate is the assignment dict.
+    build: Callable[[Dict[str, Any]], Any] = dict
 
     def __post_init__(self) -> None:
-        if len(self.candidates) != len(self.coords):
-            raise ValueError(f"{len(self.candidates)} candidates but "
-                             f"{len(self.coords)} coords")
+        if not self.axes:
+            raise ValueError("a design space needs at least one axis")
         if not self.ladder:
             raise ValueError("the fidelity ladder needs at least one rung")
 
     def size(self) -> int:
-        return len(self.candidates)
+        return math.prod(len(values) for _, values in self.axes)
 
     @property
     def full(self) -> FidelityRung:
         """The trusted full-fidelity rung (last on the ladder)."""
         return self.ladder[-1]
 
+    def _assignment(self, i: int) -> Dict[str, Any]:
+        """Candidate ``i``'s ``{axis: value}`` assignment, in axis order."""
+        stride = self.size()
+        if not 0 <= i < stride:
+            raise IndexError(f"no candidate {i} in a space of {stride}")
+        assignment = {}
+        for name, values in self.axes:
+            stride //= len(values)
+            digit, i = divmod(i, stride)
+            assignment[name] = values[digit]
+        return assignment
+
+    def candidate(self, i: int) -> Any:
+        """The evaluator input of candidate ``i``."""
+        return self.build(self._assignment(i))
+
+    def coords(self, i: int) -> Coords:
+        """Candidate ``i``'s sorted ``(axis, value)`` pairs; a ``None`` value
+        means "not set" (``build`` decides) and is left out."""
+        return tuple(sorted(pair for pair in self._assignment(i).items()
+                            if pair[1] is not None))
+
     @classmethod
     def from_axes(cls, axes: Mapping[str, Sequence[Any]],
-                  ladder: Sequence[FidelityRung]) -> "DesignSpace":
-        """Cartesian-product space: each candidate is an axis->value dict."""
-        if not axes:
-            raise ValueError("a design space needs at least one axis")
-        names = list(axes)
-        candidates, coords = [], []
-        for values in itertools.product(*(axes[name] for name in names)):
-            assignment = dict(zip(names, values))
-            candidates.append(assignment)
-            coords.append(tuple(sorted(assignment.items())))
-        return cls(candidates=tuple(candidates), coords=tuple(coords),
-                   ladder=tuple(ladder))
+                  ladder: Sequence[FidelityRung],
+                  build: Callable[[Dict[str, Any]], Any] = dict
+                  ) -> "DesignSpace":
+        """Cartesian-product space over ``axes``, in their mapping order."""
+        return cls(tuple((name, tuple(vs)) for name, vs in axes.items()),
+                   tuple(ladder), build)
 
 
 @dataclass(frozen=True)
@@ -99,6 +118,9 @@ class ExplorationPoint:
     fidelity: str
     #: ``"evaluated"`` or ``"warm-start"`` (adopted from the results store).
     source: str = "evaluated"
+    #: The evaluator payload the values came from (a warm start keeps its
+    #: row's value); not part of equality, repr or ``Exploration.as_dict``.
+    payload: Any = field(default=None, compare=False, repr=False)
 
     @property
     def params(self) -> Dict[str, Any]:
@@ -142,15 +164,12 @@ class Exploration:
         }
 
 
-def _tie_token(coords: Coords) -> str:
-    """Deterministic, input-order-independent tie-break for equal vectors."""
-    return repr(coords)
-
-
 def pareto_positions(vectors: Sequence[Tuple[Any, ...]],
                      tokens: Sequence[str]) -> List[int]:
     """Positions of the non-dominated minimized vectors.
 
+    ``tokens`` break ties between equal vectors deterministically, whatever
+    the input order (callers pass the ``repr`` of each point's parameters).
     Sorting by (vector, token) makes the scan linear in the front size: a
     lexicographically later vector can never dominate an earlier one, so a
     single forward pass against the accepted set suffices.  Equal vectors
@@ -173,7 +192,7 @@ def pareto_points(points: Sequence[ExplorationPoint],
                   objectives: DseObjectives) -> List[ExplorationPoint]:
     """The non-dominated subset, in canonical (minimized, coords) order."""
     vectors = [objectives.minimized(p.values) for p in points]
-    tokens = [_tie_token(p.coords) for p in points]
+    tokens = [repr(p.coords) for p in points]
     return [points[i] for i in pareto_positions(vectors, tokens)]
 
 
@@ -245,8 +264,8 @@ class Explorer:
         if results is None:
             return {}, pool
         try:
-            keys = [stable_key(space.full.evaluator, c)
-                    for c in space.candidates]
+            keys = [stable_key(space.full.evaluator, space.candidate(i))
+                    for i in pool]
         except TypeError:          # evaluator not content-addressable
             return {}, pool
         found = results.warm_values(keys)
@@ -259,8 +278,9 @@ class Explorer:
                 except (KeyError, TypeError, ValueError):
                     rest.append(i)     # stale/foreign payload: re-evaluate
                     continue
-                warm[i] = ExplorationPoint(space.coords[i], values,
-                                           space.full.name, "warm-start")
+                warm[i] = ExplorationPoint(space.coords(i), values,
+                                           space.full.name, "warm-start",
+                                           found[key])
             else:
                 rest.append(i)
         exploration.warm_hits = len(warm)
@@ -271,10 +291,11 @@ class Explorer:
 
     @staticmethod
     def _evaluate(space: DesignSpace, rung: FidelityRung, cohort: List[int],
-                  runner: Optional[Any], exploration: Exploration
-                  ) -> List[Any]:
+                  objectives: DseObjectives, runner: Optional[Any],
+                  exploration: Exploration) -> Dict[int, ExplorationPoint]:
         """Dispatch one cohort through a rung, charging the budget."""
-        items = [space.candidates[i] for i in cohort]
+        items = [space.candidate(i) for i in cohort]
+        coords = [space.coords(i) for i in cohort]
         if runner is not None:
             kwargs: Dict[str, Any] = {}
             try:
@@ -284,7 +305,7 @@ class Explorer:
             if "label" in params:
                 kwargs["label"] = f"dse:{rung.name}"
             if "coords" in params:
-                kwargs["coords"] = [space.coords[i] for i in cohort]
+                kwargs["coords"] = coords
             values = runner.map(rung.evaluator, items, **kwargs)
             stats = getattr(runner, "stats", None)
             if stats is not None:
@@ -292,16 +313,20 @@ class Explorer:
         else:
             values = [rung.evaluator(item) for item in items]
         exploration.evaluations += len(items)
-        exploration.log.extend((rung.name, space.coords[i]) for i in cohort)
-        return list(values)
+        exploration.log.extend((rung.name, c) for c in coords)
+        return {i: ExplorationPoint(c, objectives.extract(v), rung.name,
+                                    payload=v)
+                for i, c, v in zip(cohort, coords, values)}
 
     @staticmethod
-    def _pool(warm: Dict[int, ExplorationPoint],
-              scored: Dict[int, ExplorationPoint]) -> List[ExplorationPoint]:
-        """Merge warm + evaluated points back into candidate order."""
-        merged = dict(warm)
-        merged.update(scored)
-        return [merged[i] for i in sorted(merged)]
+    def _finish(exploration: Exploration, warm: Dict[int, ExplorationPoint],
+                scored: Dict[int, ExplorationPoint]) -> Exploration:
+        """Merge warm + evaluated points in candidate order; take the front."""
+        merged = {**warm, **scored}
+        exploration.points = [merged[i] for i in sorted(merged)]
+        exploration.front = pareto_points(exploration.points,
+                                          exploration.objectives)
+        return exploration
 
 
 @register_explorer("exhaustive")
@@ -320,16 +345,12 @@ class ExhaustiveExplorer(Explorer):
                 f"exhaustive exploration needs {len(pool)} evaluations but "
                 f"the budget is {budget}; use the successive-halving "
                 f"explorer to search under a budget")
-        values = self._evaluate(space, space.full, pool, runner, exploration)
-        scored = {i: ExplorationPoint(space.coords[i], objectives.extract(v),
-                                      space.full.name)
-                  for i, v in zip(pool, values)}
+        scored = self._evaluate(space, space.full, pool, objectives, runner,
+                                exploration)
         exploration.rounds.append({"fidelity": space.full.name,
                                    "cohort": len(pool),
                                    "adopted": len(warm)})
-        exploration.points = self._pool(warm, scored)
-        exploration.front = pareto_points(exploration.points, objectives)
-        return exploration
+        return self._finish(exploration, warm, scored)
 
 
 @register_explorer("successive-halving")
@@ -395,12 +416,10 @@ class SuccessiveHalvingExplorer(Explorer):
                                          key=lambda k: (draws[k], k))[:afford])
                     sampled_out = len(cohort) - afford
                     cohort = [cohort[k] for k in keep]
-            values = self._evaluate(space, rung, cohort, runner, exploration)
+            points = self._evaluate(space, rung, cohort, objectives, runner,
+                                    exploration)
             if remaining is not None:
                 remaining -= len(cohort)
-            points = {i: ExplorationPoint(space.coords[i],
-                                          objectives.extract(v), rung.name)
-                      for i, v in zip(cohort, values)}
             round_info = {"fidelity": rung.name, "cohort": len(cohort),
                           "sampled_out": sampled_out}
             if later == 0:
@@ -410,16 +429,14 @@ class SuccessiveHalvingExplorer(Explorer):
             cohort = self._survivors(points, objectives)
             round_info["survivors"] = len(cohort)
             exploration.rounds.append(round_info)
-        exploration.points = self._pool(warm, scored)
-        exploration.front = pareto_points(exploration.points, objectives)
-        return exploration
+        return self._finish(exploration, warm, scored)
 
     def _survivors(self, points: Dict[int, ExplorationPoint],
                    objectives: DseObjectives) -> List[int]:
         """Front plus ``ceil(margin * |front|)`` nearest-to-front extras."""
         indices = sorted(points)
         vectors = [objectives.minimized(points[i].values) for i in indices]
-        tokens = [_tie_token(points[i].coords) for i in indices]
+        tokens = [repr(points[i].coords) for i in indices]
         front = set(pareto_positions(vectors, tokens))
         survivors = {indices[p] for p in front}
         extra = math.ceil(self.margin * len(front))

@@ -62,6 +62,25 @@ def test_run_smoke_every_registered_experiment(experiment, capsys):
     assert capsys.readouterr().out.strip()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "fig14", "--budget", "2", "--scale", "tiny"],
+     "budget 2 cannot push any candidate through the 3-rung fidelity "
+     "ladder"),
+    # The exhaustive backend under fig14's default budget of 256 cannot
+    # cover the 103,680-point space.
+    (["run", "fig14", "--explorer", "exhaustive", "--scale", "tiny"],
+     "exhaustive exploration needs 103680 evaluations but the budget is "
+     "256"),
+])
+def test_run_reports_an_exhausted_budget_as_an_argument_error(argv, message,
+                                                              capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"repro run: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_run_json_output_is_parseable(capsys):
     assert main(["run", "fig5_replacement", "--scale", "tiny", "--json"]) == 0
     out = capsys.readouterr().out

@@ -253,6 +253,80 @@ def test_policy_axis_reaches_the_evaluator_and_the_design_points():
     assert all("policy" not in p.params for p in default_points)
 
 
+def test_a_policy_axis_mixing_none_names_the_policy_only_where_set():
+    axes = SweepAxes(tlb_entries=(8,), max_burst_bytes=(128,),
+                     max_outstanding=(4,), shared_walker=(False,),
+                     policy=(None, "round-robin"))
+    explorer = DesignSpaceExplorer(lambda spec: (1, ResourceEstimate()))
+    knobs = (("tlb_entries", 8), ("max_burst_bytes", 128),
+             ("max_outstanding", 4), ("shared_walker", False),
+             ("tlb_prefetch", 0), ("num_threads", 1))
+    points = explorer.explore(simple_spec(), axes)
+    assert [p.parameters for p in points] == [
+        knobs, knobs + (("policy", "round-robin"),)]
+    exploration = explorer.explore(simple_spec(), axes, explorer="exhaustive")
+    assert [p.coords for p in exploration.points] == [
+        tuple(sorted(knobs)),
+        tuple(sorted(knobs + (("policy", "round-robin"),)))]
+
+
+def test_a_base_spec_policy_is_reported_under_the_default_axis():
+    base = SystemSpec(name="test",
+                      threads=[ThreadSpec(name="hwt0", kernel="vecadd")],
+                      scheduling_policy="miss-fair")
+    axes = SweepAxes(tlb_entries=(8, 16), max_burst_bytes=(128,),
+                     max_outstanding=(4,), shared_walker=(False,))
+    explorer = DesignSpaceExplorer(lambda spec: (1, ResourceEstimate()))
+    assert [c.scheduling_policy for c in explorer.candidates(base, axes)] == [
+        "miss-fair", "miss-fair"]
+    points = explorer.explore(base, axes)
+    assert [p.params["policy"] for p in points] == ["miss-fair", "miss-fair"]
+    assert [p.parameters[-1] for p in points] == [("policy", "miss-fair")] * 2
+    exploration = explorer.explore(base, axes, explorer="exhaustive")
+    assert [p.params["policy"] for p in exploration.points] == [
+        "miss-fair", "miss-fair"]
+
+
+def test_the_classic_call_accepts_any_runtime_resources_pair():
+    # The classic call reads its points off the evaluator's payloads, so a
+    # pair the objectives cannot extract (a list, no LUT count) still works.
+    def evaluator(spec):
+        return [spec.threads[0].tlb_entries, None]
+
+    axes = SweepAxes(tlb_entries=(8, 16), max_burst_bytes=(128,),
+                     max_outstanding=(4,), shared_walker=(False,))
+    points = DesignSpaceExplorer(evaluator).explore(simple_spec(), axes)
+    assert [(p.runtime_cycles, p.resources) for p in points] == [(8, None),
+                                                                 (16, None)]
+
+
+def _tlb_cycles(spec):
+    tlb = spec.threads[0].tlb_entries
+    return (tlb * 10, ResourceEstimate(luts=tlb))
+
+
+def test_the_classic_call_never_reads_the_runners_results_store(tmp_path):
+    # A store on the runner only records the classic grid's points; a row
+    # already there (here a doctored one) is never served back.
+    from repro.exec import SweepRunner
+    from repro.exec.keys import stable_key
+    from repro.store.results import ResultsStore
+
+    axes = SweepAxes(tlb_entries=(8, 16), max_burst_bytes=(128,),
+                     max_outstanding=(4,), shared_walker=(False,))
+    explorer = DesignSpaceExplorer(_tlb_cycles)
+    store = ResultsStore(tmp_path / "results.db")
+    first = explorer.candidates(simple_spec(), axes)[0]
+    store.record(stable_key(_tlb_cycles, first),
+                 (1, ResourceEstimate(luts=1)), experiment="doctored")
+    runner = SweepRunner(results=store)
+    points = explorer.explore(simple_spec(), axes, runner=runner)
+    assert [(p.runtime_cycles, p.luts) for p in points] == [(80, 8),
+                                                            (160, 16)]
+    assert runner.stats.explore_warm_hits == 0
+    assert runner.stats.explore_evaluations == 2
+
+
 def test_system_spec_rejects_unknown_scheduling_policy():
     import pytest
     from repro.core.spec import SystemSpec, ThreadSpec

@@ -91,6 +91,38 @@ def _front_key(exploration):
 
 
 # ---------------------------------------------------------------------------
+# Index decoding: candidates are built on demand, in product order
+# ---------------------------------------------------------------------------
+@st.composite
+def small_axes(draw):
+    """1-4 axes of 1-4 integer values each (repeats allowed)."""
+    count = draw(st.integers(min_value=1, max_value=4))
+    return {f"a{k}": tuple(draw(st.lists(st.integers(-3, 3), min_size=1,
+                                         max_size=4)))
+            for k in range(count)}
+
+
+@given(axes=small_axes(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_index_decoding_matches_the_product_enumeration(axes, data):
+    space = DesignSpace.from_axes(axes, (FidelityRung("full", _hash_eval),))
+    expected = [dict(zip(axes, values))
+                for values in itertools.product(*axes.values())]
+    assert space.size() == len(expected)
+    candidates = [space.candidate(i) for i in range(space.size())]
+    assert candidates == expected
+    assert all(list(c) == list(axes) for c in candidates)
+    for i, candidate in enumerate(expected):
+        assert space.coords(i) == tuple(sorted(candidate.items()))
+    outside = data.draw(st.one_of(st.integers(max_value=-1),
+                                  st.integers(min_value=space.size())))
+    with pytest.raises(IndexError):
+        space.candidate(outside)
+    with pytest.raises(IndexError):
+        space.coords(outside)
+
+
+# ---------------------------------------------------------------------------
 # Oracle: halving recovers the exhaustive front bit-exactly
 # ---------------------------------------------------------------------------
 class TestOracleFrontRecovery:
@@ -251,9 +283,9 @@ class TestObjectives:
 def _seed_store(store, space, indices):
     full = space.full.evaluator
     for i in indices:
-        store.record(stable_key(full, space.candidates[i]),
-                     full(space.candidates[i]), experiment="seed",
-                     coords=dict(space.coords[i]))
+        store.record(stable_key(full, space.candidate(i)),
+                     full(space.candidate(i)), experiment="seed",
+                     coords=dict(space.coords(i)))
 
 
 class TestWarmStart:
@@ -265,7 +297,7 @@ class TestWarmStart:
         exploration = get_explorer("successive-halving").explore(
             space, objectives=OBJ, budget=2 * space.size(), results=store)
         assert exploration.warm_hits == 3
-        warm_coords = {space.coords[i] for i in seeded}
+        warm_coords = {space.coords(i) for i in seeded}
         assert warm_coords.isdisjoint(c for _, c in exploration.log)
         assert ({p.coords for p in exploration.points
                  if p.source == "warm-start"} == warm_coords)
