@@ -20,6 +20,7 @@ into ``runner.stats`` (``explore_evaluations`` / ``explore_warm_hits``).
 
 from __future__ import annotations
 
+import heapq
 import inspect
 import math
 import random
@@ -252,7 +253,7 @@ class Explorer:
     def _warm_start(space: DesignSpace, results: Optional[Any],
                     objectives: DseObjectives, runner: Optional[Any],
                     exploration: Exploration
-                    ) -> Tuple[Dict[int, ExplorationPoint], List[int]]:
+                    ) -> Tuple[Dict[int, ExplorationPoint], Sequence[int]]:
         """Adopt current-version store rows before spending any budget.
 
         Keys match what :meth:`SweepRunner.map` records for the same
@@ -260,7 +261,7 @@ class Explorer:
         through ``--results-db`` seeds this one.  Adoptions cost zero
         evaluations and are never re-dispatched.
         """
-        pool = list(range(space.size()))
+        pool = range(space.size())
         if results is None:
             return {}, pool
         try:
@@ -290,7 +291,7 @@ class Explorer:
         return warm, rest
 
     @staticmethod
-    def _evaluate(space: DesignSpace, rung: FidelityRung, cohort: List[int],
+    def _evaluate(space: DesignSpace, rung: FidelityRung, cohort: Sequence[int],
                   objectives: DseObjectives, runner: Optional[Any],
                   exploration: Exploration) -> Dict[int, ExplorationPoint]:
         """Dispatch one cohort through a rung, charging the budget."""
@@ -407,13 +408,14 @@ class SuccessiveHalvingExplorer(Explorer):
                 # remaining >= rungs left at each rung start).
                 afford = max(1, remaining // (later + 1))
                 if len(cohort) > afford:
-                    # One rng.random() draw per member, keep the smallest:
-                    # random() is the only generator method with a cross-
-                    # version reproducibility guarantee, and golden pins
-                    # depend on the sampled subset.
-                    draws = [rng.random() for _ in cohort]
-                    keep = sorted(sorted(range(len(cohort)),
-                                         key=lambda k: (draws[k], k))[:afford])
+                    # One rng.random() draw per member, in order, keep the
+                    # smallest: random() is the only generator method with a
+                    # cross-version reproducibility guarantee, and golden
+                    # pins depend on the sampled subset.  Streamed, so a
+                    # 100k-candidate cohort never exists as a list of draws.
+                    keep = sorted(k for _, k in heapq.nsmallest(
+                        afford, ((rng.random(), k)
+                                 for k in range(len(cohort)))))
                     sampled_out = len(cohort) - afford
                     cohort = [cohort[k] for k in keep]
             points = self._evaluate(space, rung, cohort, objectives, runner,

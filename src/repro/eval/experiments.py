@@ -671,7 +671,7 @@ def _dse_point(candidate: SystemSpec, workload_spec: WorkloadSpec):
                            max_outstanding=thread.max_outstanding,
                            shared_walker=candidate.shared_walker,
                            tlb_prefetch=thread.tlb_prefetch)
-    result = run_svm(workload_spec, config)
+    result = run_svm(workload_spec, config, tier="auto")
     system = SystemSynthesizer().synthesize(candidate)
     return result.total_cycles, system.resource_estimate()
 
@@ -696,7 +696,8 @@ def _policy_dse_point(candidate: SystemSpec, mp):
                            tlb_prefetch=thread.tlb_prefetch)
     spec = mp if candidate.scheduling_policy is None else replace(
         mp, policy=candidate.scheduling_policy)
-    result = run_multiprocess(spec, config, flush_on_switch=False)
+    result = run_multiprocess(spec, config, flush_on_switch=False,
+                              tier="auto")
     system = SystemSynthesizer().synthesize(candidate)
     return result.total_cycles, system.resource_estimate()
 
@@ -829,7 +830,7 @@ def _fig14_point(candidate: Mapping[str, object], scale: str = "tiny",
                            shared_walker=bool(knobs["shared_walker"]),
                            tlb_prefetch=int(knobs["tlb_prefetch"]),
                            host_shares_tlb=True)
-    result = run_multiprocess(mp, config, flush_on_switch=False)
+    result = run_multiprocess(mp, config, flush_on_switch=False, tier="auto")
 
     thread = ThreadSpec(name="hwt0", kernel="random_access",
                         tlb_entries=int(knobs["tlb_entries"]),

@@ -335,7 +335,9 @@ def _build_mp_system(mp: MultiProcessSpec, config: HarnessConfig):
     """Build the platform + system + per-process state for an N-process run.
 
     Shared by the event tier (:func:`run_multiprocess`) and the replay tier
-    (:func:`repro.fastpath.replay.replay_multiprocess`).
+    (:func:`repro.fastpath.replay.replay_multiprocess`).  Returns each
+    process's bound workload; :func:`_functional_ops` turns them into the
+    op lists the schedulers slice, which a cached replay program never needs.
     """
     platform = Platform(config.platform)
 
@@ -370,8 +372,36 @@ def _build_mp_system(mp: MultiProcessSpec, config: HarnessConfig):
                 space.pin(area)
                 platform.kernel.cost_pin(area, space)
 
-    op_lists = [run_functional(b.make_kernel()) for b in bound]
-    return platform, system, spaces, handlers, op_lists
+    return platform, system, spaces, handlers, bound
+
+
+def _functional_ops(bound: Sequence[BoundWorkload]) -> List[list]:
+    """Each process's kernel, drained into its operation list."""
+    return [run_functional(b.make_kernel()) for b in bound]
+
+
+def _adaptive_kernel(mp: MultiProcessSpec, config: HarnessConfig, platform,
+                     spaces, handlers, op_lists, on_switch,
+                     clock=None):
+    """The epoch-driven kernel of an adaptive policy and its telemetry bus.
+
+    Shared by both tiers; the replay tier passes the engine's ``clock``
+    (see :class:`~repro.os.telemetry.TelemetryBus`).
+    """
+    bus = TelemetryBus(
+        platform.sim,
+        processes=[ProcessInfo(name=str(index),
+                               asid=spaces[index].page_table.asid,
+                               fault_handler=handlers[index].name)
+                   for index in range(mp.num_processes)],
+        base_quantum=mp.quantum, clock=clock)
+    kernel = adaptive_time_sliced_kernel(
+        op_lists, get_policy(mp.policy),
+        SchedulerConfig(num_cores=1, quantum=mp.quantum,
+                        context_switch_cycles=0),
+        bus=bus, on_switch=on_switch, weights=mp.weights,
+        page_size=config.platform.page_size)
+    return kernel, bus
 
 
 def run_multiprocess(mp: MultiProcessSpec,
@@ -395,9 +425,11 @@ def run_multiprocess(mp: MultiProcessSpec,
     ``config.host_shares_tlb`` the host CPU's pinning and fault-service page
     touches probe and refill the same TLB.
 
-    ``tier`` selects the execution engine exactly as in :func:`run_svm`;
-    adaptive policies always fall back to the event tier (the telemetry bus
-    needs live slices) and ``SVMResult.tier_reason`` says so explicitly.
+    ``tier`` selects the execution engine exactly as in :func:`run_svm`.
+    The replay tier serves demand faults and adaptive policies too (the real
+    scheduler and telemetry bus pick each slice from the replayed
+    counters); a fault it does not model falls back to the event tier, and
+    ``SVMResult.tier_reason`` says why.
 
     **Static vs adaptive scheduling.**  Policies without an online feedback
     hook (``adaptive = False``) are planned exactly as before: the whole
@@ -425,8 +457,9 @@ def run_multiprocess(mp: MultiProcessSpec,
             tier_reason = str(reason)
             GLOBAL_TRACER.log(0, "harness", "tier_fallback", tier_reason)
 
-    platform, system, spaces, handlers, op_lists = _build_mp_system(mp, config)
+    platform, system, spaces, handlers, bound = _build_mp_system(mp, config)
     synth = system.threads["hwt0"]
+    op_lists = _functional_ops(bound)
 
     def on_switch(process: int) -> int:
         if flush_on_switch:
@@ -434,22 +467,10 @@ def run_multiprocess(mp: MultiProcessSpec,
         synth.mmu.activate(spaces[process].page_table, handlers[process])
         return platform.kernel.cost_context_switch()
 
-    policy = get_policy(mp.policy)
     bus: Optional[TelemetryBus] = None
-    if policy.adaptive:
-        bus = TelemetryBus(
-            platform.sim,
-            processes=[ProcessInfo(name=str(index),
-                                   asid=spaces[index].page_table.asid,
-                                   fault_handler=handlers[index].name)
-                       for index in range(mp.num_processes)],
-            base_quantum=mp.quantum)
-        kernel = adaptive_time_sliced_kernel(
-            op_lists, policy,
-            SchedulerConfig(num_cores=1, quantum=mp.quantum,
-                            context_switch_cycles=0),
-            bus=bus, on_switch=on_switch, weights=mp.weights,
-            page_size=config.platform.page_size)
+    if get_policy(mp.policy).adaptive:
+        kernel, bus = _adaptive_kernel(mp, config, platform, spaces,
+                                       handlers, op_lists, on_switch)
     else:
         plan = slice_plan(op_lists, quantum=mp.quantum, policy=mp.policy,
                           weights=mp.weights,

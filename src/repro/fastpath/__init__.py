@@ -5,9 +5,11 @@ every memory operation through the full component graph.  This package
 replays a *recorded* operation stream (:mod:`repro.sim.recorder`) through a
 flattened micro-simulator (:mod:`repro.fastpath.engine`) that models the
 set-associative ASID-tagged TLB, the radix page-table walker with per-level
-cycle accounting, the stride prefetcher, and flush/context-switch semantics
-with event-graph fidelity — same schedule calls, same order, identical
-counters — at a fraction of the event tier's Python overhead.
+cycle accounting, the stride prefetcher, flush/context-switch semantics,
+demand-fault service through the real OS fault handlers, and adaptive
+scheduling through the real scheduler and telemetry bus, with event-graph
+fidelity — same schedule calls, same order, identical counters — at a
+fraction of the event tier's Python overhead.
 
 Tier selection lives in the harness (``run_svm(..., tier=...)``) and the
 experiment/CLI layers; this package only answers "can this run replay?"

@@ -17,9 +17,19 @@ caller, pre-warmed by any host-side pinning touches), manipulated inline with
 the exact semantics of ``lookup``/``insert``/``flush``; page-table walks read
 the real :class:`~repro.vm.pagetable.PageTable` nodes.
 
-The engine refuses to service a translation fault (`ReplayFault`): the replay
-tier's eligibility rules only admit runs whose pages are all present, and a
-surprise fault means the caller must fall back to the event tier.
+Demand faults (a walk that finds the page not present) are serviced the way
+``MMU._fault`` and the OS's ``DemandPagingHandler`` service them: interrupt
+latency, a serial per-handler queue, the service time plus zero-fill, then a
+re-walk.  The handler's real ``_resolve`` runs at the service instant, so
+frames, PTEs and host touches of a shared TLB land in the real objects.
+Faults the engine does not model (an unmapped page, a write to a read-only
+page, a service that fails, a full handler queue, exhausted retries) raise
+:class:`ReplayFault`, and the caller falls back to the event tier.
+
+A program may also be fed in pieces: when it runs out at a fence-drained
+instant, ``ReplayContext.refill`` is handed the counters so far and returns
+the next ops.  Adaptive scheduling uses this to let the real scheduler pick
+each slice from the real telemetry.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..sim.engine import SimulationError
+from ..vm.types import AccessType, FaultType, PageFault
 
 __all__ = ["ReplayFault", "ReplaySpace", "ReplayContext", "ReplayOutput",
            "replay_fabric"]
@@ -48,6 +59,8 @@ _EV_BUS_ISSUE = 2      # memif issue latency elapsed -> bus submit
 _EV_BUS_FORWARD = 3    # bus occupancy elapsed -> DRAM access + next grant
 _EV_DRAM_DONE = 4      # DRAM transaction complete -> route to requester
 _EV_WALK_STEP = 5      # walker per-level overhead elapsed -> next level
+_EV_FAULT_SERVICE = 6  # OS fault handler takes the next queued fault
+_EV_FAULT_DONE = 7     # fault service complete -> MMU re-walks
 
 # Bus/DRAM payload routing (first element of a request payload).
 _REQ_DATA = 0
@@ -68,6 +81,9 @@ class ReplaySpace:
     vpn_limit: int                # 1 << vpn_bits
     pte_bytes: int
     expected_levels: int
+    #: The real ``DemandPagingHandler`` serving this space's faults (None:
+    #: a fault is fatal, which only the event tier models).
+    handler: object = None
 
 
 @dataclass
@@ -124,6 +140,17 @@ class ReplayContext:
     on_switch_cost: Optional[Callable[[], int]] = None
     max_cycles: Optional[int] = None
     initial_space: int = 0
+    #: ``MMUConfig.max_fault_retries``: faults one translation may take.
+    max_fault_retries: int = 3
+    #: ``PageFault.thread`` of this thread's faults (its memif's name).
+    fault_thread: str = "?"
+    #: Simulator cycle of micro-time 0: fault records and ``refill`` see
+    #: absolute time.
+    clock_base: int = 0
+    #: Called when the program runs out at a fence-drained instant, with the
+    #: counters so far and the absolute cycle; returns the next program ops
+    #: (empty: the kernel is done).  None: the program is the whole kernel.
+    refill: Optional[Callable[["ReplayOutput", int], List[tuple]]] = None
 
 
 @dataclass
@@ -149,7 +176,9 @@ class ReplayOutput:
     prefetch_fills: int = 0
     context_switches: int = 0
     mmu_flushes: int = 0
+    faults: int = 0               # all not_present (nothing else is modelled)
     miss_latency: _Acc = field(default_factory=_Acc)
+    fault_service_latency: _Acc = field(default_factory=_Acc)
     # ptw.*
     walks_requested: int = 0
     levels_fetched: int = 0
@@ -198,6 +227,44 @@ def _make_acc(count: int, total: int, minimum: int, maximum: int) -> _Acc:
     return acc
 
 
+#: ``ReplayOutput`` counters and the :func:`replay_fabric` locals holding
+#: them while the loop runs.
+_COUNTER_LOCALS = (
+    ("translations", "c_translations"), ("tlb_hits", "c_mmu_hits"),
+    ("tlb_misses", "c_mmu_misses"), ("tlb_refills", "c_refills"),
+    ("transactions", "c_transactions"), ("mem_ops", "c_mem_ops"),
+    ("mem_bytes", "c_mem_bytes"), ("memif_ops", "c_memif_ops"),
+    ("memif_bytes", "c_memif_bytes"), ("compute_cycles", "c_compute"),
+    ("bus_requests", "c_bus_requests"), ("bus_requests_walker", "c_breq_w"),
+    ("bus_requests_memif", "c_breq_m"), ("bus_busy_cycles", "c_busy"),
+    ("bus_contended_grants", "c_contended"), ("dram_row_hits", "c_row_hits"),
+    ("dram_row_misses", "c_row_misses"), ("dram_reads", "c_reads"),
+    ("dram_writes", "c_writes"), ("dram_bytes_read", "c_bytes_r"),
+    ("dram_bytes_written", "c_bytes_w"), ("walks_requested", "c_walks_req"),
+    ("levels_fetched", "c_levels"), ("walks_completed", "c_walks_done"),
+    ("walks_faulted", "c_walks_faulted"), ("walk_cycles", "c_walk_cycles"))
+
+#: ``ReplayOutput`` accumulators and the prefix of their localized quad
+#: (``<prefix>_cnt``, ``_tot``, ``_min``, ``_max``).
+_ACC_LOCALS = (
+    ("bus_queue_wait", "qw"), ("bus_latency_walker", "blw"),
+    ("bus_latency_memif", "blm"), ("dram_latency", "dl"),
+    ("stall_cycles", "st"), ("queue_wait", "wq"), ("walk_latency", "wl"),
+    ("miss_latency", "ml"), ("fault_service_latency", "fs"))
+
+
+def _fold_counters(out: ReplayOutput, names: Dict[str, object]) -> None:
+    """Write the loop's localized counters (``names``: its ``locals()``)
+    into ``out``; the hot loop keeps them in locals, not on ``out``."""
+    for name, local in _COUNTER_LOCALS:
+        setattr(out, name, names[local])
+    for name, prefix in _ACC_LOCALS:
+        setattr(out, name, _make_acc(names[prefix + "_cnt"],
+                                     names[prefix + "_tot"],
+                                     names[prefix + "_min"],
+                                     names[prefix + "_max"]))
+
+
 def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     """Execute a replay program; returns exact counters and completion cycles.
 
@@ -205,9 +272,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     Mutable scalars live in enclosing-scope cells; the hot TLB probe/refill
     path is inlined against the real TLB's set structures with semantics
     identical to ``TLB.lookup``/``TLB.insert``.  Hot counters accumulate in
-    plain locals and are written back to ``out`` once at the end; the
-    per-chunk hit path (probe → translated → bus → DRAM → completion) runs
-    entirely inside the dispatch branches without a single helper call.
+    plain locals and are written back to ``out`` at the end (and before each
+    ``ctx.refill``); the per-chunk hit path (probe → translated → bus →
+    DRAM → completion) runs entirely inside the dispatch branches without a
+    single helper call.
     """
     out = ReplayOutput(finish=-1, last_cycle=0, events=0)
 
@@ -227,6 +295,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     # ----- thread state -------------------------------------------------
     pc = 0
     nops = len(program)
+    refill = ctx.refill
     outstanding = 0
     waiting_slot = False
     waiting_fence = False
@@ -276,8 +345,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     walk_queue: deque = deque()
     walker_busy = False
     per_level_overhead = ctx.per_level_overhead
-    # The page tables are immutable during a replay (faults are rejected, no
-    # OS activity runs), so per-vpn walk addresses and leaf PTEs memoize.
+    # Fault service changes PTEs in place (``set_present`` keeps the entry
+    # object) and never adds table nodes, so per-vpn walk addresses and leaf
+    # PTEs memoize.
     wa_cache: Dict[tuple, list] = {}
     pte_cache: Dict[tuple, object] = {}
     _missing = object()
@@ -294,6 +364,13 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     bus_max_inflight = ctx.bus_max_inflight
     bus_width = ctx.bus_width_bytes
     addr_phase = ctx.address_phase_cycles
+
+    # ----- fault service state (mirrors MMU._fault + DemandPagingHandler) -
+    max_retries = ctx.max_fault_retries
+    fault_thread = ctx.fault_thread
+    clock_base = ctx.clock_base
+    #: handler -> [queue of (fault, walk request, fault start), busy flag]
+    handlers: Dict[object, list] = {}
 
     # ----- DRAM state ---------------------------------------------------
     num_banks = ctx.dram_num_banks
@@ -344,6 +421,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     wq_cnt = wq_tot = 0; wq_min = _HUGE; wq_max = -1      # walker queue wait
     wl_cnt = wl_tot = 0; wl_min = _HUGE; wl_max = -1      # walk latency
     ml_cnt = ml_tot = 0; ml_min = _HUGE; ml_max = -1      # mmu miss latency
+    fs_cnt = fs_tot = 0; fs_min = _HUGE; fs_max = -1      # fault service
 
     # ------------------------------------------------------------- helpers
     def bus_grant() -> None:
@@ -391,7 +469,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         seq += 1
 
     # Walk request tuples: demand -> (0, vpn, space, issue_payload, started,
-    # issued_at); prefetch -> (1, vpn, space, (key, stride), 0, issued_at).
+    # issued_at, retries_left); prefetch -> (1, vpn, space, (key, stride), 0,
+    # issued_at).
     def walker_walk(request: tuple) -> None:
         nonlocal c_walks_req
         c_walks_req += 1
@@ -467,10 +546,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         if request[0] == _REQ_DATA:       # demand walk
             if (entry is None or not entry.present
                     or (request[3][2] and not entry.writable)):
-                raise ReplayFault(
-                    f"translation fault on vpn {vpn:#x} (asid "
-                    f"{req_space.asid}); the replay tier cannot service "
-                    "faults — run this workload on the event tier")
+                fault(request, entry)
+                walker_start_next()
+                return
             # TLB.insert under the *currently active* ASID (mirrors the MMU,
             # which tags demand refills with its active page table).
             key = (cur_asid, vpn)
@@ -550,6 +628,101 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 out.prefetch_fills += 1
         walker_start_next()
 
+    def lend_tlb() -> None:
+        """Write the inlined TLB state back before real code reads it."""
+        tlb._tick = tick
+        tlb.hits = tlb_hits
+        tlb.misses = tlb_misses
+        tlb.evictions = tlb_evictions
+
+    def reclaim_tlb() -> None:
+        """Take the TLB state back after real code may have touched it."""
+        nonlocal tick, tlb_hits, tlb_misses, tlb_evictions
+        tick = tlb._tick
+        tlb_hits = tlb.hits
+        tlb_misses = tlb.misses
+        tlb_evictions = tlb.evictions
+
+    def fault(request: tuple, entry) -> None:
+        """Mirror of ``MMU._fault`` + ``DemandPagingHandler.handle_fault``."""
+        nonlocal seq
+        vpn = request[1]
+        if entry is None or entry.present:
+            raise ReplayFault(
+                f"{'not_mapped' if entry is None else 'protection'} fault on "
+                f"vpn {vpn:#x} (asid {request[2].asid}); the replay tier "
+                "services only not-present demand faults — run this "
+                "workload on the event tier")
+        payload = request[3]          # (offset, size, is_write, chunks, i)
+        out.faults += 1
+        record = PageFault(vaddr=payload[3][payload[4]][0],
+                           access=(AccessType.WRITE if payload[2]
+                                   else AccessType.READ),
+                           fault_type=FaultType.NOT_PRESENT,
+                           thread=fault_thread, cycle=clock_base + now)
+        handler = space.handler
+        if handler is None or request[6] <= 0:
+            why = "no fault handler" if handler is None else "retries spent"
+            raise ReplayFault(
+                f"fatal fault on vpn {vpn:#x} (asid {request[2].asid}, "
+                f"{why}); the thread aborts, which only the event tier "
+                "models")
+        handler.count("faults_received")
+        handler.fault_log.append(record)
+        state = handlers.get(handler)
+        if state is None:
+            state = handlers[handler] = [deque(), False]
+        if len(state[0]) >= handler.config.max_queue_depth:
+            raise ReplayFault(
+                f"fault queue of {handler.name} full; the dropped fault aborts "
+                "the thread, which only the event tier models")
+        state[0].append((record, request, now))
+        if not state[1]:
+            state[1] = True
+            push(heap, (now + handler.config.interrupt_latency, seq, 6,
+                        (handler, state)))                # FAULT_SERVICE
+            seq += 1
+
+    def fault_service(handler, state: list) -> None:
+        """Mirror of ``DemandPagingHandler._service_next``: the real
+        ``_resolve`` allocates the frame, sets the PTE present and, with a
+        host-shared TLB, probes and refills it."""
+        nonlocal seq
+        if not state[0]:
+            state[1] = False
+            return
+        record, request, fault_started = state[0].popleft()
+        lend_tlb()
+        resolved, extra = handler._resolve(record)
+        reclaim_tlb()
+        if not resolved:
+            raise ReplayFault(
+                f"{handler.name} could not resolve the fault at "
+                f"{record.vaddr:#x} (out of frames?); the thread aborts, "
+                "which only the event tier models")
+        push(heap, (now + handler.config.service_cycles + extra, seq, 7,
+                    (handler, state, request, now, fault_started)))  # DONE
+        seq += 1
+
+    def fault_done(handler, state: list, request: tuple, started: int,
+                   fault_started: int) -> None:
+        """The service's ``finish``: the MMU resumes and re-walks in the
+        active space, one retry spent; the handler takes its next fault."""
+        nonlocal seq, fs_cnt, fs_tot, fs_min, fs_max
+        handler.sample("service_latency", now - started)
+        handler.count("faults_resolved")
+        latency = now - fault_started
+        fs_cnt += 1
+        fs_tot += latency
+        if latency < fs_min:
+            fs_min = latency
+        if latency > fs_max:
+            fs_max = latency
+        walker_walk((_REQ_DATA, request[1], space, request[3], request[4],
+                     now, request[6] - 1))
+        push(heap, (now, seq, 6, (handler, state)))      # FAULT_SERVICE
+        seq += 1
+
     def maybe_prefetch(vpn: int, stride: int) -> None:
         nonlocal prefetch_score
         if prefetch_depth <= 0 or prefetch_score < 8:   # SCORE_GATE
@@ -611,7 +784,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         c_mmu_misses += 1
         walker_walk((_REQ_DATA, vpn, space,
                      (vaddr & cur_mask, size, is_write, chunks, index),
-                     now, now))
+                     now, now, max_retries))
         # _miss_stride: continue the closest recent stream, else next-page.
         stride = 1
         for recent in reversed(recent_misses):
@@ -905,6 +1078,16 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         elif code == 0:                 # _EV_ADVANCE
             while True:
                 if pc >= nops:
+                    if refill is not None:
+                        # Out of program at a fence-drained instant: the
+                        # counters so far go out, the next ops come back.
+                        _fold_counters(out, locals())
+                        program = refill(out, clock_base + now)
+                        pc = 0
+                        nops = len(program)
+                        if nops:
+                            continue
+                        refill = None           # the kernel is done
                     exhausted = True
                     if outstanding == 0 and finish < 0:
                         finish = now
@@ -1001,7 +1184,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     seq += 1
                     break
                 # zero-stall switch: fall through to the next program op
-        else:   # _EV_WALK_STEP (per-level overhead elapsed; walk_do inlined)
+        elif code == 5:   # _EV_WALK_STEP (per-level overhead; walk_do inlined)
             request, addresses, level, started_at = payload
             if level >= len(addresses):
                 walk_finish(request, addresses, started_at)
@@ -1052,53 +1235,18 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         push(heap, (now + occupancy, seq, 3,
                                     (chosen, gpayload)))
                         seq += 1
+        elif code == 6:                 # _EV_FAULT_SERVICE
+            fault_service(*payload)
+        else:                           # _EV_FAULT_DONE
+            fault_done(*payload)
 
     if finish < 0:
         raise SimulationError(
             "replay quiesced without completing the thread "
             f"(outstanding={outstanding}, pc={pc}/{nops})")
 
-    # Write the inlined TLB state back to the real object.
-    tlb._tick = tick
-    tlb.hits = tlb_hits
-    tlb.misses = tlb_misses
-    tlb.evictions = tlb_evictions
-
-    # Fold the localized counters back into the output record.
-    out.translations = c_translations
-    out.tlb_hits = c_mmu_hits
-    out.tlb_misses = c_mmu_misses
-    out.tlb_refills = c_refills
-    out.transactions = c_transactions
-    out.mem_ops = c_mem_ops
-    out.mem_bytes = c_mem_bytes
-    out.memif_ops = c_memif_ops
-    out.memif_bytes = c_memif_bytes
-    out.compute_cycles = c_compute
-    out.bus_requests = c_bus_requests
-    out.bus_requests_walker = c_breq_w
-    out.bus_requests_memif = c_breq_m
-    out.bus_busy_cycles = c_busy
-    out.bus_contended_grants = c_contended
-    out.dram_row_hits = c_row_hits
-    out.dram_row_misses = c_row_misses
-    out.dram_reads = c_reads
-    out.dram_writes = c_writes
-    out.dram_bytes_read = c_bytes_r
-    out.dram_bytes_written = c_bytes_w
-    out.walks_requested = c_walks_req
-    out.levels_fetched = c_levels
-    out.walks_completed = c_walks_done
-    out.walks_faulted = c_walks_faulted
-    out.walk_cycles = c_walk_cycles
-    out.bus_queue_wait = _make_acc(qw_cnt, qw_tot, qw_min, qw_max)
-    out.bus_latency_walker = _make_acc(blw_cnt, blw_tot, blw_min, blw_max)
-    out.bus_latency_memif = _make_acc(blm_cnt, blm_tot, blm_min, blm_max)
-    out.dram_latency = _make_acc(dl_cnt, dl_tot, dl_min, dl_max)
-    out.stall_cycles = _make_acc(st_cnt, st_tot, st_min, st_max)
-    out.queue_wait = _make_acc(wq_cnt, wq_tot, wq_min, wq_max)
-    out.walk_latency = _make_acc(wl_cnt, wl_tot, wl_min, wl_max)
-    out.miss_latency = _make_acc(ml_cnt, ml_tot, ml_min, ml_max)
+    lend_tlb()
+    _fold_counters(out, locals())
 
     out.finish = finish
     out.last_cycle = now

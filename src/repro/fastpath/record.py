@@ -16,10 +16,9 @@ how many sweep points replay it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from ..exec.keys import stable_key
-from ..sim.process import Operation
 from ..sim.recorder import (HAVE_NUMPY, KIND_COMPUTE, KIND_FENCE, KIND_MEM,
                             KIND_SWITCH, KIND_YIELD, RecordedStream,
                             TraceRecorder)
@@ -135,7 +134,7 @@ def program_for_workload(spec, bound, page_size: int,
     return program
 
 
-def program_for_plan(mp, plan: Sequence[Tuple[int, List[Operation]]],
+def program_for_plan(mp, make_plan: Callable[[], Sequence[tuple]],
                      page_size: int, max_burst_bytes: int,
                      initial_process: int = 0) -> list:
     """The replay program of a static multi-process slice plan.
@@ -144,6 +143,7 @@ def program_for_plan(mp, plan: Sequence[Tuple[int, List[Operation]]],
     process boundary becomes ``Fence`` + an ``OP_SWITCH`` marker (the engine
     performs the MMU re-point and charges the context-switch stall when it
     reaches the marker, exactly when the generator's switch hook would run).
+    ``make_plan`` builds the plan; it runs only on a cache miss.
     """
     key = stable_key("fastpath-mp", mp, page_size, max_burst_bytes,
                      initial_process)
@@ -155,7 +155,7 @@ def program_for_plan(mp, plan: Sequence[Tuple[int, List[Operation]]],
     record_stats["records"] += 1
     recorder = TraceRecorder()
     current = initial_process
-    for process, ops in plan:
+    for process, ops in make_plan():
         if process != current:
             recorder._append(KIND_FENCE, 0, 0, False, 0)
             recorder._append(KIND_SWITCH, process, 0, False, 0)

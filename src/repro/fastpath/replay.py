@@ -11,18 +11,31 @@ statistic groups, so ``platform.snapshot()`` and the harness aggregation are
 reused unchanged and the returned :class:`~repro.eval.harness.SVMResult` is
 exactly what the event tier would have produced.
 
+Demand faults are serviced inside the replay through each space's real
+fault handler, and adaptive policies run through the real epoch-driven
+kernel and :class:`~repro.os.telemetry.TelemetryBus`: the engine hands the
+kernel each slice boundary (:class:`_SliceFeed`) after writing its counters
+into the real statistic groups, so the bus reads the same registry the
+event tier's bus reads.
+
 Eligibility is decided *before* running (:func:`svm_replay_blockers` /
 :func:`mp_replay_blockers` return a human-readable reason or ``None``); a
-surprise fault mid-replay raises :class:`~repro.fastpath.engine.ReplayFault`,
-which ``tier="auto"`` callers treat as "fall back to the event tier".
+fault the engine does not model raises
+:class:`~repro.fastpath.engine.ReplayFault` mid-replay, which
+``tier="auto"`` callers treat as "fall back to the event tier".
 """
 
 from __future__ import annotations
 
+import copy
+from dataclasses import fields
+from functools import partial
 from typing import Callable, List, Optional
 
+from ..sim.process import Compute, Fence
 from ..sim.recorder import HAVE_NUMPY
-from .engine import ReplayContext, ReplaySpace, replay_fabric
+from .engine import (OP_COMPUTE, OP_FENCE, OP_SWITCH, ReplayContext,
+                     ReplayOutput, ReplaySpace, _Acc, replay_fabric)
 from .record import program_for_plan, program_for_workload
 
 __all__ = ["TierUnavailable", "svm_replay_blockers", "mp_replay_blockers",
@@ -46,9 +59,6 @@ def svm_replay_blockers(spec, config, num_threads: int = 1) -> Optional[str]:
     if config.platform.arbiter != "round_robin":
         return (f"replay inlines the round-robin bus arbiter "
                 f"(arbiter={config.platform.arbiter!r})")
-    if spec.residency < 1.0 and not config.pin_all:
-        return (f"non-resident pages would fault (residency="
-                f"{spec.residency}); faults need the event tier")
     return None
 
 
@@ -56,17 +66,9 @@ def mp_replay_blockers(mp, config) -> Optional[str]:
     """Why a multi-process run cannot replay (``None`` = eligible)."""
     if not HAVE_NUMPY:
         return "numpy is unavailable, so streams cannot be recorded"
-    from ..os.scheduler import get_policy
-    if get_policy(mp.policy).adaptive:
-        return (f"adaptive policy {mp.policy!r} replans from live telemetry "
-                "slices, which only the event tier produces")
     if config.platform.arbiter != "round_robin":
         return (f"replay inlines the round-robin bus arbiter "
                 f"(arbiter={config.platform.arbiter!r})")
-    lazy = [s.name for s in mp.specs if s.residency < 1.0]
-    if lazy and not config.pin_all:
-        return (f"non-resident pages would fault (processes {lazy}); "
-                "faults need the event tier")
     return None
 
 
@@ -96,21 +98,36 @@ def _inc(group, name: str, amount: int) -> None:
         group.counter(name).inc(amount)
 
 
-def _export_counters(platform, synth, thread_name: str, out) -> None:
-    """Write the engine's counters into the real component stat groups.
+def _output_delta(out: ReplayOutput, prev: ReplayOutput) -> ReplayOutput:
+    """What ``out`` counted since ``prev``, an earlier copy of it.
 
-    After this, ``platform.snapshot()`` reports the run exactly as an
-    event-tier execution would have.
+    Accumulators keep ``out``'s minimum and maximum: merging them again
+    changes nothing, so only counts and totals need the difference.
+    """
+    delta = copy.copy(out)
+    for item in fields(ReplayOutput):
+        now, then = getattr(out, item.name), getattr(prev, item.name)
+        if isinstance(now, _Acc):
+            setattr(delta, item.name, _Acc(now.count - then.count,
+                                           now.total - then.total,
+                                           now.minimum, now.maximum))
+        else:
+            setattr(delta, item.name, now - then)
+    return delta
+
+
+def _export_counters(platform, synth, thread_name: str, out) -> None:
+    """Add the engine's counters into the real component stat groups.
+
+    After the last call, ``platform.snapshot()`` reports the run exactly as
+    an event-tier execution would have.
     """
     stats = platform.sim.stats
 
     thread = stats.group(thread_name)
-    thread.counter("starts").inc(1)
     _inc(thread, "compute_cycles", out.compute_cycles)
     _inc(thread, "mem_ops", out.mem_ops)
     _inc(thread, "mem_bytes", out.mem_bytes)
-    thread.counter("completions").inc(1)
-    thread.scalar("cycles").set(out.finish)
     _merge_acc(thread, "stall_cycles", out.stall_cycles)
 
     memif = synth.memif.stats
@@ -129,7 +146,10 @@ def _export_counters(platform, synth, thread_name: str, out) -> None:
     _inc(mmu, "prefetch_fills", out.prefetch_fills)
     _inc(mmu, "context_switches", out.context_switches)
     _inc(mmu, "flushes", out.mmu_flushes)
+    _inc(mmu, "faults", out.faults)
+    _inc(mmu, "faults.not_present", out.faults)
     _merge_acc(mmu, "miss_latency", out.miss_latency)
+    _merge_acc(mmu, "fault_service_latency", out.fault_service_latency)
 
     walker = synth.walker.stats
     _inc(walker, "walks_requested", out.walks_requested)
@@ -166,27 +186,33 @@ def _export_counters(platform, synth, thread_name: str, out) -> None:
 # ---------------------------------------------------------------------------
 # System execution
 # ---------------------------------------------------------------------------
-def _replay_space(space) -> ReplaySpace:
+def _replay_space(space, handler) -> ReplaySpace:
     table = space.page_table
     return ReplaySpace(asid=table.asid, page_table=table,
                        page_size=table.config.page_size,
                        vpn_limit=1 << table.config.vpn_bits,
                        pte_bytes=table.config.pte_bytes,
-                       expected_levels=table.config.levels)
+                       expected_levels=table.config.levels,
+                       handler=handler)
 
 
 def replay_system_run(system, thread_name: str, program: list,
                       spaces: List[ReplaySpace],
                       flush_on_switch: bool = False,
                       on_switch_cost: Optional[Callable[[], int]] = None,
-                      pin_all: bool = False, prefetch_pages: int = 0):
+                      pin_all: bool = False, prefetch_pages: int = 0,
+                      refill: Optional[Callable[[int], list]] = None):
     """Mirror of :meth:`SynthesizedSystem.run` with a replayed fabric.
 
     The delegate lifecycle (create, pin, host TLB touches, prefetch, join)
     executes through the real components; at launch the pre-recorded program
-    runs through :func:`replay_fabric` against the system's real TLB and page
-    tables, and the completion/join events are scheduled at the exact cycles
-    the event tier would produce.
+    runs through :func:`replay_fabric` against the system's real TLB, page
+    tables and fault handlers, and the completion/join events are scheduled
+    at the exact cycles the event tier would produce.
+
+    ``refill(cycle)``, when given, supplies the program in pieces: the
+    engine calls it at the fence-drained instants where the program runs
+    out, after the counters so far have been added to the real stat groups.
     """
     from ..core.synthesis import SystemRunResult
 
@@ -201,6 +227,18 @@ def replay_system_run(system, thread_name: str, program: list,
     start_cycle = sim.now
     pinned_areas = list(synth.delegate.space.areas) if pin_all else None
     holder = {}
+    exported: List[ReplayOutput] = []   # the counters already in the groups
+
+    def export(out: ReplayOutput) -> None:
+        _export_counters(platform, synth, thread_name,
+                         _output_delta(out, exported[0]) if exported else out)
+        # A shallow copy is a snapshot: the engine folds fresh values into
+        # ``out`` and never mutates one it has handed out.
+        exported[:] = [copy.copy(out)]
+
+    def next_slice(out: ReplayOutput, cycle: int) -> list:
+        export(out)
+        return refill(cycle)
 
     def start_fabric(done: Callable[[], None]) -> None:
         thread_cfg = synth.spec.thread_config()
@@ -232,7 +270,11 @@ def replay_system_run(system, thread_name: str, program: list,
             flush_on_switch=flush_on_switch,
             on_switch_cost=on_switch_cost,
             max_cycles=None if limit is None else limit - sim.now,
-            initial_space=0)
+            initial_space=0,
+            max_fault_retries=synth.mmu.config.max_fault_retries,
+            fault_thread=synth.memif.thread_name,
+            clock_base=sim.now,
+            refill=None if refill is None else next_slice)
         out = replay_fabric(program, ctx)
         holder["out"] = out
         sim.schedule(out.finish, done)
@@ -249,7 +291,11 @@ def replay_system_run(system, thread_name: str, program: list,
     end_cycle = platform.run()
 
     out = holder["out"]
-    _export_counters(platform, synth, thread_name, out)
+    export(out)
+    thread = sim.stats.group(thread_name)
+    thread.counter("starts").inc(1)
+    thread.counter("completions").inc(1)
+    thread.scalar("cycles").set(out.finish)
     synth.mmu.export_stats()
 
     return SystemRunResult(
@@ -277,7 +323,8 @@ def replay_svm(spec, config=None, num_threads: int = 1):
     program = program_for_workload(spec, bound[0], platform.page_size,
                                    synth.memif.config.max_burst_bytes)
     result = replay_system_run(
-        system, "hwt0", program, [_replay_space(platform.space)],
+        system, "hwt0", program,
+        [_replay_space(platform.space, synth.mmu.fault_handler)],
         pin_all=config.pin_all, prefetch_pages=config.prefetch_pages)
     fabric = max(result.per_thread_fabric_cycles.values(), default=0)
     svm = _svm_result(result, fabric)
@@ -285,27 +332,109 @@ def replay_svm(spec, config=None, num_threads: int = 1):
     return svm
 
 
+class _SliceFeed:
+    """The real adaptive kernel's slices, lowered to program ops on demand.
+
+    The engine calls the feed whenever its program runs out at a
+    fence-drained instant, after the counters so far are in the stat
+    groups.  The feed sets the cycle the telemetry bus reads, steps the real
+    epoch-driven kernel up to and including its next ``Fence``, and lowers
+    what it yields: an operation of a process's op list becomes that
+    process's program op, the kernel's own switch-stall ``Compute`` and
+    slice ``Fence`` become theirs, and a context switch becomes an
+    ``OP_SWITCH`` marker in front of them.
+    """
+
+    def __init__(self, op_lists: list, programs: list,
+                 switch_cost: Callable[[], int], cycle: int):
+        self.op_lists = op_lists
+        self.programs = programs
+        self.switch_cost = switch_cost
+        self.cursors = [0] * len(op_lists)
+        self.active = 0
+        self.switched_to: Optional[int] = None
+        #: The absolute cycle the telemetry bus reads.
+        self.cycle = cycle
+        self.kernel = None
+
+    def on_switch(self, process: int) -> int:
+        """The kernel's switch hook: the software cost is charged here, the
+        MMU state changes when the engine reaches the ``OP_SWITCH``."""
+        self.switched_to = process
+        return self.switch_cost()
+
+    def __call__(self, cycle: int) -> list:
+        self.cycle = cycle
+        ops: list = []
+        for op in self.kernel:
+            if self.switched_to is not None:
+                ops.append((OP_SWITCH, self.switched_to))
+                self.active, self.switched_to = self.switched_to, None
+            index = self.active
+            cursor = self.cursors[index]
+            source = self.op_lists[index]
+            if cursor < len(source) and source[cursor] is op:
+                lowered = self.programs[index][cursor]
+                self.cursors[index] = cursor + 1
+            elif isinstance(op, Compute):
+                lowered = (OP_COMPUTE, op.cycles)
+            elif isinstance(op, Fence):
+                lowered = (OP_FENCE,)
+            else:
+                raise TierUnavailable(
+                    f"the scheduler yielded {op!r}, which no process's op "
+                    "list holds")
+            ops.append(lowered)
+            if lowered[0] == OP_FENCE:
+                break
+        return ops
+
+
 def replay_multiprocess(mp, config=None, flush_on_switch: bool = False):
     """Replay-tier equivalent of :func:`repro.eval.harness.run_multiprocess`."""
-    from ..eval.harness import (HarnessConfig, _build_mp_system, _svm_result)
+    from ..eval.harness import (HarnessConfig, _adaptive_kernel,
+                                _build_mp_system, _functional_ops, _svm_result)
+    from ..os.scheduler import get_policy
     from ..workloads.multiprocess import slice_plan
     config = config or HarnessConfig()
     blocker = mp_replay_blockers(mp, config)
     if blocker is not None:
         raise TierUnavailable(blocker)
 
-    platform, system, spaces, _handlers, op_lists = _build_mp_system(mp, config)
+    platform, system, spaces, handlers, bound = _build_mp_system(mp, config)
     synth = system.threads["hwt0"]
-    plan = slice_plan(op_lists, quantum=mp.quantum, policy=mp.policy,
-                      weights=mp.weights, page_size=config.platform.page_size)
-    program = program_for_plan(mp, plan, platform.page_size,
-                               synth.memif.config.max_burst_bytes)
-    result = replay_system_run(
-        system, "hwt0", program, [_replay_space(s) for s in spaces],
-        flush_on_switch=flush_on_switch,
-        on_switch_cost=platform.kernel.cost_context_switch,
-        pin_all=config.pin_all, prefetch_pages=config.prefetch_pages)
+    page_size = platform.page_size
+    burst = synth.memif.config.max_burst_bytes
+    run = partial(replay_system_run, system, "hwt0",
+                  spaces=[_replay_space(space, handler)
+                          for space, handler in zip(spaces, handlers)],
+                  flush_on_switch=flush_on_switch, pin_all=config.pin_all,
+                  prefetch_pages=config.prefetch_pages)
+    bus = None
+    if get_policy(mp.policy).adaptive:
+        # Programs are cached per process spec, shared by every run that
+        # schedules that process; the slices are the live scheduler's.
+        op_lists = _functional_ops(bound)
+        feed = _SliceFeed(
+            op_lists,
+            [program_for_workload(spec, b, page_size, burst)
+             for spec, b in zip(mp.specs, bound)],
+            platform.kernel.cost_context_switch, platform.sim.now)
+        feed.kernel, bus = _adaptive_kernel(
+            mp, config, platform, spaces, handlers, op_lists,
+            feed.on_switch, clock=lambda: feed.cycle)
+        result = run(program=[], refill=feed)
+    else:
+        program = program_for_plan(
+            mp, lambda: slice_plan(_functional_ops(bound),
+                                   quantum=mp.quantum, policy=mp.policy,
+                                   weights=mp.weights,
+                                   page_size=config.platform.page_size),
+            page_size, burst)
+        result = run(program=program,
+                     on_switch_cost=platform.kernel.cost_context_switch)
     fabric = max(result.per_thread_fabric_cycles.values(), default=0)
-    svm = _svm_result(result, fabric)
+    svm = _svm_result(result, fabric,
+                      telemetry=None if bus is None else bus.trace)
     svm.tier = "replay"
     return svm

@@ -30,7 +30,7 @@ major/minor fault attribution additionally never relies on slicing at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sim.stats import diff_snapshots, sum_matching
 
@@ -199,11 +199,17 @@ class TelemetryBus:
     simulated system nothing.  The epoch-driven kernel generator calls it at
     instants where the fabric is drained, which is what makes registry-wide
     deltas attributable to the single active process.
+
+    ``clock`` reads the current cycle (default: ``sim.now``).  The replay
+    tier runs the fabric outside the simulator's event loop and passes its
+    engine's clock instead.
     """
 
     def __init__(self, sim, processes: Sequence[ProcessInfo],
-                 base_quantum: int):
+                 base_quantum: int,
+                 clock: Optional[Callable[[], int]] = None):
         self.sim = sim
+        self.clock = clock or (lambda: sim.now)
         self.processes = tuple(processes)
         self.base_quantum = base_quantum
         self.trace = TelemetryTrace(processes=self.processes)
@@ -211,13 +217,13 @@ class TelemetryBus:
         #: when every process names one; else from slice attribution.
         self._per_handler = all(info.fault_handler for info in self.processes)
         self._epoch_index = 0
-        self._epoch_start = sim.now
+        self._epoch_start = self.clock()
         self._active: Optional[str] = None
         self._accumulated: Dict[str, Dict[str, int]] = {}
         self._granted: Dict[str, int] = {}
         self._ops: Dict[str, int] = {}
         self._last = self._read()
-        self._last_now = sim.now
+        self._last_now = self.clock()
 
     # ------------------------------------------------------------- sampling
     def _read(self) -> Dict[str, float]:
@@ -276,8 +282,8 @@ class TelemetryBus:
             self._active, {counter: 0 for counter in COUNTER_FIELDS})
         for counter in slice_counters:
             bucket[counter] += int(delta.get(counter, 0))
-        bucket["run_cycles"] = (bucket.get("run_cycles", 0)
-                                + self.sim.now - self._last_now)
+        now = self.clock()
+        bucket["run_cycles"] = bucket.get("run_cycles", 0) + now - self._last_now
         if self._per_handler:
             for info in self.processes:
                 for counter in ("major_faults", "minor_faults"):
@@ -288,7 +294,7 @@ class TelemetryBus:
                             {field: 0 for field in COUNTER_FIELDS})
                         owner[counter] += faults
         self._last = now_read
-        self._last_now = self.sim.now
+        self._last_now = now
         self._active = None
 
     def close_epoch(self, remaining: Mapping[str, int]) -> EpochStats:
@@ -306,14 +312,15 @@ class TelemetryBus:
                 remaining_ops=int(remaining.get(info.name, 0)),
                 **{counter: bucket.get(counter, 0)
                    for counter in COUNTER_FIELDS}))
+        now = self.clock()
         stats = EpochStats(epoch=self._epoch_index,
                            start_cycle=self._epoch_start,
-                           end_cycle=self.sim.now,
+                           end_cycle=now,
                            base_quantum=self.base_quantum,
                            processes=tuple(samples))
         self.trace.epochs.append(stats)
         self._epoch_index += 1
-        self._epoch_start = self.sim.now
+        self._epoch_start = now
         self._accumulated = {}
         self._granted = {}
         self._ops = {}

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.eval.harness import HarnessConfig, run_multiprocess
 from repro.models import get_model
+from repro.os.scheduler import get_policy
 from repro.workloads import contention, workload
 
 #: Per-kernel small-size overrides the randomized cases draw from.
@@ -122,8 +123,11 @@ def test_flush_on_switch_never_beats_asid_survival_differential(seed, procs,
 # N-process contention runs.  These tests are the safety net that lets
 # sweeps default to ``tier="auto"``.
 
+import dataclasses
+
 import pytest
 
+from repro.eval import harness
 from repro.eval.harness import _build_svm_system, run_svm
 from repro.fastpath.record import clear_program_cache
 from repro.sim.recorder import HAVE_NUMPY, TraceRecorder, stream_equal
@@ -140,13 +144,50 @@ RESULT_FIELDS = ("total_cycles", "fabric_cycles", "tlb_hit_rate",
 
 
 def assert_svm_results_equal(event, replay):
-    """Field-for-field equality, including the full component stats dump."""
+    """Field-for-field equality, including the full component stats dump
+    and the telemetry epochs."""
     for name in RESULT_FIELDS:
         assert getattr(event, name) == getattr(replay, name), name
     stats_e = event.system_result.stats
     stats_r = replay.system_result.stats
     for key in sorted(set(stats_e) | set(stats_r)):
         assert stats_e.get(key) == stats_r.get(key), f"stats[{key}]"
+    assert (event.telemetry is None) == (replay.telemetry is None)
+    if event.telemetry is not None:
+        assert ([dataclasses.asdict(e) for e in event.telemetry.epochs]
+                == [dataclasses.asdict(e) for e in replay.telemetry.epochs])
+
+
+def run_with_fault_logs(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` plus every process's handler ``fault_log``.
+
+    Both tiers build their platform through the harness builders, so a spy
+    on those sees the platform whichever tier runs.
+    """
+    platforms = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_build_svm_system", "_build_mp_system"):
+            def spy(*a, _real=getattr(harness, name), **k):
+                built = _real(*a, **k)
+                platforms.append(built[0])
+                return built
+            patch.setattr(harness, name, spy)
+        result = run(*args, **kwargs)
+    kernel = platforms[-1].kernel
+    return result, {process: kernel.fault_handler(process).fault_log
+                    for process in kernel.processes}
+
+
+def assert_tiers_agree(run, *args, **kwargs):
+    """Run on both tiers; results, stats, epochs and fault logs agree."""
+    event, event_faults = run_with_fault_logs(run, *args, tier="event",
+                                              **kwargs)
+    replay, replay_faults = run_with_fault_logs(run, *args, tier="replay",
+                                                **kwargs)
+    assert replay.tier == "replay"
+    assert_svm_results_equal(event, replay)
+    assert event_faults == replay_faults
+    return event
 
 
 @needs_numpy
@@ -187,6 +228,94 @@ def test_replay_tier_matches_event_tier_multiprocess(seed, procs, policy,
                               tier="replay")
     assert replay.tier == "replay"
     assert_svm_results_equal(event, replay)
+
+
+#: Residencies below 1: every first touch of a missing page faults.
+RESIDENCIES = (0.25, 0.5, 0.75)
+
+
+@needs_numpy
+@pytest.mark.parametrize("residency", RESIDENCIES)
+@pytest.mark.parametrize("features", (
+    {},
+    {"tlb_prefetch": 2},
+    {"host_shares_tlb": True, "tlb_associativity": 2},
+), ids=("plain", "prefetch", "host-shared-tlb"))
+def test_replay_serves_demand_faults_exactly(residency, features):
+    spec = workload("random_access", scale="tiny", residency=residency,
+                    **SIZES["random_access"][1])
+    event = assert_tiers_agree(run_svm, spec,
+                               HarnessConfig(tlb_entries=16, **features))
+    assert event.faults > 0
+
+
+@needs_numpy
+@settings(max_examples=6, deadline=None)
+@given(kernel=st.sampled_from(sorted(SIZES)),
+       size_index=st.integers(min_value=0, max_value=7),
+       seed=st.integers(min_value=0, max_value=2**16),
+       residency=st.sampled_from(RESIDENCIES),
+       prefetch=st.sampled_from((0, 2)))
+def test_replay_matches_event_tier_under_demand_paging(kernel, size_index,
+                                                       seed, residency,
+                                                       prefetch):
+    sizes = SIZES[kernel]
+    spec = workload(kernel, scale="tiny", seed=seed, residency=residency,
+                    **sizes[size_index % len(sizes)])
+    assert_tiers_agree(run_svm, spec,
+                       HarnessConfig(tlb_entries=16, tlb_prefetch=prefetch))
+
+
+#: (policy, residency, HarnessConfig overrides, flush_on_switch): every
+#: adaptive policy, every residency, the host-shared TLB, prefetching and
+#: the shared walker, on static and adaptive schedules alike.
+MP_CASES = {
+    "adaptive-fault-quarter": ("adaptive-fault", 0.25, {}, False),
+    "miss-fair-half-shared-walker-prefetch": (
+        "miss-fair", 0.5, {"shared_walker": True, "tlb_prefetch": 2}, False),
+    "host-aware-three-quarters-host-tlb": (
+        "host-aware", 0.75, {"host_shares_tlb": True}, False),
+    "miss-fair-resident-flushing": ("miss-fair", 1.0, {}, True),
+    "round-robin-half-host-tlb-shared-walker": (
+        "round-robin", 0.5, {"host_shares_tlb": True, "shared_walker": True},
+        False),
+    "weighted-fair-quarter-prefetch-flushing": (
+        "weighted-fair", 0.25, {"tlb_prefetch": 2}, True),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("case", sorted(MP_CASES))
+def test_replay_matches_event_tier_multiprocess_faults_and_policies(case):
+    policy, residency, overrides, flush = MP_CASES[case]
+    mp = contention(["random_access", "vecadd", "vecadd"], scale="tiny",
+                    quantum=2000, policy=policy, residency=residency,
+                    accesses=512, n=1024)
+    config = HarnessConfig(tlb_entries=16, tlb_associativity=4, **overrides)
+    event = assert_tiers_agree(run_multiprocess, mp, config,
+                               flush_on_switch=flush)
+    assert event.context_switches > 0
+    if residency < 1.0:
+        assert event.faults > 0
+    if get_policy(policy).adaptive:
+        assert event.telemetry.num_epochs > 1
+
+
+@needs_numpy
+@pytest.mark.parametrize("policy", ("round-robin", "miss-fair"))
+def test_multiprocess_replay_is_deterministic_across_cache_states(policy):
+    """Cold and warm program caches replay identically, static plans (one
+    cached program per run) and adaptive slices (cached per process)."""
+    mp = contention(["random_access", "vecadd"], scale="tiny", quantum=2000,
+                    policy=policy, residency=0.5, accesses=512, n=1024)
+    config = HarnessConfig(tlb_entries=16, host_shares_tlb=True)
+    clear_program_cache()
+    cold = run_multiprocess(mp, config, tier="replay")
+    warm = run_multiprocess(mp, config, tier="replay")
+    assert cold.tier == warm.tier == "replay"
+    assert_svm_results_equal(cold, warm)
+    assert_svm_results_equal(run_multiprocess(mp, config, tier="event"),
+                             warm)
 
 
 @settings(max_examples=8, deadline=None)

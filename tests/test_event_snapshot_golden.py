@@ -6,12 +6,13 @@ tiers only where the replay tier can run.  Neither sees the rest of an
 event-tier run's statistics: a drift in ``bus.latency_for.*.max`` or a
 counter that appears at zero would pass both.  This suite pins the whole
 ``SVMResult.system_result.stats`` snapshot (every key, exact values) of
-four event-tier runs that the replay tier cannot execute, and the
-telemetry epochs of the one that has them: an adaptive multi-process fig14
-candidate, a fault-heavy single-process run, and one fig5 point under each
-non-default bus arbiter.  The fig5 point runs on two hardware threads: on
-one thread all three arbiters give identical statistics, so the point
-would not tell them apart.
+four event-tier runs, and the telemetry epochs of the one that has them:
+an adaptive multi-process fig14 candidate, a fault-heavy single-process
+run, and one fig5 point under each non-default bus arbiter.  The fig5 point
+runs on two hardware threads: on one thread all three arbiters give
+identical statistics, so the point would not tell them apart.  The replay
+tier must reproduce the first two records exactly, faults, adaptive slices
+and telemetry epochs included; the fig5 points stay event-only.
 
 Regenerate with ``--update-golden`` (see ``tests/README.md``).
 """
@@ -26,25 +27,30 @@ from repro.core.platform import PlatformConfig
 from repro.eval import harness
 from repro.eval.experiments import _fig14_point
 from repro.eval.harness import HarnessConfig, run_svm
+from repro.sim.recorder import HAVE_NUMPY
 from repro.workloads.suite import workload
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "event_snapshots.json"
 
-#: A fig14 candidate with every event-tier-only feature switched on:
-#: adaptive scheduling, a shared walker, prefetching and (always in fig14)
-#: the host CPU sharing the fabric TLB.
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="replay tier requires numpy")
+
+#: A fig14 candidate with everything the replay tier serves on top of
+#: plain replay switched on: adaptive scheduling, demand faults (half
+#: residency), a shared walker, prefetching and (always in fig14) the host
+#: CPU sharing the fabric TLB.
 FIG14_CANDIDATE = {"tlb_entries": 16, "tlb_associativity": 2,
                    "max_outstanding": 4, "max_burst_bytes": 128,
                    "shared_walker": True, "tlb_prefetch": 2,
                    "policy": "miss-fair", "processes": 3, "quantum": 10_000}
 
 
-def _fig14_candidate(monkeypatch):
+def _fig14_candidate(monkeypatch, tier="event"):
     runs = []
     real = harness.run_multiprocess
 
     def spy(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
+        runs.append(real(*args, **{**kwargs, "tier": tier}))
         return runs[-1]
 
     monkeypatch.setattr(harness, "run_multiprocess", spy)
@@ -53,9 +59,9 @@ def _fig14_candidate(monkeypatch):
     return runs[0]
 
 
-def _half_resident(monkeypatch):
+def _half_resident(monkeypatch, tier="event"):
     return run_svm(workload("random_access", scale="tiny", residency=0.5),
-                   HarnessConfig(tlb_entries=8), tier="event")
+                   HarnessConfig(tlb_entries=8), tier=tier)
 
 
 def _fig5_point(arbiter):
@@ -73,6 +79,11 @@ CASES = {
     "fig5_fixed_priority": _fig5_point("fixed_priority"),
     "fig5_weighted": _fig5_point("weighted"),
 }
+
+#: The cases the replay tier serves (two threads and other arbiters stay
+#: event-only).
+REPLAYABLE = {name: CASES[name] for name in ("fig14_candidate_quarter",
+                                             "single_process_residency_half")}
 
 
 def _record(result):
@@ -106,6 +117,14 @@ def golden(request):
 def test_event_snapshot_matches_golden(name, golden, monkeypatch):
     result = CASES[name](monkeypatch)
     assert result.tier == "event"
+    assert _record(result) == golden[name]
+
+
+@needs_numpy
+@pytest.mark.parametrize("name", sorted(REPLAYABLE))
+def test_replay_reproduces_event_snapshot(name, golden, monkeypatch):
+    result = REPLAYABLE[name](monkeypatch, tier="replay")
+    assert result.tier == "replay"
     assert _record(result) == golden[name]
 
 

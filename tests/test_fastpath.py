@@ -9,13 +9,17 @@ jobs/runner/harness, and the zero-cost tracing contract.
 
 import pytest
 
+from repro.core.platform import PlatformConfig
+from repro.eval import harness
 from repro.eval.harness import (HarnessConfig, _build_svm_system,
                                 run_multiprocess, run_svm)
 from repro.exec.jobs import ExperimentJob, run_job
 from repro.exec.runner import SweepRunner
+from repro.fastpath.engine import ReplayFault
 from repro.fastpath.record import clear_program_cache, record_stats
 from repro.fastpath.replay import (TierUnavailable, mp_replay_blockers,
                                    svm_replay_blockers)
+from repro.os.fault_handler import FaultHandlerConfig
 from repro.sim.process import Access, Burst, Compute, Fence, Yield
 from repro.sim.recorder import (HAVE_NUMPY, KIND_COMPUTE, KIND_FENCE,
                                 KIND_MEM, KIND_YIELD, TraceRecorder,
@@ -109,6 +113,20 @@ class TestProgramCache:
         assert after_second["records"] == after_first["records"]
         assert after_second["reuses"] == after_first["reuses"] + 1
 
+    def test_warm_static_plan_builds_no_op_lists(self, monkeypatch):
+        """A cached multi-process program needs neither the processes' op
+        lists nor the slice plan built from them."""
+        mp = contention(["vecadd"] * 2, scale="tiny", quantum=2000, n=1024)
+        config = HarnessConfig(tlb_entries=16)
+        clear_program_cache()
+        run_multiprocess(mp, config, tier="replay")
+        drained = []
+        real = harness._functional_ops
+        monkeypatch.setattr(harness, "_functional_ops",
+                            lambda bound: drained.append(bound) or real(bound))
+        assert run_multiprocess(mp, config, tier="replay").tier == "replay"
+        assert drained == []
+
 
 # ---------------------------------------------------------------------------
 # Tier selection plumbing
@@ -152,14 +170,41 @@ class TestTierPlumbing:
         assert result.tier_reason is not None
         assert "num_threads" in result.tier_reason
 
-    def test_adaptive_policies_fall_back_explicitly(self):
+    @needs_numpy
+    def test_strict_replay_serves_demand_paging(self):
+        """A half-resident fig8 point replays: its faults no longer block
+        the replay tier."""
+        outcome = run_job(ExperimentJob(
+            kind="svm", workload=workload("linked_list", scale="tiny",
+                                          residency=0.5),
+            config=HarnessConfig(), tier="replay"))
+        assert outcome.tier == "replay"
+        assert outcome.faults > 0
+
+    @needs_numpy
+    def test_adaptive_policies_replay(self):
         mp = contention(["vecadd"] * 2, scale="tiny", quantum=2000,
-                        policy="adaptive-fault", n=1024)
+                        policy="adaptive-fault", residency=0.5, n=1024)
         result = run_multiprocess(mp, HarnessConfig(tlb_entries=32),
                                   tier="auto")
+        assert result.tier == "replay"
+        assert result.tier_reason is None
+        assert result.faults > 0
+        assert result.telemetry.num_epochs > 0
+
+    @needs_numpy
+    def test_unmodelled_fault_falls_back_and_says_why(self):
+        """A dropped fault aborts the thread: the replay tier stops at the
+        overflow and the event tier runs the point, saying why."""
+        config = HarnessConfig(tlb_entries=8, platform=PlatformConfig(
+            fault_handler=FaultHandlerConfig(max_queue_depth=1)))
+        spec = workload("random_access", scale="tiny", residency=0.25)
+        result = run_svm(spec, config, tier="auto")
         assert result.tier == "event"
-        assert result.tier_reason is not None
-        assert "adaptive" in result.tier_reason
+        assert "fault queue" in result.tier_reason
+        assert result.system_result.aborted_threads == ["hwt0"]
+        with pytest.raises(ReplayFault, match="fault queue"):
+            run_svm(spec, config, tier="replay")
 
     def test_blockers_report_none_for_eligible_runs(self):
         spec = workload("vecadd", scale="tiny", n=256)
@@ -167,10 +212,14 @@ class TestTierPlumbing:
         if HAVE_NUMPY:
             assert svm_replay_blockers(spec, config, 1) is None
         assert svm_replay_blockers(spec, config, 2) is not None
-        mp = contention(["vecadd"] * 2, scale="tiny", policy="round-robin",
-                        n=1024)
+        for policy in ("round-robin", "miss-fair"):
+            mp = contention(["vecadd"] * 2, scale="tiny", policy=policy,
+                            residency=0.5, n=1024)
+            if HAVE_NUMPY:
+                assert mp_replay_blockers(mp, config) is None
         if HAVE_NUMPY:
-            assert mp_replay_blockers(mp, config) is None
+            half = workload("vecadd", scale="tiny", residency=0.5, n=256)
+            assert svm_replay_blockers(half, config, 1) is None
 
     @needs_numpy
     def test_runner_stats_count_tiers(self):
