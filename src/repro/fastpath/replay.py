@@ -33,7 +33,6 @@ from functools import partial
 from typing import Callable, List, Optional
 
 from ..sim.process import Compute, Fence
-from ..sim.recorder import HAVE_NUMPY
 from .engine import (OP_COMPUTE, OP_FENCE, OP_SWITCH, ReplayContext,
                      ReplayOutput, ReplaySpace, _Acc, replay_fabric)
 from .record import program_for_plan, program_for_workload
@@ -51,8 +50,6 @@ class TierUnavailable(RuntimeError):
 # ---------------------------------------------------------------------------
 def svm_replay_blockers(spec, config, num_threads: int = 1) -> Optional[str]:
     """Why a single-process run cannot replay (``None`` = eligible)."""
-    if not HAVE_NUMPY:
-        return "numpy is unavailable, so streams cannot be recorded"
     if num_threads != 1:
         return (f"replay models a single hardware thread "
                 f"(num_threads={num_threads})")
@@ -64,8 +61,6 @@ def svm_replay_blockers(spec, config, num_threads: int = 1) -> Optional[str]:
 
 def mp_replay_blockers(mp, config) -> Optional[str]:
     """Why a multi-process run cannot replay (``None`` = eligible)."""
-    if not HAVE_NUMPY:
-        return "numpy is unavailable, so streams cannot be recorded"
     if config.platform.arbiter != "round_robin":
         return (f"replay inlines the round-robin bus arbiter "
                 f"(arbiter={config.platform.arbiter!r})")

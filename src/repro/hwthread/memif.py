@@ -37,6 +37,26 @@ OpCallback = Callable[[bool], None]
 FunctionalTranslator = Callable[[int, AccessType], int]
 
 
+def split_chunks(addr: int, size: int, is_write: bool, page_size: int,
+                 limit: int) -> List[tuple[int, int, bool]]:
+    """Split ``[addr, addr+size)`` at page and ``limit``-byte boundaries.
+
+    ``limit`` is the pre-clamped ``min(max_burst_bytes, page_size)``.  The
+    one chunking rule of both tiers: the memory interface splits each
+    operation with it per run, the replay tier once per recorded stream.
+    """
+    chunks: List[tuple[int, int, bool]] = []
+    remaining = size
+    cursor = addr
+    while remaining > 0:
+        page_left = page_size - (cursor % page_size)
+        chunk = min(remaining, page_left, limit)
+        chunks.append((cursor, chunk, is_write))
+        cursor += chunk
+        remaining -= chunk
+    return chunks
+
+
 @dataclass(frozen=True)
 class MemoryInterfaceConfig:
     """Fabric-side interface parameters."""
@@ -100,17 +120,8 @@ class MemoryInterface(Component):
     def _split(self, vaddr: int, size: int, is_write: bool) -> List[tuple[int, int, bool]]:
         """Split [vaddr, vaddr+size) at page and max-burst boundaries."""
         page_size = self.mmu.page_size if self.mmu is not None else 4096
-        limit = min(self.config.max_burst_bytes, page_size)
-        chunks: List[tuple[int, int, bool]] = []
-        remaining = size
-        cursor = vaddr
-        while remaining > 0:
-            page_left = page_size - (cursor % page_size)
-            chunk = min(remaining, page_left, limit)
-            chunks.append((cursor, chunk, is_write))
-            cursor += chunk
-            remaining -= chunk
-        return chunks
+        return split_chunks(vaddr, size, is_write, page_size,
+                            min(self.config.max_burst_bytes, page_size))
 
     def _run_chunks(self, chunks: List[tuple[int, int, bool]], index: int,
                     on_done: OpCallback) -> None:

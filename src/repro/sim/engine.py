@@ -13,7 +13,8 @@ Invariants the hot path keeps:
 * Events run in ``(cycle, seq)`` order, ``seq`` counting schedule calls:
   same-cycle events run first in, first out, so a zero delay runs later in
   the same cycle, after every event already scheduled for it.
-* Delays are whole cycles: ints and NumPy ints pass, a float raises.
+* Delays are whole cycles: ints and any other type with ``__index__``
+  pass, a float raises.
 * A queue entry is its :class:`Event` handle, the list
   ``[cycle, seq, callback]``, which the heap compares as a list, in C
   (``seq`` is unique, so callbacks are never compared).

@@ -2,11 +2,11 @@
 
 A :class:`TraceRecorder` captures the operation stream a kernel generator
 produces — op kind, virtual address, byte count, write flag, issue-gap
-(compute) cycles — as compact NumPy arrays.  A recorded stream is the whole
-timing-free content of a kernel: the hardware thread model consumes the
-operations in program order, so one recording replays deterministically
-through any timing model (the event-driven simulator or the
-:mod:`repro.fastpath` replay engine).
+(compute) cycles — as one ``(kind, addr, size, is_write, cycles)`` row per
+operation.  A recorded stream is the whole timing-free content of a kernel:
+the hardware thread model consumes the operations in program order, so one
+recording replays deterministically through any timing model (the
+event-driven simulator or the :mod:`repro.fastpath` replay engine).
 
 Two capture modes exist:
 
@@ -21,9 +21,9 @@ Two capture modes exist:
   operations, in program order, so the live recording must equal the
   functional recording's ``KIND_MEM`` rows — a test pins this).
 
-NumPy is an optional dependency of this module: without it recording is
-unavailable (:data:`HAVE_NUMPY` is False) and the replay tier reports itself
-ineligible instead of failing.
+Rows are plain tuples of Python ints and bools: the replay tier lowers them
+straight into engine ops (:func:`repro.fastpath.record.build_program`), and
+two recordings of the same stream compare equal with ``==``.
 """
 
 from __future__ import annotations
@@ -31,16 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
 from .process import Access, Burst, Compute, Fence, Operation, Yield
 
-#: Recorded op kinds (column values of :attr:`RecordedStream.kinds`).
+#: Recorded op kinds (the first field of a :attr:`RecordedStream.rows` row).
 KIND_COMPUTE = 0
 KIND_MEM = 1
 KIND_FENCE = 2
@@ -49,6 +42,9 @@ KIND_YIELD = 3
 #: produced by :meth:`TraceRecorder.capture`; the fastpath planner emits it).
 KIND_SWITCH = 4
 
+#: One recorded operation: ``(kind, addr, size, is_write, cycles)``.
+Row = Tuple[int, int, int, bool, int]
+
 
 class UnrecordableOperation(TypeError):
     """A kernel yielded an operation the recorder cannot represent."""
@@ -56,91 +52,51 @@ class UnrecordableOperation(TypeError):
 
 @dataclass(frozen=True)
 class RecordedStream:
-    """One kernel's operation stream as parallel NumPy columns.
+    """One kernel's operation stream as ``(kind, addr, size, is_write,
+    cycles)`` rows.
 
-    ``kinds[i]`` selects the row's meaning: for ``KIND_MEM`` rows ``addrs``/
-    ``sizes``/``writes`` describe the virtual byte range touched (a ``Burst``
-    is recorded by its total footprint — the memory interface re-derives the
-    page/burst chunking, so the two encodings are equivalent); for
-    ``KIND_COMPUTE`` rows ``cycles`` holds the issue gap.  Fence/yield rows
-    carry no payload.
+    The kind selects the row's meaning: a ``KIND_MEM`` row's ``addr``/
+    ``size``/``is_write`` describe the virtual byte range touched (a
+    ``Burst`` is recorded by its total footprint — the memory interface
+    re-derives the page/burst chunking, so the two encodings are
+    equivalent); a ``KIND_COMPUTE`` row's ``cycles`` holds the issue gap.
+    Fence/yield rows carry no payload, and a ``KIND_SWITCH`` row's ``addr``
+    holds the process index.
     """
 
-    kinds: "object"     # np.ndarray[int8]
-    addrs: "object"     # np.ndarray[int64]
-    sizes: "object"     # np.ndarray[int64]
-    writes: "object"    # np.ndarray[bool]
-    cycles: "object"    # np.ndarray[int64]
+    rows: Tuple[Row, ...]
 
     @property
     def num_ops(self) -> int:
-        return int(len(self.kinds))
-
-    @property
-    def nbytes(self) -> int:
-        """Storage footprint of the recording (compactness metric)."""
-        return sum(int(col.nbytes) for col in
-                   (self.kinds, self.addrs, self.sizes, self.writes,
-                    self.cycles))
-
-    def columns(self) -> Tuple[List[int], List[int], List[int], List[bool],
-                               List[int]]:
-        """The stream as plain lists (what a replay loop iterates)."""
-        return (self.kinds.tolist(), self.addrs.tolist(),
-                self.sizes.tolist(), self.writes.tolist(),
-                self.cycles.tolist())
+        return len(self.rows)
 
 
 class TraceRecorder:
-    """Accumulates one thread's operation stream and freezes it to arrays."""
+    """Accumulates one thread's operation stream as rows."""
 
     def __init__(self) -> None:
-        self._kinds: List[int] = []
-        self._addrs: List[int] = []
-        self._sizes: List[int] = []
-        self._writes: List[bool] = []
-        self._cycles: List[int] = []
+        self.rows: List[Row] = []
 
-    # ------------------------------------------------------------- recording
     def on_op(self, op: Operation) -> None:
         """Record one operation (the live memif hook and capture both land here)."""
         if isinstance(op, Burst):
-            self._append(KIND_MEM, op.addr, op.total_bytes, op.is_write, 0)
+            self.rows.append((KIND_MEM, op.addr, op.total_bytes, op.is_write, 0))
         elif isinstance(op, Access):
-            self._append(KIND_MEM, op.addr, op.size, op.is_write, 0)
+            self.rows.append((KIND_MEM, op.addr, op.size, op.is_write, 0))
         elif isinstance(op, Compute):
-            self._append(KIND_COMPUTE, 0, 0, False, op.cycles)
+            self.rows.append((KIND_COMPUTE, 0, 0, False, op.cycles))
         elif isinstance(op, Fence):
-            self._append(KIND_FENCE, 0, 0, False, 0)
+            self.rows.append((KIND_FENCE, 0, 0, False, 0))
         elif isinstance(op, Yield):
-            self._append(KIND_YIELD, 0, 0, False, 0)
+            self.rows.append((KIND_YIELD, 0, 0, False, 0))
         else:
             raise UnrecordableOperation(
                 f"cannot record operation {op!r}; recordable kinds are "
                 "Compute/Access/Burst/Fence/Yield")
 
-    def _append(self, kind: int, addr: int, size: int, write: bool,
-                cycles: int) -> None:
-        self._kinds.append(kind)
-        self._addrs.append(addr)
-        self._sizes.append(size)
-        self._writes.append(write)
-        self._cycles.append(cycles)
-
-    def __len__(self) -> int:
-        return len(self._kinds)
-
-    # -------------------------------------------------------------- freezing
     def finish(self) -> RecordedStream:
-        """Freeze the accumulated operations into a :class:`RecordedStream`."""
-        if not HAVE_NUMPY:
-            raise RuntimeError("recording requires numpy")
-        return RecordedStream(
-            kinds=_np.asarray(self._kinds, dtype=_np.int8),
-            addrs=_np.asarray(self._addrs, dtype=_np.int64),
-            sizes=_np.asarray(self._sizes, dtype=_np.int64),
-            writes=_np.asarray(self._writes, dtype=bool),
-            cycles=_np.asarray(self._cycles, dtype=_np.int64))
+        """Freeze the accumulated rows into a :class:`RecordedStream`."""
+        return RecordedStream(tuple(self.rows))
 
     @classmethod
     def capture(cls, ops: Iterable[Operation]) -> RecordedStream:
@@ -149,15 +105,3 @@ class TraceRecorder:
         for op in ops:
             recorder.on_op(op)
         return recorder.finish()
-
-
-def stream_equal(a: RecordedStream, b: RecordedStream) -> bool:
-    """True when two recordings describe the identical op stream."""
-    if not HAVE_NUMPY:
-        raise RuntimeError("stream comparison requires numpy")
-    return (a.num_ops == b.num_ops
-            and bool(_np.array_equal(a.kinds, b.kinds))
-            and bool(_np.array_equal(a.addrs, b.addrs))
-            and bool(_np.array_equal(a.sizes, b.sizes))
-            and bool(_np.array_equal(a.writes, b.writes))
-            and bool(_np.array_equal(a.cycles, b.cycles)))

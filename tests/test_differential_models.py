@@ -130,10 +130,7 @@ import pytest
 from repro.eval import harness
 from repro.eval.harness import _build_svm_system, run_svm
 from repro.fastpath.record import clear_program_cache
-from repro.sim.recorder import HAVE_NUMPY, TraceRecorder, stream_equal
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="replay tier requires numpy")
+from repro.sim.recorder import TraceRecorder
 
 #: Every scalar field of SVMResult/RunOutcome that both tiers must agree on.
 RESULT_FIELDS = ("total_cycles", "fabric_cycles", "tlb_hit_rate",
@@ -190,7 +187,6 @@ def assert_tiers_agree(run, *args, **kwargs):
     return event
 
 
-@needs_numpy
 @settings(max_examples=8, deadline=None)
 @given(kernel=st.sampled_from(sorted(SIZES)),
        size_index=st.integers(min_value=0, max_value=7),
@@ -212,7 +208,6 @@ def test_replay_tier_matches_event_tier_exactly(kernel, size_index, seed,
     assert event.breakdown == replay.breakdown
 
 
-@needs_numpy
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16),
        procs=st.integers(min_value=2, max_value=3),
@@ -234,7 +229,6 @@ def test_replay_tier_matches_event_tier_multiprocess(seed, procs, policy,
 RESIDENCIES = (0.25, 0.5, 0.75)
 
 
-@needs_numpy
 @pytest.mark.parametrize("residency", RESIDENCIES)
 @pytest.mark.parametrize("features", (
     {},
@@ -249,7 +243,6 @@ def test_replay_serves_demand_faults_exactly(residency, features):
     assert event.faults > 0
 
 
-@needs_numpy
 @settings(max_examples=6, deadline=None)
 @given(kernel=st.sampled_from(sorted(SIZES)),
        size_index=st.integers(min_value=0, max_value=7),
@@ -284,7 +277,6 @@ MP_CASES = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(MP_CASES))
 def test_replay_matches_event_tier_multiprocess_faults_and_policies(case):
     policy, residency, overrides, flush = MP_CASES[case]
@@ -301,7 +293,6 @@ def test_replay_matches_event_tier_multiprocess_faults_and_policies(case):
         assert event.telemetry.num_epochs > 1
 
 
-@needs_numpy
 @pytest.mark.parametrize("policy", ("round-robin", "miss-fair"))
 def test_multiprocess_replay_is_deterministic_across_cache_states(policy):
     """Cold and warm program caches replay identically, static plans (one
@@ -335,10 +326,9 @@ def test_recorded_streams_are_deterministic(kernel, seed):
         _, _, bound = _build_svm_system(spec, config, 1)
         streams.append(TraceRecorder.capture(bound[0].make_kernel()))
     assert streams[0].num_ops > 0
-    assert stream_equal(streams[0], streams[1])
+    assert streams[0] == streams[1]
 
 
-@needs_numpy
 @settings(max_examples=4, deadline=None)
 @given(kernel=st.sampled_from(sorted(SIZES)),
        seed=st.integers(min_value=0, max_value=2**16))

@@ -27,13 +27,9 @@ from repro.core.platform import PlatformConfig
 from repro.eval import harness
 from repro.eval.experiments import _fig14_point
 from repro.eval.harness import HarnessConfig, run_svm
-from repro.sim.recorder import HAVE_NUMPY
 from repro.workloads.suite import workload
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "event_snapshots.json"
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="replay tier requires numpy")
 
 #: A fig14 candidate with everything the replay tier serves on top of
 #: plain replay switched on: adaptive scheduling, demand faults (half
@@ -120,7 +116,6 @@ def test_event_snapshot_matches_golden(name, golden, monkeypatch):
     assert _record(result) == golden[name]
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(REPLAYABLE))
 def test_replay_reproduces_event_snapshot(name, golden, monkeypatch):
     result = REPLAYABLE[name](monkeypatch, tier="replay")

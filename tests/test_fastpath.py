@@ -4,8 +4,15 @@ The differential suite (``test_differential_models.py``) pins the headline
 guarantee — replay results equal event-simulator results exactly.  These
 tests cover the mechanisms underneath: stream recording (functional and
 live), the content-keyed program cache, tier selection plumbing through
-jobs/runner/harness, and the zero-cost tracing contract.
+jobs/runner/harness, that the replay tier runs on the standard library
+alone, and the zero-cost tracing contract.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,20 +28,16 @@ from repro.fastpath.replay import (TierUnavailable, mp_replay_blockers,
                                    svm_replay_blockers)
 from repro.os.fault_handler import FaultHandlerConfig
 from repro.sim.process import Access, Burst, Compute, Fence, Yield
-from repro.sim.recorder import (HAVE_NUMPY, KIND_COMPUTE, KIND_FENCE,
-                                KIND_MEM, KIND_YIELD, TraceRecorder,
+from repro.sim.recorder import (KIND_COMPUTE, KIND_FENCE, KIND_MEM,
+                                KIND_YIELD, TraceRecorder,
                                 UnrecordableOperation)
 from repro.sim.trace import Tracer
 from repro.workloads import contention, workload
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="replay tier requires numpy")
 
 
 # ---------------------------------------------------------------------------
 # Stream recording
 # ---------------------------------------------------------------------------
-@needs_numpy
 class TestTraceRecorder:
     def test_capture_encodes_every_operation_kind(self):
         stream = TraceRecorder.capture([
@@ -44,14 +47,16 @@ class TestTraceRecorder:
             Fence(),
             Yield(),
         ])
-        assert stream.kinds.tolist() == [KIND_COMPUTE, KIND_MEM, KIND_MEM,
-                                         KIND_FENCE, KIND_YIELD]
         # Access rows carry the byte range; a burst is recorded by its
         # total footprint (the memory interface re-derives the chunking).
-        assert stream.addrs.tolist()[1:3] == [0x1000, 0x2000]
-        assert stream.sizes.tolist()[1:3] == [8, 4 * 16]
-        assert stream.writes.tolist()[1:3] == [True, False]
-        assert stream.cycles.tolist()[0] == 3
+        assert stream.rows == (
+            (KIND_COMPUTE, 0, 0, False, 3),
+            (KIND_MEM, 0x1000, 8, True, 0),
+            (KIND_MEM, 0x2000, 4 * 16, False, 0),
+            (KIND_FENCE, 0, 0, False, 0),
+            (KIND_YIELD, 0, 0, False, 0),
+        )
+        assert stream.num_ops == 5
 
     def test_unrecordable_operation_raises(self):
         class Strange:
@@ -68,8 +73,6 @@ class TestTraceRecorder:
         this is what lets the program cache record streams functionally
         and replay them in place of real runs.
         """
-        import numpy as np
-
         spec = workload("vecadd", scale="tiny", n=512)
         config = HarnessConfig(tlb_entries=16)
         _, system, bound = _build_svm_system(spec, config, 1)
@@ -80,25 +83,14 @@ class TestTraceRecorder:
 
         _, _, bound2 = _build_svm_system(spec, config, 1)
         functional = TraceRecorder.capture(bound2[0].make_kernel())
-        mem = functional.kinds == KIND_MEM
-        assert live.num_ops == int(mem.sum()) > 0
-        assert bool(np.all(live.kinds == KIND_MEM))
-        assert np.array_equal(live.addrs, functional.addrs[mem])
-        assert np.array_equal(live.sizes, functional.sizes[mem])
-        assert np.array_equal(live.writes, functional.writes[mem])
-
-    def test_stream_is_compact(self):
-        """The columnar encoding stays far below object-per-op cost."""
-        stream = TraceRecorder.capture(
-            Access(addr=0x1000 + 8 * i, size=8) for i in range(1000))
-        # 8+8+1+1+8 bytes per row ≈ 26 B/op, orders below Python objects.
-        assert stream.nbytes < 64 * stream.num_ops
+        mem = tuple(row for row in functional.rows if row[0] == KIND_MEM)
+        assert live.num_ops > 0
+        assert live.rows == mem
 
 
 # ---------------------------------------------------------------------------
 # Program cache
 # ---------------------------------------------------------------------------
-@needs_numpy
 class TestProgramCache:
     def test_stream_recorded_once_then_reused(self):
         spec = workload("vecadd", scale="tiny", n=512)
@@ -147,7 +139,6 @@ class TestTierPlumbing:
         outcome = run_job(job)
         assert outcome.tier == "event"
 
-    @needs_numpy
     def test_replay_capable_models_honor_the_tier_request(self):
         spec = workload("vecadd", scale="tiny", n=256)
         job = ExperimentJob(kind="svm", workload=spec,
@@ -170,7 +161,6 @@ class TestTierPlumbing:
         assert result.tier_reason is not None
         assert "num_threads" in result.tier_reason
 
-    @needs_numpy
     def test_strict_replay_serves_demand_paging(self):
         """A half-resident fig8 point replays: its faults no longer block
         the replay tier."""
@@ -181,7 +171,6 @@ class TestTierPlumbing:
         assert outcome.tier == "replay"
         assert outcome.faults > 0
 
-    @needs_numpy
     def test_adaptive_policies_replay(self):
         mp = contention(["vecadd"] * 2, scale="tiny", quantum=2000,
                         policy="adaptive-fault", residency=0.5, n=1024)
@@ -192,7 +181,6 @@ class TestTierPlumbing:
         assert result.faults > 0
         assert result.telemetry.num_epochs > 0
 
-    @needs_numpy
     def test_unmodelled_fault_falls_back_and_says_why(self):
         """A dropped fault aborts the thread: the replay tier stops at the
         overflow and the event tier runs the point, saying why."""
@@ -209,19 +197,15 @@ class TestTierPlumbing:
     def test_blockers_report_none_for_eligible_runs(self):
         spec = workload("vecadd", scale="tiny", n=256)
         config = HarnessConfig(tlb_entries=16)
-        if HAVE_NUMPY:
-            assert svm_replay_blockers(spec, config, 1) is None
+        assert svm_replay_blockers(spec, config, 1) is None
         assert svm_replay_blockers(spec, config, 2) is not None
         for policy in ("round-robin", "miss-fair"):
             mp = contention(["vecadd"] * 2, scale="tiny", policy=policy,
                             residency=0.5, n=1024)
-            if HAVE_NUMPY:
-                assert mp_replay_blockers(mp, config) is None
-        if HAVE_NUMPY:
-            half = workload("vecadd", scale="tiny", residency=0.5, n=256)
-            assert svm_replay_blockers(half, config, 1) is None
+            assert mp_replay_blockers(mp, config) is None
+        half = workload("vecadd", scale="tiny", residency=0.5, n=256)
+        assert svm_replay_blockers(half, config, 1) is None
 
-    @needs_numpy
     def test_runner_stats_count_tiers(self):
         spec = workload("vecadd", scale="tiny", n=256)
         config = HarnessConfig(tlb_entries=16)
@@ -234,6 +218,67 @@ class TestTierPlumbing:
         assert runner.stats.tier_counts == {"replay": 1, "event": 1}
         assert "tier_event=1" in runner.summary()
         assert "tier_replay=1" in runner.summary()
+
+
+# ---------------------------------------------------------------------------
+# Standard library only
+# ---------------------------------------------------------------------------
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Makes ``numpy`` (and its submodules) unimportable in a fresh interpreter,
+#: as on an install without it.
+BLOCK_NUMPY = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, BlockNumpy())
+"""
+
+#: Strict replay runs of a half-resident single-process point, a static
+#: two-process plan and an adaptive two-process schedule.
+REPLAY_POINTS = """
+import json
+from repro.eval.harness import HarnessConfig, run_multiprocess, run_svm
+from repro.workloads import contention, workload
+
+config = HarnessConfig(tlb_entries=16)
+half = workload("vecadd", scale="tiny", residency=0.5, n=256)
+tiers = {"half-resident": run_svm(half, config, tier="replay").tier}
+for policy in ("round-robin", "miss-fair"):
+    mp = contention(["vecadd"] * 2, scale="tiny", quantum=2000,
+                    policy=policy, residency=0.5, n=1024)
+    tiers[policy] = run_multiprocess(mp, config, tier="replay").tier
+print(json.dumps(tiers))
+"""
+
+
+def run_python(source: str) -> str:
+    """Stdout of ``source`` run in a fresh interpreter that imports
+    ``repro`` from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", source],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestStandardLibraryOnly:
+    def test_replay_tier_runs_without_numpy(self):
+        tiers = json.loads(run_python(BLOCK_NUMPY + REPLAY_POINTS))
+        assert tiers == {"half-resident": "replay", "round-robin": "replay",
+                         "miss-fair": "replay"}
+
+    def test_importing_the_fastpath_loads_no_numpy(self):
+        loaded = run_python("import sys\nimport repro.fastpath\n"
+                            "print('numpy' in sys.modules)")
+        assert loaded.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
