@@ -42,7 +42,7 @@ from .eval.harness import HarnessConfig, compare
 from .eval.report import (format_nested_series, format_output, format_series,
                           format_table)
 from .exec import SweepRunner, default_cache
-from .models import get_model, registered_models
+from .models import TIERS, get_model, registered_models
 from .store import open_results_store
 from .workloads import available_workload_kernels, workload
 
@@ -208,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--models", default=None, metavar="A,B,...",
                      help="restrict a model-sweeping experiment (table3, "
                           "fig11, ...) to these registered execution models")
-    run.add_argument("--tier", default=None,
-                     choices=("auto", "event", "replay"),
+    run.add_argument("--tier", default=None, choices=TIERS,
                      help="execution tier for experiments that support it: "
                           "replay records each op stream once and replays it "
                           "through the fastpath engine (identical results, "
@@ -235,22 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report here "
                             "(default: BENCH_<sha>.json)")
     bench.add_argument("--baseline", metavar="PATH", default=None,
-                       help="compare against this baseline and exit 1 if "
-                            "wall time or cycle counts regress past the "
-                            "threshold")
+                       help="gate against this baseline: exit 1 if any "
+                            "cycle metric differs from it, an entry or "
+                            "metric is missing on either side, or a wall "
+                            "time exceeds its budget by more than 20%%")
     bench.add_argument("--write-baseline", metavar="PATH", nargs="?",
                        const="benchmarks/baseline.json", default=None,
                        help="also write the report as the new baseline "
-                            "(default path: %(const)s)")
-    bench.add_argument("--threshold", type=float, default=None, metavar="PCT",
-                       help="allowed relative growth before failing "
-                            "(default: 0.20 = 20%%)")
-    bench.add_argument("--check-baseline-fresh", metavar="PATH", nargs="?",
-                       const="benchmarks/baseline.json", default=None,
-                       help="exit 1 if the committed baseline's cycle "
-                            "metrics differ at all from this run — any "
-                            "drift, improvements included, means the "
-                            "baseline needs a --write-baseline refresh "
                             "(default path: %(const)s)")
     bench.add_argument("--only", metavar="A,B,...", default=None,
                        help="run only these suite entries (comma-separated; "
@@ -584,6 +574,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "bench":
         from .eval import bench as bench_mod
+        baseline_flags = [flag for flag, value in
+                          (("--baseline", args.baseline),
+                           ("--write-baseline", args.write_baseline))
+                          if value]
         only = None
         if args.only:
             only = [name.strip() for name in args.only.split(",")
@@ -595,35 +589,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"(suite: {', '.join(bench_mod.BENCH_SUITE)})",
                       file=sys.stderr)
                 return 2
-            # The gates and the baseline writer are whole-suite semantics: a
-            # subset run would report every skipped entry as a regression /
-            # as drift, or overwrite the baseline with a partial one.
-            incompatible = [flag for flag, value in
-                            (("--baseline", args.baseline),
-                             ("--check-baseline-fresh",
-                              args.check_baseline_fresh),
-                             ("--write-baseline", args.write_baseline))
-                            if value]
-            if incompatible:
+            # The gate and the baseline writer are whole-suite semantics: a
+            # subset run would report every skipped entry as missing, or
+            # overwrite the baseline with a partial one.
+            if baseline_flags:
                 print(f"--only runs a subset of the suite and cannot be "
-                      f"combined with {', '.join(incompatible)} "
+                      f"combined with {', '.join(baseline_flags)} "
                       "(whole-suite semantics)", file=sys.stderr)
                 return 2
-        if args.scale != "tiny":
+        if args.scale != "tiny" and baseline_flags:
             # The committed baseline is tiny-scale: gating against it at
-            # another scale reports nonsense regressions, and writing it
-            # would poison every subsequent CI gate.
-            incompatible = [flag for flag, value in
-                            (("--baseline", args.baseline),
-                             ("--check-baseline-fresh",
-                              args.check_baseline_fresh),
-                             ("--write-baseline", args.write_baseline))
-                            if value]
-            if incompatible:
-                print(f"--scale {args.scale} cannot be combined with "
-                      f"{', '.join(incompatible)}: the committed baseline "
-                      "is tiny-scale", file=sys.stderr)
-                return 2
+            # another scale reports nonsense drift, and writing it would
+            # poison every subsequent CI gate.
+            print(f"--scale {args.scale} cannot be combined with "
+                  f"{', '.join(baseline_flags)}: the committed baseline "
+                  "is tiny-scale", file=sys.stderr)
+            return 2
         count = len(only) if only is not None else len(bench_mod.BENCH_SUITE)
         print(f"benchmark suite ({count} entries, serial, "
               f"scale={args.scale}):", file=sys.stderr)
@@ -662,39 +643,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                                                    baseline_data))
             print(f"appended drift summary to {args.summary}",
                   file=sys.stderr)
-        failed = False
         if args.baseline:
-            threshold = (args.threshold if args.threshold is not None
-                         else bench_mod.DEFAULT_THRESHOLD)
             problems = bench_mod.compare(report.as_dict(),
-                                         bench_mod.load_report(args.baseline),
-                                         threshold=threshold)
+                                         bench_mod.load_report(args.baseline))
             if problems:
-                print(f"benchmark regression gate FAILED "
-                      f"(vs {args.baseline}):", file=sys.stderr)
+                print(f"benchmark gate FAILED (vs {args.baseline}); after an "
+                      "intentional change, refresh the baseline with "
+                      "`repro bench --write-baseline`:", file=sys.stderr)
                 for problem in problems:
                     print(f"  {problem}", file=sys.stderr)
-                failed = True
-            else:
-                print(f"benchmark regression gate passed "
-                      f"(vs {args.baseline}, threshold "
-                      f"+{threshold:.0%})", file=sys.stderr)
-        if args.check_baseline_fresh:
-            drift = bench_mod.check_freshness(
-                report.as_dict(),
-                bench_mod.load_report(args.check_baseline_fresh))
-            if drift:
-                print(f"baseline {args.check_baseline_fresh} is STALE — "
-                      "cycle metrics drifted; refresh it with "
-                      "`repro bench --write-baseline`:", file=sys.stderr)
-                for problem in drift:
-                    print(f"  {problem}", file=sys.stderr)
-                failed = True
-            else:
-                print(f"baseline {args.check_baseline_fresh} is fresh "
-                      "(cycle metrics exactly match this run)",
-                      file=sys.stderr)
-        return 1 if failed else 0
+                return 1
+            print(f"benchmark gate passed (vs {args.baseline}: cycle "
+                  "metrics exact, wall times within budget "
+                  f"+{bench_mod.WALL_TOLERANCE:.0%})", file=sys.stderr)
+        return 0
 
     if args.command == "compare":
         if args.tlb_entries is None:

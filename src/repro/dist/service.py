@@ -34,10 +34,10 @@ from typing import Any, Dict, Iterator, Optional
 
 from ..eval.harness import HarnessConfig
 from ..eval.sweep import Grid, Sweep
-from ..exec.jobs import JOB_TIERS, ExperimentJob, run_job
+from ..exec.jobs import ExperimentJob, run_job
 from ..exec.cache import MemoCache
 from ..exec.keys import stable_key
-from ..models import registered_models
+from ..models import TIERS, registered_models
 from ..workloads import available_workload_kernels, workload
 from .broker import Broker, SweepTicket, WorkItem
 
@@ -92,8 +92,8 @@ def expand_spec(spec: Dict[str, Any]) -> Sweep:
     if not isinstance(scale, str):
         raise SpecError("spec['scale'] must be a string size class")
     tier = spec.get("tier", "auto")
-    if tier not in JOB_TIERS:
-        raise SpecError(f"spec['tier'] must be one of {JOB_TIERS}")
+    if tier not in TIERS:
+        raise SpecError(f"spec['tier'] must be one of {TIERS}")
     num_threads = spec.get("num_threads", 1)
     if not isinstance(num_threads, int) or num_threads < 1:
         raise SpecError("spec['num_threads'] must be a positive integer")

@@ -5,15 +5,16 @@ runs one experiment at tiny scale and reports
 
 * ``wall_seconds`` — how long producing it took on this machine, and
 * ``metrics`` — cycle counts extracted from the result.  These are exact
-  simulator outputs: any drift at all is a code change, and growth beyond
-  the threshold is a performance regression of the *modelled* system.
+  simulator outputs: any drift at all is a code change.
 
 ``repro bench`` writes the records to ``BENCH_<sha>.json`` (the CI bench job
 uploads it as an artifact) and, given ``--baseline benchmarks/baseline.json``,
-fails when wall time or any cycle metric regresses more than the threshold
-(default 20%) — the same check, locally and in CI.  ``--write-baseline``
-refreshes the committed baseline; CI wall baselines should be refreshed from
-a downloaded CI artifact, not a laptop (see README, "Benchmark CI").
+runs one gate (:func:`compare`): it fails when any cycle metric differs from
+the baseline, when an entry or metric is missing on either side, or when a
+wall time exceeds its committed budget by more than 20% — the same check,
+locally and in CI.  ``--write-baseline`` refreshes the committed baseline; CI
+wall baselines should be refreshed from a downloaded CI artifact, not a
+laptop (see README, "Benchmark CI").
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ import json
 import platform as platform_mod
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..store.results import git_sha
 from .harness import HarnessConfig
 
-#: Relative growth tolerated before a metric counts as regressed.
-DEFAULT_THRESHOLD = 0.20
+#: Relative growth of a measured wall time over its committed budget
+#: tolerated before the gate fails.
+WALL_TOLERANCE = 0.20
 
 #: Baseline wall entries are *budgets*, not machine-exact timings: measured
 #: wall seconds are padded by this factor (with a floor) when a baseline is
@@ -36,6 +39,9 @@ DEFAULT_THRESHOLD = 0.20
 #: order-of-magnitude slowdowns still do.  Cycle metrics stay exact.
 WALL_BUDGET_FACTOR = 5.0
 WALL_BUDGET_MIN_SECONDS = 2.0
+
+#: Stands in for an entry or metric one side of a comparison lacks.
+_MISSING = "—"
 
 
 # ---------------------------------------------------------------------------
@@ -50,28 +56,18 @@ def _bench_table3(scale: str = "tiny") -> Dict[str, int]:
             "copydma_cycles": sum(r["copy_dma"] for r in rows)}
 
 
-def _bench_fig5(scale: str = "tiny") -> Dict[str, int]:
-    from .experiments import fig5_tlb_sweep
-    # Pinned to the event tier: this entry times the event-driven simulator
-    # itself (the ``fig5_replay`` entry runs the identical sweep through the
-    # fastpath replay tier, so the two entries' wall clocks measure the
-    # two-tier speedup and their metrics must be identical).
-    series = fig5_tlb_sweep(kernels=("vecadd", "random_access"),
-                            tlb_sizes=(8, 32), scale=scale, tier="event")
-    return {"fabric_cycles": sum(sum(s["fabric_cycles"])
-                                 for s in series.values())}
-
-
-def _bench_fig5_replay(scale: str = "tiny") -> Dict[str, int]:
+def _bench_fig5(scale: str, tier: str) -> Dict[str, int]:
     from ..fastpath.record import clear_program_cache
     from .experiments import fig5_tlb_sweep
-    # Identical sweep to ``fig5_tlb_sweep`` through the replay tier.  The
-    # program cache is cleared first so the entry times a cold record plus
-    # the replays (streams are shared across TLB sizes within the sweep —
-    # the record-once amortization the two-tier seam exists for).
+    # One sweep, run once per tier (``fig5_tlb_sweep`` on the event tier,
+    # ``fig5_replay`` on the replay tier): the two entries' wall clocks
+    # measure the two-tier speedup and their metrics must be identical.  The
+    # program cache is cleared first so the replay entry times a cold record
+    # plus the replays (streams are shared across TLB sizes within the
+    # sweep); the event tier records nothing.
     clear_program_cache()
     series = fig5_tlb_sweep(kernels=("vecadd", "random_access"),
-                            tlb_sizes=(8, 32), scale=scale, tier="replay")
+                            tlb_sizes=(8, 32), scale=scale, tier=tier)
     return {"fabric_cycles": sum(sum(s["fabric_cycles"])
                                  for s in series.values())}
 
@@ -84,26 +80,15 @@ def _bench_fig7(scale: str = "tiny") -> Dict[str, int]:
                                 for s in series.values())}
 
 
-def _bench_fig11(scale: str = "tiny") -> Dict[str, int]:
-    from ..models import ALL_MODELS
-    from .experiments import fig11_model_ablation
-    # Pinned to the event tier (see ``_bench_fig5``).
-    rows = fig11_model_ablation(scale=scale, kernels=("vecadd",),
-                                tier="event")
-    return {f"{model}_cycles".replace("-", "_"): rows[0][model]
-            for model in ALL_MODELS}
-
-
-def _bench_fig11_replay(scale: str = "tiny") -> Dict[str, int]:
+def _bench_fig11(scale: str, tier: str) -> Dict[str, int]:
     from ..fastpath.record import clear_program_cache
     from ..models import ALL_MODELS
     from .experiments import fig11_model_ablation
-    # Identical ablation to ``fig11_models`` through the replay tier.  The
-    # single-tier models (ideal/copydma/software) run the event simulator in
-    # both entries; the SVM family replays recorded streams here.
+    # One ablation per tier, as in ``_bench_fig5``.  The single-tier models
+    # (ideal/copydma/software) run the event simulator under either tier;
+    # only the SVM family replays recorded streams.
     clear_program_cache()
-    rows = fig11_model_ablation(scale=scale, kernels=("vecadd",),
-                                tier="replay")
+    rows = fig11_model_ablation(scale=scale, kernels=("vecadd",), tier=tier)
     return {f"{model}_cycles".replace("-", "_"): rows[0][model]
             for model in ALL_MODELS}
 
@@ -151,7 +136,7 @@ def _bench_fig13(scale: str = "tiny") -> Dict[str, int]:
 def _bench_fig14(scale: str = "tiny") -> Dict[str, int]:
     # A budgeted sample of the full 10^5-point fig14 space: the seeded
     # sampler makes the cohort — and therefore every metric — exactly
-    # reproducible, so the freshness gate pins the recovered front.
+    # reproducible, so the gate pins the recovered front.
     from .experiments import fig14_adaptive_dse
     out = fig14_adaptive_dse(scale=scale, budget=24, seed=0)
     return {
@@ -168,11 +153,11 @@ def _bench_fig14(scale: str = "tiny") -> Dict[str, int]:
 #: ``scale="default"`` (no baseline gate — artifacts only).
 BENCH_SUITE: Dict[str, Callable[[str], Dict[str, int]]] = {
     "table3_tiny": _bench_table3,
-    "fig5_tlb_sweep": _bench_fig5,
-    "fig5_replay": _bench_fig5_replay,
+    "fig5_tlb_sweep": partial(_bench_fig5, tier="event"),
+    "fig5_replay": partial(_bench_fig5, tier="replay"),
     "fig7_scaling": _bench_fig7,
-    "fig11_models": _bench_fig11,
-    "fig11_replay": _bench_fig11_replay,
+    "fig11_models": partial(_bench_fig11, tier="event"),
+    "fig11_replay": partial(_bench_fig11, tier="replay"),
     "multiprocess_shared_tlb": _bench_multiprocess,
     "fig12_contention": _bench_fig12,
     "fig13_adaptive": _bench_fig13,
@@ -231,85 +216,60 @@ def run_suite(progress: Optional[Callable[[str], None]] = None,
 # ---------------------------------------------------------------------------
 # Comparing
 # ---------------------------------------------------------------------------
-def compare(current: Dict[str, object], baseline: Dict[str, object],
-            threshold: float = DEFAULT_THRESHOLD) -> List[str]:
-    """Regressions of ``current`` against ``baseline``.
+def _drift(current: Dict[str, object], baseline: Dict[str, object]
+           ) -> List[Tuple[str, str, object, object]]:
+    """Every cycle metric on which ``current`` and ``baseline`` disagree.
 
-    A metric regresses when it *grows* beyond ``baseline * (1 + threshold)``
-    — cycle counts and wall seconds are both "lower is better".  Records or
-    metrics present in the baseline but missing from the current run are
-    regressions too (a silently skipped benchmark must not pass the gate).
-    Returns human-readable findings; empty means the gate passes.
+    Rows are ``(entry, metric, baseline value, current value)`` in sorted
+    order; a side that lacks the entry or the metric reads :data:`_MISSING`.
+    Wall seconds are machine budgets, not code outputs, and never appear.
     """
-    problems: List[str] = []
-    current_records = current.get("records", {})
-    for name, base_record in baseline.get("records", {}).items():
-        record = current_records.get(name)
-        if record is None:
-            problems.append(f"{name}: benchmark missing from current run")
-            continue
-        pairs: List[Tuple[str, float, float]] = [
-            ("wall_seconds", float(record["wall_seconds"]),
-             float(base_record["wall_seconds"]))]
-        base_metrics = base_record.get("metrics", {})
-        metrics = record.get("metrics", {})
-        for metric, base_value in base_metrics.items():
-            if metric not in metrics:
-                problems.append(f"{name}: metric {metric!r} missing "
-                                f"from current run")
-                continue
-            pairs.append((metric, float(metrics[metric]), float(base_value)))
-        for metric, value, base_value in pairs:
-            if base_value <= 0:
-                continue
-            growth = value / base_value - 1.0
-            if growth > threshold:
-                problems.append(
-                    f"{name}: {metric} regressed {growth:+.1%} "
-                    f"({base_value:g} -> {value:g}, "
-                    f"threshold +{threshold:.0%})")
-    return problems
-
-
-def check_freshness(current: Dict[str, object],
-                    baseline: Dict[str, object]) -> List[str]:
-    """Exact-drift check: is the committed baseline still what the code does?
-
-    Unlike :func:`compare` (a *regression* gate with a growth threshold,
-    direction-sensitive), this flags **any** difference between the
-    baseline's cycle metrics and the current run's — improvements included:
-    a faster simulator with a stale baseline silently widens the regression
-    headroom until the threshold means nothing.  Wall seconds are machine
-    budgets, not code outputs, and are ignored.  Returns human-readable
-    findings; empty means the baseline is fresh.
-    """
-    problems: List[str] = []
     current_records = current.get("records", {})
     baseline_records = baseline.get("records", {})
+    rows: List[Tuple[str, str, object, object]] = []
     for name in sorted(set(current_records) | set(baseline_records)):
-        record = current_records.get(name)
-        base_record = baseline_records.get(name)
-        if base_record is None:
-            problems.append(f"{name}: benchmark missing from baseline "
-                            "(refresh with --write-baseline)")
-            continue
-        if record is None:
-            problems.append(f"{name}: benchmark in baseline but not in "
-                            "current suite")
-            continue
-        metrics = record.get("metrics", {})
-        base_metrics = base_record.get("metrics", {})
+        metrics = current_records.get(name, {}).get("metrics", {})
+        base_metrics = baseline_records.get(name, {}).get("metrics", {})
         for metric in sorted(set(metrics) | set(base_metrics)):
-            if metric not in base_metrics:
-                problems.append(f"{name}: metric {metric!r} missing from "
-                                "baseline")
-            elif metric not in metrics:
-                problems.append(f"{name}: metric {metric!r} in baseline but "
-                                "not in current run")
-            elif metrics[metric] != base_metrics[metric]:
-                problems.append(
-                    f"{name}: {metric} drifted "
-                    f"({base_metrics[metric]:g} -> {metrics[metric]:g})")
+            value = metrics.get(metric, _MISSING)
+            base = base_metrics.get(metric, _MISSING)
+            if value != base:
+                rows.append((name, metric, base, value))
+    return rows
+
+
+def compare(current: Dict[str, object],
+            baseline: Dict[str, object]) -> List[str]:
+    """The gate: findings that keep ``current`` from passing ``baseline``.
+
+    Every :func:`_drift` row fails — a cycle metric that differs at all
+    (improvements included: a stale baseline would hide the next change's
+    drift), or an entry or metric missing on either side (a silently skipped
+    benchmark must not pass).  So does a wall time more than
+    :data:`WALL_TOLERANCE` over its committed budget.  Returns human-readable
+    findings; empty means the gate passes.
+    """
+    problems: List[str] = []
+    for name, metric, base, value in _drift(current, baseline):
+        if base == _MISSING:
+            problems.append(f"{name}: {metric} missing from baseline "
+                            "(refresh with --write-baseline)")
+        elif value == _MISSING:
+            problems.append(f"{name}: {metric} in baseline but missing "
+                            "from current run")
+        else:
+            problems.append(f"{name}: {metric} drifted "
+                            f"({base:g} -> {value:g})")
+    current_records = current.get("records", {})
+    for name, base_record in sorted(baseline.get("records", {}).items()):
+        if name not in current_records:
+            continue                        # reported by _drift() above
+        wall = float(current_records[name]["wall_seconds"])
+        budget = float(base_record["wall_seconds"])
+        if wall > budget * (1.0 + WALL_TOLERANCE):
+            problems.append(
+                f"{name}: wall_seconds {wall:g} exceeds its {budget:g} s "
+                f"budget by more than +{WALL_TOLERANCE:.0%}")
     return problems
 
 
@@ -317,9 +277,8 @@ def summarize_drift(current: Dict[str, object],
                     baseline: Optional[Dict[str, object]]) -> str:
     """Markdown drift table for a CI step summary.
 
-    One row per (benchmark, cycle metric) whose value differs from the
-    committed baseline — the human-readable face of :func:`check_freshness`,
-    rendered for ``$GITHUB_STEP_SUMMARY`` by the ``bench-refresh`` job so a
+    One row per :func:`_drift` row — the cycle findings of the gate, rendered
+    for ``$GITHUB_STEP_SUMMARY`` by the ``bench-refresh`` job so a
     maintainer can see at a glance what the ready-to-commit baseline artifact
     would change.  With no baseline (or no drift) it says so instead.
     """
@@ -328,17 +287,7 @@ def summarize_drift(current: Dict[str, object],
         lines.append("No committed baseline to compare against; the "
                      "refreshed baseline artifact seeds one.")
         return "\n".join(lines) + "\n"
-    current_records = current.get("records", {})
-    baseline_records = baseline.get("records", {})
-    rows: List[Tuple[str, str, object, object]] = []
-    for name in sorted(set(current_records) | set(baseline_records)):
-        metrics = current_records.get(name, {}).get("metrics", {})
-        base_metrics = baseline_records.get(name, {}).get("metrics", {})
-        for metric in sorted(set(metrics) | set(base_metrics)):
-            value = metrics.get(metric, "—")
-            base = base_metrics.get(metric, "—")
-            if value != base:
-                rows.append((name, metric, base, value))
+    rows = _drift(current, baseline)
     if not rows:
         lines.append("Committed baseline is **fresh**: every cycle metric "
                      "matches this run exactly.")
@@ -348,12 +297,11 @@ def summarize_drift(current: Dict[str, object],
               "| benchmark | metric | committed | this run | drift |",
               "|---|---|---:|---:|---:|"]
     for name, metric, base, value in rows:
-        if isinstance(base, (int, float)) and isinstance(value, (int, float)) \
-                and base:
-            drift = f"{value / base - 1.0:+.2%}"
+        if _MISSING not in (base, value) and base:
+            change = f"{value / base - 1.0:+.2%}"
         else:
-            drift = "n/a"
-        lines.append(f"| {name} | {metric} | {base} | {value} | {drift} |")
+            change = "n/a"
+        lines.append(f"| {name} | {metric} | {base} | {value} | {change} |")
     return "\n".join(lines) + "\n"
 
 
@@ -383,6 +331,6 @@ def write_baseline(report: BenchReport, path: str) -> None:
         fh.write("\n")
 
 
-__all__ = ["BENCH_SUITE", "BenchReport", "DEFAULT_THRESHOLD",
-           "check_freshness", "compare", "git_sha", "load_report",
-           "run_suite", "summarize_drift", "write_baseline", "write_report"]
+__all__ = ["BENCH_SUITE", "BenchReport", "WALL_TOLERANCE",
+           "compare", "git_sha", "load_report", "run_suite",
+           "summarize_drift", "write_baseline", "write_report"]

@@ -24,7 +24,7 @@ from ..baselines.software import SoftwareCPU, SoftwareCPUConfig
 from ..core.platform import Platform, PlatformConfig
 from ..core.spec import SystemSpec, ThreadSpec, size_tlb_for_footprint
 from ..core.synthesis import SystemRunResult, SystemSynthesizer
-from ..models import CANONICAL_MODELS, RunOutcome
+from ..models import CANONICAL_MODELS, TIERS, RunOutcome
 from ..os.scheduler import SchedulerConfig, get_policy
 from ..os.telemetry import (ProcessInfo, TelemetryBus, TelemetryTrace,
                             epoch_fairness)
@@ -223,10 +223,6 @@ class ComparisonResult:
 # ---------------------------------------------------------------------------
 # Individual execution models
 # ---------------------------------------------------------------------------
-#: Valid values of the harness/experiment ``tier`` knob.
-TIERS = ("auto", "event", "replay")
-
-
 def _check_tier(tier: str) -> None:
     if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")

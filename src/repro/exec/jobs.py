@@ -18,10 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..models import RunOutcome, get_model
-
-#: Valid values of :attr:`ExperimentJob.tier`.
-JOB_TIERS = ("auto", "event", "replay")
+from ..models import TIERS, RunOutcome, get_model
 
 
 @dataclass(frozen=True)
@@ -48,9 +45,9 @@ class ExperimentJob:
         get_model(self.kind)            # raises UnknownModelError if absent
         if self.num_threads < 1:
             raise ValueError("num_threads must be at least 1")
-        if self.tier not in JOB_TIERS:
+        if self.tier not in TIERS:
             raise ValueError(
-                f"unknown tier {self.tier!r}; expected one of {JOB_TIERS}")
+                f"unknown tier {self.tier!r}; expected one of {TIERS}")
 
 
 def run_job(job: ExperimentJob) -> RunOutcome:

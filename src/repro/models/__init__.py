@@ -11,7 +11,7 @@ See :mod:`repro.models.registry` for the registration contract and
 :mod:`repro.models.builtin` for the reference implementations.
 """
 
-from .base import RECORD_FIELDS, ExecutionModel, RunOutcome
+from .base import RECORD_FIELDS, TIERS, ExecutionModel, RunOutcome
 from .registry import (DuplicateModelError, UnknownModelError, get_model,
                        register_model, registered_models, unregister_model)
 from . import builtin as _builtin   # registers the paper's four models
@@ -33,6 +33,7 @@ __all__ = [
     "ExecutionModel",
     "RECORD_FIELDS",
     "RunOutcome",
+    "TIERS",
     "UnknownModelError",
     "get_model",
     "register_model",

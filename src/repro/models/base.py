@@ -32,6 +32,12 @@ RECORD_FIELDS: Tuple[str, ...] = (
     "marshalling_cycles") + _RECORD_BREAKDOWN_FIELDS
 
 
+#: Execution tiers a run may request: ``"auto"`` replays when the point is
+#: eligible and falls back to the event simulator otherwise, ``"event"`` pins
+#: the event simulator, ``"replay"`` demands the fastpath replay engine.
+TIERS: Tuple[str, ...] = ("auto", "event", "replay")
+
+
 @dataclass(frozen=True)
 class RunOutcome:
     """Uniform result of running one workload under one execution model.
@@ -115,9 +121,8 @@ class ExecutionModel(Protocol):
     ``tiers`` declares which execution tiers the model supports.  The
     registry defaults it to ``("event",)``; models built on the SVM harness
     additionally declare ``"replay"`` and accept a ``tier`` keyword in
-    ``run`` (``"auto" | "event" | "replay"``, see
-    :mod:`repro.eval.harness`).  Jobs only forward a tier request to models
-    that declare it, so single-tier models never see the keyword.
+    ``run`` (one of :data:`TIERS`).  Jobs only forward a tier request to
+    models that declare it, so single-tier models never see the keyword.
     """
 
     name: str

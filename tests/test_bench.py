@@ -1,4 +1,4 @@
-"""Tests for the benchmark suite and the regression gate (``repro bench``)."""
+"""Tests for the benchmark suite and its gate (``repro bench``)."""
 
 import copy
 import json
@@ -28,14 +28,6 @@ def test_suite_metrics_are_deterministic(report):
         assert again.records[name]["metrics"] == record["metrics"]
 
 
-def test_committed_baseline_matches_current_cycles(report):
-    # The committed baseline's cycle metrics must be exactly what the code
-    # produces today — refreshing it is part of any change that moves them.
-    baseline = bench.load_report("benchmarks/baseline.json")
-    for name, record in report.records.items():
-        assert record["metrics"] == baseline["records"][name]["metrics"]
-
-
 def test_compare_passes_identical_runs(report):
     assert bench.compare(report.as_dict(), report.as_dict()) == []
 
@@ -44,28 +36,23 @@ def test_compare_flags_injected_cycle_regression(report):
     current = report.as_dict()
     baseline = copy.deepcopy(current)
     metrics = baseline["records"]["table3_tiny"]["metrics"]
-    metrics["svm_cycles"] = int(metrics["svm_cycles"] / 1.3)   # >20% growth
+    metrics["svm_cycles"] -= 1          # the current run is one cycle slower
     problems = bench.compare(current, baseline)
     assert len(problems) == 1
-    assert "svm_cycles" in problems[0] and "regressed" in problems[0]
+    assert "svm_cycles" in problems[0] and "drifted" in problems[0]
 
 
 def test_compare_flags_wall_time_regression(report):
     current = copy.deepcopy(report.as_dict())
     baseline = copy.deepcopy(current)
-    current["records"]["fig5_tlb_sweep"]["wall_seconds"] = (
-        baseline["records"]["fig5_tlb_sweep"]["wall_seconds"] * 2 + 1)
+    baseline["records"]["fig5_tlb_sweep"]["wall_seconds"] = 1.0   # budget
+    record = current["records"]["fig5_tlb_sweep"]
+    record["wall_seconds"] = 1.0 * (1 + bench.WALL_TOLERANCE)
+    assert bench.compare(current, baseline) == []           # at the bound
+    record["wall_seconds"] += 0.001
     problems = bench.compare(current, baseline)
-    assert any("wall_seconds" in p for p in problems)
-
-
-def test_compare_tolerates_growth_within_threshold(report):
-    current = copy.deepcopy(report.as_dict())
-    baseline = copy.deepcopy(current)
-    metrics = baseline["records"]["fig7_scaling"]["metrics"]
-    metrics["total_cycles"] = int(metrics["total_cycles"] / 1.1)  # +10%
-    assert bench.compare(current, baseline) == []
-    assert bench.compare(current, baseline, threshold=0.05)       # stricter
+    assert len(problems) == 1
+    assert "fig5_tlb_sweep: wall_seconds" in problems[0]
 
 
 def test_compare_fails_on_missing_benchmarks_and_metrics(report):
@@ -95,20 +82,37 @@ def test_cli_bench_gate_round_trip(tmp_path, capsys, monkeypatch, report):
     assert main(["bench", "--output", str(out),
                  "--write-baseline", str(base),
                  "--baseline", str(base)]) == 0
-    report = json.loads(out.read_text())
-    assert report["records"]
+    assert json.loads(out.read_text())["records"]
+    fresh = base.read_text()
+    capsys.readouterr()
 
-    # Inject a >20% regression into the baseline: gate fails with exit 1.
-    doctored = json.loads(base.read_text())
-    metrics = doctored["records"]["multiprocess_shared_tlb"]["metrics"]
-    metrics["total_cycles"] = int(metrics["total_cycles"] / 1.5)
-    base.write_text(json.dumps(doctored))
-    assert main(["bench", "--output", str(out),
-                 "--baseline", str(base)]) == 1
+    def gate(doctored):
+        base.write_text(json.dumps(doctored))
+        code = main(["bench", "--output", str(out), "--baseline", str(base)])
+        return code, capsys.readouterr().err
 
-    # A looser threshold lets the same delta through.
-    assert main(["bench", "--output", str(out), "--baseline", str(base),
-                 "--threshold", "0.6"]) == 0
+    # One cycle of drift either way fails with exit 1 and names the metric.
+    for delta in (1, -1):
+        doctored = json.loads(fresh)
+        doctored["records"]["multiprocess_shared_tlb"]["metrics"][
+            "tlb_misses"] += delta
+        code, err = gate(doctored)
+        assert code == 1
+        assert "multiprocess_shared_tlb: tlb_misses drifted" in err
+
+    # So does a wall budget cut below measured / (1 + tolerance).
+    doctored = json.loads(fresh)
+    measured = report.records["fig14_dse"]["wall_seconds"]
+    doctored["records"]["fig14_dse"]["wall_seconds"] = (
+        measured / (1 + bench.WALL_TOLERANCE) * 0.9)
+    code, err = gate(doctored)
+    assert code == 1 and "fig14_dse: wall_seconds" in err
+
+    # The gate has no threshold to loosen and no second flag.
+    for flag in (["--threshold", "0.6"], ["--check-baseline-fresh"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--baseline", str(base)] + flag)
+        assert exit_info.value.code == 2
 
 
 def test_write_baseline_pads_wall_budgets_but_keeps_cycles_exact(tmp_path,
@@ -128,15 +132,17 @@ def test_write_baseline_pads_wall_budgets_but_keeps_cycles_exact(tmp_path,
 
 
 # ---------------------------------------------------------------------------
-# Baseline freshness (exact drift, both directions)
+# Baseline freshness: the gate's exact-cycle half, in both directions
 # ---------------------------------------------------------------------------
-def test_check_freshness_passes_identical_runs(report):
-    assert bench.check_freshness(report.as_dict(), report.as_dict()) == []
-
-
 def test_committed_baseline_is_fresh(report):
+    # The committed baseline's cycle metrics must be exactly what the code
+    # produces today — refreshing it is part of any change that moves them.
+    # Wall budgets are machine-specific, so this run's times are zeroed.
     baseline = bench.load_report("benchmarks/baseline.json")
-    assert bench.check_freshness(report.as_dict(), baseline) == []
+    current = copy.deepcopy(report.as_dict())
+    for record in current["records"].values():
+        record["wall_seconds"] = 0.0
+    assert bench.compare(current, baseline) == []
 
 
 def test_check_freshness_flags_any_drift_even_improvements(report):
@@ -144,19 +150,19 @@ def test_check_freshness_flags_any_drift_even_improvements(report):
     baseline = copy.deepcopy(current)
     metrics = baseline["records"]["fig12_contention"]["metrics"]
     # An *improvement* (baseline higher than current) is still drift: a
-    # stale baseline silently widens the regression gate's headroom.
+    # stale baseline would hide the next change's drift.
     metrics["svm_cycles"] = metrics["svm_cycles"] + 1
-    problems = bench.check_freshness(current, baseline)
+    problems = bench.compare(current, baseline)
     assert len(problems) == 1 and "drifted" in problems[0]
-    # ... while the threshold-based regression gate happily passes it.
-    assert bench.compare(current, baseline) == []
 
 
 def test_check_freshness_ignores_wall_seconds(report):
+    # Wall entries are budgets, not code outputs: one that differs from the
+    # measurement is not drift.
     current = copy.deepcopy(report.as_dict())
     baseline = copy.deepcopy(current)
     baseline["records"]["table3_tiny"]["wall_seconds"] = 999.0
-    assert bench.check_freshness(current, baseline) == []
+    assert bench.compare(current, baseline) == []
 
 
 def test_check_freshness_flags_missing_records_both_ways(report):
@@ -164,32 +170,11 @@ def test_check_freshness_flags_missing_records_both_ways(report):
     baseline = copy.deepcopy(current)
     del baseline["records"]["fig12_contention"]
     del current["records"]["fig5_tlb_sweep"]
-    problems = bench.check_freshness(current, baseline)
+    problems = bench.compare(current, baseline)
     assert any("fig12_contention" in p and "missing from baseline" in p
                for p in problems)
-    assert any("fig5_tlb_sweep" in p and "not in current" in p
+    assert any("fig5_tlb_sweep" in p and "missing from current run" in p
                for p in problems)
-
-
-def test_cli_check_baseline_fresh_gate(tmp_path, monkeypatch, report):
-    from repro.cli import main
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    _reuse_report(monkeypatch, report)
-    out = tmp_path / "BENCH_test.json"
-    base = tmp_path / "baseline.json"
-
-    assert main(["bench", "--output", str(out),
-                 "--write-baseline", str(base),
-                 "--check-baseline-fresh", str(base)]) == 0
-
-    # Tiny drift (well under the 20% regression threshold) still fails.
-    doctored = json.loads(base.read_text())
-    metrics = doctored["records"]["fig12_contention"]["metrics"]
-    metrics["tlb_misses"] = metrics["tlb_misses"] + 1
-    base.write_text(json.dumps(doctored))
-    assert main(["bench", "--output", str(out),
-                 "--baseline", str(base),
-                 "--check-baseline-fresh", str(base)]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +250,7 @@ def test_cli_bench_only_rejects_whole_suite_flags(tmp_path, monkeypatch,
                                                   capsys):
     from repro.cli import main
     monkeypatch.chdir(tmp_path)
-    for flag in (["--baseline", "b.json"], ["--check-baseline-fresh"],
-                 ["--write-baseline"]):
+    for flag in (["--baseline", "b.json"], ["--write-baseline"]):
         assert main(["bench", "--only", "fig7_scaling"] + flag) == 2
         assert "whole-suite semantics" in capsys.readouterr().err
 
@@ -276,8 +260,7 @@ def test_cli_bench_non_tiny_scale_rejects_baseline_flags(tmp_path,
                                                          capsys):
     from repro.cli import main
     monkeypatch.chdir(tmp_path)
-    for flag in (["--baseline", "b.json"], ["--check-baseline-fresh"],
-                 ["--write-baseline"]):
+    for flag in (["--baseline", "b.json"], ["--write-baseline"]):
         assert main(["bench", "--scale", "default", "--only", "fig7_scaling"]
                     + flag) == 2
         err = capsys.readouterr().err

@@ -12,19 +12,23 @@ from repro.eval.harness import HarnessConfig
 
 
 def test_table1_rows_and_monotonic_resources():
-    rows = exp.table1_resources(scale="tiny", thread_counts=(1, 2),
-                                tlb_entries=(16,))
+    rows = exp.table1_resources(scale="tiny", thread_counts=(1, 2, 4),
+                                tlb_entries=(16, 32))
     assert rows
-    by_kernel = {}
+    by_system = {}
     for row in rows:
         assert row["luts"] > 0 and row["ffs"] > 0
-        by_kernel.setdefault(row["kernel"], {})[row["threads"]] = row["luts"]
-    for kernel, luts in by_kernel.items():
-        assert luts[2] > luts[1], f"{kernel} resources must grow with threads"
+        system = (row["kernel"], row["tlb_entries"])
+        by_system.setdefault(system, {})[row["threads"]] = row["luts"]
+    for system, luts in by_system.items():
+        assert luts[2] > luts[1], f"{system} resources must grow with threads"
+    # Up to two hardware threads fit the device for every kernel.
+    assert all(row["fits"] for row in rows if row["threads"] <= 2)
 
 
 def test_table2_characterises_every_workload():
     rows = exp.table2_workloads(scale="tiny")
+    assert len(rows) == 9
     names = {row["workload"] for row in rows}
     assert "vecadd" in names and "linked_list" in names
     for row in rows:
@@ -45,10 +49,17 @@ def test_table3_and_fig4_shapes():
     assert by_kernel["linked_list"]["speedup_dma"] > 1.0
     for row in rows:
         assert row["vm_overhead"] >= 1.0
+    # The headline shape holds at the paper's default scale too.
+    default = {row["workload"]: row for row in exp.table3_speedups(
+        scale="default", kernels=("matmul", "linked_list"),
+        config=HarnessConfig(auto_size_tlb=True))}
+    assert default["matmul"]["speedup_sw"] > 1.5
+    assert default["linked_list"]["speedup_dma"] > 1.0
 
     series = exp.fig4_speedup_bars(scale="tiny", kernels=("vecadd", "matmul"))
     assert len(series["workloads"]) == 2
     assert len(series["speedup_vs_software"]) == 2
+    assert any(s > 1.0 for s in series["speedup_vs_software"])
 
 
 def test_fig5_hit_rate_increases_with_tlb_size():
@@ -71,10 +82,11 @@ def test_fig5_replacement_ablation_structure():
 
 
 def test_fig6_overhead_shrinks_with_page_size():
-    result = exp.fig6_vm_overhead(kernels=("vecadd",),
+    result = exp.fig6_vm_overhead(kernels=("vecadd", "matmul", "linked_list"),
                                   page_sizes=(4096, 65536), scale="tiny")
-    overheads = result["vecadd"]["vm_overhead"]
-    assert overheads[0] >= overheads[-1] >= 1.0
+    for kernel, series in result.items():
+        overheads = series["vm_overhead"]
+        assert overheads[0] >= overheads[-1] >= 1.0, kernel
     assert result["vecadd"]["hit_rate"][-1] >= result["vecadd"]["hit_rate"][0]
 
 
@@ -84,6 +96,15 @@ def test_fig7_throughput_grows_with_threads_then_saturates():
     data = result["vecadd"]
     assert data["items_per_kcycle"][1] > data["items_per_kcycle"][0] * 0.9
     assert data["total_cycles"][1] < 4 * data["total_cycles"][0]
+    # At 8 threads the compute-bound kernel keeps scaling, while the shared
+    # bus may erode memory-bound throughput but must not collapse it.
+    result = exp.fig7_scaling(kernels=("vecadd", "matmul", "histogram"),
+                              thread_counts=(1, 8), scale="tiny")
+    matmul = result["matmul"]["items_per_kcycle"]
+    assert matmul[-1] > 1.5 * matmul[0]
+    for kernel, series in result.items():
+        throughput = series["items_per_kcycle"]
+        assert throughput[-1] >= throughput[0] * 0.5, kernel
 
 
 def test_fig7_walker_ablation_shared_is_never_faster():
@@ -92,11 +113,11 @@ def test_fig7_walker_ablation_shared_is_never_faster():
 
 
 def test_fig8_runtime_decreases_with_residency():
-    result = exp.fig8_fault_sweep(kernels=("vecadd",),
+    result = exp.fig8_fault_sweep(kernels=("vecadd", "linked_list"),
                                   residencies=(0.0, 1.0), scale="tiny")
-    data = result["vecadd"]
-    assert data["total_cycles"][0] > data["total_cycles"][-1]
-    assert data["faults"][0] > data["faults"][-1] == 0
+    for kernel, data in result.items():
+        assert data["total_cycles"][0] > data["total_cycles"][-1], kernel
+        assert data["faults"][0] > data["faults"][-1] == 0, kernel
 
 
 def test_fig8_pinning_recovers_demand_paging_penalty():
@@ -179,17 +200,30 @@ def test_parallel_sweep_results_equal_serial():
 
 
 def test_fig10_dse_parallel_matches_serial():
+    import time
+
     from repro.core.dse import SweepAxes
     from repro.eval.experiments import fig10_dse
     from repro.exec import MemoCache, SweepRunner
 
-    axes = SweepAxes(tlb_entries=(8, 16), max_burst_bytes=(128,),
-                     max_outstanding=(2,), shared_walker=(False,))
+    axes = SweepAxes(tlb_entries=(8, 16, 32, 64), max_burst_bytes=(128, 256),
+                     max_outstanding=(2, 4), shared_walker=(False,))
+    started = time.perf_counter()
+    serial = fig10_dse(kernel="matmul", scale="tiny", axes=axes)
+    serial_s = time.perf_counter() - started
     runner = SweepRunner(jobs=2, cache=MemoCache())
-    parallel = fig10_dse(kernel="vecadd", scale="tiny", axes=axes,
+    parallel = fig10_dse(kernel="matmul", scale="tiny", axes=axes,
                          runner=runner)
-    serial = fig10_dse(kernel="vecadd", scale="tiny", axes=axes)
-    assert parallel == serial
+    # Same runner again: every point is already in the memo cache.
+    started = time.perf_counter()
+    memoized = fig10_dse(kernel="matmul", scale="tiny", axes=axes,
+                         runner=runner)
+    memoized_s = time.perf_counter() - started
+    assert parallel == serial == memoized
+    assert len(serial["points"]) == axes.size() == 16
+    assert runner.stats.cache_hits >= axes.size()
+    # Memoization makes the repeated sweep essentially free.
+    assert memoized_s * 2 <= serial_s
 
 
 def test_repeated_points_hit_the_cache_across_figures():

@@ -1,5 +1,8 @@
 """Tests for the parallel, memoized sweep-execution engine."""
 
+import os
+import time
+
 import pytest
 
 from repro.core.platform import PlatformConfig
@@ -90,6 +93,33 @@ def test_parallel_map_matches_serial():
     serial = SweepRunner(jobs=1).map(square, items)
     parallel = SweepRunner(jobs=4).map(square, items)
     assert parallel == serial
+
+
+def spin(n):
+    """CPU-bound busy work: a pure-Python loop of ``n`` steps."""
+    total = 0
+    for i in range(n):
+        total += i % 7
+    return total
+
+
+# Real speedup needs real cores: armed only with at least 4 CPUs, and never
+# inside a pytest-xdist worker, where other tests share those cores.
+@pytest.mark.skipif((os.cpu_count() or 1) < 4
+                    or "PYTEST_XDIST_WORKER" in os.environ,
+                    reason="needs 4 CPUs not shared with other tests")
+def test_process_pool_halves_cpu_bound_wall_time():
+    items = [700_000 + i for i in range(16)]   # serial map: ~0.8 s
+    started = time.perf_counter()
+    serial = SweepRunner(jobs=1).map(spin, items)
+    serial_s = time.perf_counter() - started
+    runner = SweepRunner(jobs=4)
+    started = time.perf_counter()
+    parallel = runner.map(spin, items)
+    parallel_s = time.perf_counter() - started
+    assert parallel == serial
+    assert runner.stats.parallel_batches == 1
+    assert parallel_s * 2 <= serial_s
 
 
 def test_unpicklable_function_falls_back_to_serial():
