@@ -83,30 +83,37 @@ def test_cli_bench_gate_round_trip(tmp_path, capsys, monkeypatch, report):
                  "--write-baseline", str(base),
                  "--baseline", str(base)]) == 0
     assert json.loads(out.read_text())["records"]
-    fresh = base.read_text()
     capsys.readouterr()
 
-    def gate(doctored):
-        base.write_text(json.dumps(doctored))
-        code = main(["bench", "--output", str(out), "--baseline", str(base)])
-        return code, capsys.readouterr().err
-
-    # One cycle of drift either way fails with exit 1 and names the metric.
-    for delta in (1, -1):
-        doctored = json.loads(fresh)
-        doctored["records"]["multiprocess_shared_tlb"]["metrics"][
-            "tlb_misses"] += delta
-        code, err = gate(doctored)
-        assert code == 1
-        assert "multiprocess_shared_tlb: tlb_misses drifted" in err
-
-    # So does a wall budget cut below measured / (1 + tolerance).
-    doctored = json.loads(fresh)
+    # A wall budget cut below measured / (1 + tolerance) fails with exit 1.
+    doctored = json.loads(base.read_text())
     measured = report.records["fig14_dse"]["wall_seconds"]
     doctored["records"]["fig14_dse"]["wall_seconds"] = (
         measured / (1 + bench.WALL_TOLERANCE) * 0.9)
-    code, err = gate(doctored)
-    assert code == 1 and "fig14_dse: wall_seconds" in err
+    base.write_text(json.dumps(doctored))
+    assert main(["bench", "--output", str(out), "--baseline", str(base)]) == 1
+    assert "fig14_dse: wall_seconds" in capsys.readouterr().err
+
+
+def test_cli_check_baseline_fresh_gate(tmp_path, capsys, monkeypatch, report):
+    # The freshness check is part of ``--baseline``: any cycle drift fails.
+    from repro.cli import main
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    _reuse_report(monkeypatch, report)
+    out = tmp_path / "BENCH_test.json"
+    base = tmp_path / "baseline.json"
+    bench.write_baseline(report, str(base))
+    fresh = base.read_text()
+
+    # One cycle of drift either way fails with exit 1 and names the metric.
+    for name in ("fig12_contention", "multiprocess_shared_tlb"):
+        for delta in (1, -1):
+            doctored = json.loads(fresh)
+            doctored["records"][name]["metrics"]["tlb_misses"] += delta
+            base.write_text(json.dumps(doctored))
+            assert main(["bench", "--output", str(out),
+                         "--baseline", str(base)]) == 1
+            assert f"{name}: tlb_misses drifted" in capsys.readouterr().err
 
     # The gate has no threshold to loosen and no second flag.
     for flag in (["--threshold", "0.6"], ["--check-baseline-fresh"]):
