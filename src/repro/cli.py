@@ -366,9 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep spec file ('-' or omitted: read stdin)")
     submit.add_argument("--id-only", action="store_true",
                         help="print only the sweep id (for scripting)")
-    # At enqueue time the broker consults the persistent results store too:
-    # any point a past run recorded under this package version is adopted
-    # as done without queueing it.
+    # At enqueue time a SQLite broker consults the persistent results store
+    # too: any point a past run recorded under this package version is
+    # adopted as done without queueing it.  An HTTP broker consults the
+    # store its server was started with (`repro broker serve --results-db`).
     add_results_db_flag(submit)
 
     status = sweep_sub.add_parser("status", help="one sweep's state counts")
@@ -758,7 +759,7 @@ def _broker_command(args: argparse.Namespace) -> int:
 
 
 def _sweep_command(broker, args: argparse.Namespace) -> int:
-    from .dist import service
+    from .dist import HTTPBroker, service
 
     if args.sweep_command == "submit":
         if args.spec == "-":
@@ -771,10 +772,17 @@ def _sweep_command(broker, args: argparse.Namespace) -> int:
         except json.JSONDecodeError as exc:
             print(f"spec is not valid JSON: {exc}", file=sys.stderr)
             return 2
+        # An HTTP broker consults the stores its server was started with;
+        # local ones would be opened (and created) for nothing.
+        local = not isinstance(broker, HTTPBroker)
+        if not local and args.results_db:
+            print(f"repro sweep submit: results store {args.results_db} not "
+                  "consulted: an HTTP fleet's store belongs on "
+                  "`repro broker serve --results-db`", file=sys.stderr)
         try:
-            ticket = service.submit_sweep(broker, spec,
-                                          memo=_sweep_memo(args),
-                                          results=_sweep_results(args))
+            ticket = service.submit_sweep(
+                broker, spec, memo=_sweep_memo(args) if local else None,
+                results=_sweep_results(args) if local else None)
         except service.SpecError as exc:
             print(f"invalid sweep spec: {exc}", file=sys.stderr)
             return 2

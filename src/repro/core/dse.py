@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..dse import DesignSpace, DseObjectives, FidelityRung, get_explorer
 from ..dse.explorer import pareto_positions
+from ..exec.runner import SweepRunner
 from .resources import ResourceEstimate
 from .spec import SystemSpec
-
-if TYPE_CHECKING:   # the runner seam stays an optional, untyped dependency
-    from ..exec.runner import SweepRunner
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ class DesignSpaceExplorer:
         return [space.candidate(i) for i in range(space.size())]
 
     def explore(self, base: SystemSpec, axes: Optional[SweepAxes] = None,
-                runner: Optional["SweepRunner"] = None, *,
+                runner: Optional[SweepRunner] = None, *,
                 explorer: Optional[object] = None,
                 objectives: Optional[object] = None,
                 budget: Optional[int] = None,
@@ -184,8 +182,8 @@ class DesignSpaceExplorer:
         adaptive = (explorer is not None or objectives is not None
                     or budget is not None or results is not None)
         space = self._space(base, axes or SweepAxes())
-        if adaptive and results is None:
-            results = getattr(runner, "results", None)
+        if adaptive and results is None and runner is not None:
+            results = runner.results
         backend = get_explorer("exhaustive" if explorer is None else explorer)
         exploration = backend.explore(
             space, objectives=objectives if adaptive else _Unscored(),
@@ -199,7 +197,7 @@ class DesignSpaceExplorer:
 
     def explore_pareto(self, base: SystemSpec,
                        axes: Optional[SweepAxes] = None,
-                       runner: Optional["SweepRunner"] = None
+                       runner: Optional[SweepRunner] = None
                        ) -> Tuple[List[DesignPoint], List[DesignPoint]]:
         """Evaluate the grid; returns (all points, Pareto-optimal points)."""
         points = self.explore(base, axes, runner=runner)

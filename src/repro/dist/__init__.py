@@ -18,7 +18,8 @@ fleet coordinated through a shared work queue, without changing any caller:
 * :mod:`~repro.dist.worker` — the claim-lease-run-report loop behind
   ``repro worker``, with lease heartbeats,
 * :mod:`~repro.dist.runner` — :class:`DistributedRunner`, a
-  :class:`~repro.exec.runner.SweepRunner` drop-in for the ``runner=`` seam,
+  :class:`~repro.exec.runner.SweepRunner` whose misses run on the fleet,
+  for the ``runner=`` seam,
 * :mod:`~repro.dist.service` — the JSON submit/status/results layer behind
   ``repro sweep``.
 """

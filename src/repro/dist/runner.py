@@ -1,28 +1,24 @@
 """`DistributedRunner`: the fleet executor behind the ``runner=`` seam.
 
-Drop-in for :class:`~repro.exec.runner.SweepRunner` — same ``map`` contract
-(results in input order, bit-identical to the serial path), same memoization
-key, same stats/timings surface — but the points are executed by a fleet of
+A :class:`~repro.exec.runner.SweepRunner` whose misses run on a fleet of
 workers coordinated through a :class:`~repro.dist.broker.Broker` instead of
-an in-process pool.  Everything already threaded through the seam
+an in-process pool.  ``SweepRunner.map`` does everything around an
+evaluation (keys, one memo consult per point, dedup, results store, hits,
+timings, progress), so everything threaded through the seam
 (``explore(runner=)``, the experiments, ``compare(runner=)``) distributes
-without modification.
+without modification, bit-identical to the serial path.  This runner only
+decides where the distinct misses run; its ``_evaluate``:
 
-Per ``map`` call the runner:
-
-1. consults the local/shared :class:`~repro.exec.cache.MemoCache` and
-   resolves hits immediately (exactly like ``SweepRunner``),
-2. enqueues the remaining *unique* keys as one broker sweep (the broker
-   consults the fleet memo store again — a point any worker ever computed
-   anywhere is served from cache, never re-simulated),
-3. optionally spawns local worker processes (``workers=N``); with
+1. enqueues them as one broker sweep (the broker adopts keys its own
+   result table or the attached results store already holds),
+2. optionally spawns local worker processes (``workers=N``); with
    ``workers=0`` it relies on externally started ``repro worker`` processes
    and/or its own **drain** loop (``drain=True``, the default), in which the
    calling process claims and runs a batch of jobs itself before each poll
    — so progress is guaranteed even with no fleet at all,
-4. streams results back incrementally as workers report them
-   (:meth:`map_stream` exposes the stream; :meth:`map` collects it), and
-5. propagates the first job failure eagerly: the sweep is cancelled at the
+3. polls and fetches results as workers report them, and returns the
+   values in input order once every job is done, and
+4. propagates the first job failure eagerly: the sweep is cancelled at the
    broker, spawned workers are stopped, and a
    :class:`DistributedJobError` is raised — mirroring the pool runner's
    eager-failure semantics.
@@ -37,10 +33,10 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+import warnings
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..exec.cache import MemoCache
-from ..exec.keys import stable_key
 from ..exec.runner import SweepRunner
 from .broker import Broker, WorkItem, connect_broker
 from .worker import Worker, worker_main
@@ -90,6 +86,8 @@ class DistributedRunner(SweepRunner):
     stays the caller's to close.
     """
 
+    _always_keyed = True      # fleet jobs are addressed by key
+
     def __init__(self, broker: Union[Broker, str, os.PathLike],
                  *, workers: int = 0,
                  cache: Optional[MemoCache] = None,
@@ -132,113 +130,52 @@ class DistributedRunner(SweepRunner):
     # ------------------------------------------------------------------ map
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
             label: Optional[str] = None,
-            coords: Optional[List[Dict[str, Any]]] = None) -> List[Any]:
+            coords: Optional[Sequence[Dict[str, Any]]] = None) -> List[Any]:
         """Apply ``fn`` to every item via the fleet; input-order results."""
-        items = list(items)
-        results: List[Any] = [None] * len(items)
-        for position, value in self.map_stream(fn, items, label=label,
-                                               coords=coords):
-            results[position] = value
-        return results
+        # SweepRunner.map does all the work.  The override only keeps a
+        # ``map`` entry in this class's ``__dict__``, which perfbench's
+        # traced mode wraps (``perfbench/spans.py``, ``PROBES``).
+        return super().map(fn, items, label=label, coords=coords)
 
-    def map_stream(self, fn: Callable[[Any], Any], items: Iterable[Any],
-                   label: Optional[str] = None,
-                   coords: Optional[List[Dict[str, Any]]] = None
-                   ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(position, result)`` pairs as points complete.
-
-        Completion order, not input order — callers wanting partial
-        consumption (e.g. a streaming service front-end) read pairs as they
-        arrive; :meth:`map` reassembles input order.  ``coords`` labels each
-        item for the attached results store, as in
-        :meth:`SweepRunner.map`.
-        """
-        items = list(items)
-        if coords is not None and len(coords) != len(items):
-            raise ValueError("one coords mapping per item required")
-        label = label or getattr(fn, "__name__", "sweep")
-        started = time.perf_counter()
-        self.stats.points_submitted += len(items)
+    # ------------------------------------------------------------- evaluate
+    def _evaluate(self, fn: Callable[[Any], Any], items: Sequence[Any],
+                  keys: Optional[Sequence[str]], label: str) -> List[Any]:
+        """Run the distinct uncached items as one broker sweep, in order."""
+        if not items:
+            return []
         try:
-            yield from self._stream(fn, items, label, coords)
-        finally:
-            elapsed = time.perf_counter() - started
-            self.timings[label] = self.timings.get(label, 0.0) + elapsed
-            if self.progress is not None:
-                self.progress(
-                    f"{label}: {len(items)} point(s) in {elapsed:.2f}s "
-                    f"(distributed, workers={self.workers}, cumulative "
-                    f"cache hits={self.stats.cache_hits})")
-
-    # ------------------------------------------------------------- internal
-    def _stream(self, fn: Callable[[Any], Any], items: List[Any],
-                label: str,
-                coords: Optional[List[Dict[str, Any]]] = None
-                ) -> Iterator[Tuple[int, Any]]:
-        try:
-            keys = [stable_key(fn, item) for item in items]
-            payloads = {position: pickle.dumps((fn, items[position]),
-                                               protocol=pickle.HIGHEST_PROTOCOL)
-                        for position in range(len(items))}
+            payloads = [pickle.dumps((fn, item),
+                                     protocol=pickle.HIGHEST_PROTOCOL)
+                        for item in items]
         except (TypeError, pickle.PicklingError, AttributeError):
+            payloads = None
+        if keys is None or payloads is None:
             # Unkeyable or unshippable work cannot cross the fleet boundary;
             # evaluate locally — correctness first, distribution best-effort.
-            for position, value in enumerate(self._evaluate(fn, items)):
-                yield position, value
-            return
+            return super()._evaluate(fn, items, keys, label)
 
-        def resolve(position: int, value: Any) -> Tuple[int, Any]:
-            # Every resolved point — memo hit, store hit or fleet-computed —
-            # lands in the results store; (key, sha) dedup keeps it append-
-            # once per commit.
-            if self.results is not None:
-                self.results.record(
-                    keys[position], value, experiment=label,
-                    coords=coords[position] if coords is not None else None,
-                    kernel=getattr(getattr(items[position], "workload", None),
-                                   "kernel", None))
-            return position, value
-
-        # Local memo consult first (identical to SweepRunner._map_memoized).
-        pending: Dict[str, List[int]] = {}
-        for position, key in enumerate(keys):
-            if self.cache is not None and key in self.cache:
-                self.stats.cache_hits += 1
-                yield resolve(position, self.cache.get(key))
-            else:
-                pending.setdefault(key, []).append(position)
-        if not pending:
-            return
-
-        # One broker job per unique key; in-call duplicates resolve locally.
-        work = [WorkItem(key=key, payload=payloads[positions[0]],
-                         meta={"position": positions[0]})
-                for key, positions in pending.items()]
-        # ``results=`` only when a store is attached: brokers predating the
-        # results store (or overriding create_sweep without it) keep working.
         ticket = self.broker.create_sweep(
-            work, label=label, memo=self.cache,
-            **({} if self.results is None else {"results": self.results}))
-        executed_keys = set(pending) - set(ticket.done_keys)
-        # Hit accounting mirrors SweepRunner: every position of a fleet-
-        # resolved key is a hit; an executed key counts its duplicates only.
-        self.stats.cache_hits += sum(len(pending[key]) - 1
-                                     for key in executed_keys)
-        self.stats.cache_hits += sum(len(pending[key])
-                                     for key in ticket.done_keys)
-        self.stats.points_executed += len(executed_keys)
+            [WorkItem(key=key, payload=payload)
+             for key, payload in zip(keys, payloads)],
+            label=label, results=self.results)
+        # Keys the broker resolved at enqueue (its own result table, or the
+        # results store) are not executed again: they count as hits.
+        self.stats.cache_hits += len(ticket.done_keys)
+        self.stats.points_executed += len(items) - len(ticket.done_keys)
 
         self._spawn_workers(label)
-        # The drain writes no memo entries: every fetched result is put below,
-        # which also covers jobs external workers ran with private caches.
+        # The drain writes no memo entries: SweepRunner.map puts every value
+        # returned here, which also covers jobs external workers ran with
+        # private caches.
         drainer = (Worker(self.broker, worker_id=f"{label}-drain",
                           lease_seconds=self.lease_seconds)
                    if self.drain else None)
         deadline = (time.monotonic() + self.timeout
                     if self.timeout is not None else None)
+        values: List[Any] = [None] * len(items)
         seen: set = set()
         try:
-            while len(seen) < len(work):
+            while len(seen) < len(items):
                 # Drain before polling, so one poll sees the batch just run.
                 drained = drainer.run_batch() if drainer is not None else 0
                 finished = self.broker.finished_positions(ticket.sweep_id)
@@ -248,7 +185,7 @@ class DistributedRunner(SweepRunner):
                         raise TimeoutError(
                             f"distributed sweep {ticket.sweep_id} timed out "
                             f"after {self.timeout}s "
-                            f"({len(seen)}/{len(work)} jobs finished)")
+                            f"({len(seen)}/{len(items)} jobs finished)")
                     if not drained:
                         time.sleep(self.poll_interval)
                     continue
@@ -260,15 +197,13 @@ class DistributedRunner(SweepRunner):
                         self._abort(ticket.sweep_id)
                         raise DistributedJobError(job.position, job.key,
                                                   job.error)
-                    if job.key in executed_keys:
+                    if job.key not in ticket.done_keys:
                         self.stats.count_tiers([job.value])
-                    if self.cache is not None:
-                        self.cache.put(job.key, job.value)
-                    for position in pending[job.key]:
-                        yield resolve(position, job.value)
+                    values[job.position] = job.value
             self.stats.retries += self.broker.retries(ticket.sweep_id)
         finally:
             self._stop_workers()
+        return values
 
     # -------------------------------------------------------------- workers
     def _spawn_workers(self, label: str) -> None:
@@ -280,7 +215,7 @@ class DistributedRunner(SweepRunner):
                 "spawning local workers requires a URL-addressable broker "
                 "(one exposing .url, like SQLiteBroker or HTTPBroker); "
                 "pass workers=0 and start workers yourself")
-        cache_dir = self.cache.path if self.cache is not None else None
+        cache_dir = getattr(self.cache, "path", None)
         import multiprocessing
         context = multiprocessing.get_context()
         for index in range(self.workers):
@@ -294,12 +229,12 @@ class DistributedRunner(SweepRunner):
                 daemon=True)
             try:
                 process.start()
-            except OSError:
+            except OSError as exc:
                 # Restricted sandboxes without fork: the drain loop (or
                 # external workers) still make progress.
-                if self.progress is not None:
-                    self.progress(f"{label}: could not spawn worker "
-                                  f"{index} (continuing without it)")
+                warnings.warn(f"{label}: could not spawn worker {index} "
+                              f"({exc}); continuing without it",
+                              RuntimeWarning, stacklevel=2)
                 break
             self.worker_processes.append(process)
 

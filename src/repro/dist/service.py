@@ -175,7 +175,7 @@ def submit_sweep(broker: Broker, spec: Dict[str, Any],
             meta={"position": position, "coords": dict(point.coords)}))
     return broker.create_sweep(
         items, label=sweep.label or "sweep", spec=canonical_spec(spec),
-        memo=memo, **({} if results is None else {"results": results}))
+        memo=memo, results=results)
 
 
 def sweep_status(broker: Broker, sweep_id: str) -> Dict[str, Any]:

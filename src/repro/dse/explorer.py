@@ -21,7 +21,6 @@ into ``runner.stats`` (``explore_evaluations`` / ``explore_warm_hits``).
 from __future__ import annotations
 
 import heapq
-import inspect
 import math
 import random
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..exec.keys import stable_key
+from ..exec.runner import SweepRunner
 from .objectives import DseObjectives
 
 #: Canonical sweep-coordinate form (mirrors ``repro.eval.sweep.Coords``).
@@ -285,34 +285,22 @@ class Explorer:
             else:
                 rest.append(i)
         exploration.warm_hits = len(warm)
-        stats = getattr(runner, "stats", None)
-        if stats is not None:
-            stats.explore_warm_hits += len(warm)
+        if runner is not None:
+            runner.stats.explore_warm_hits += len(warm)
         return warm, rest
 
     @staticmethod
     def _evaluate(space: DesignSpace, rung: FidelityRung, cohort: Sequence[int],
                   objectives: DseObjectives, runner: Optional[Any],
                   exploration: Exploration) -> Dict[int, ExplorationPoint]:
-        """Dispatch one cohort through a rung, charging the budget."""
+        """Dispatch one cohort through a rung, charging the budget; with no
+        runner the cohort runs through a serial, cache-less one."""
+        runner = runner if runner is not None else SweepRunner(jobs=1, cache=None)
         items = [space.candidate(i) for i in cohort]
         coords = [space.coords(i) for i in cohort]
-        if runner is not None:
-            kwargs: Dict[str, Any] = {}
-            try:
-                params = inspect.signature(runner.map).parameters
-            except (TypeError, ValueError):
-                params = {}
-            if "label" in params:
-                kwargs["label"] = f"dse:{rung.name}"
-            if "coords" in params:
-                kwargs["coords"] = coords
-            values = runner.map(rung.evaluator, items, **kwargs)
-            stats = getattr(runner, "stats", None)
-            if stats is not None:
-                stats.explore_evaluations += len(items)
-        else:
-            values = [rung.evaluator(item) for item in items]
+        values = runner.map(rung.evaluator, items, label=f"dse:{rung.name}",
+                            coords=coords)
+        runner.stats.explore_evaluations += len(items)
         exploration.evaluations += len(items)
         exploration.log.extend((rung.name, c) for c in coords)
         return {i: ExplorationPoint(c, objectives.extract(v), rung.name,

@@ -9,9 +9,10 @@ dance; this module replaces that with three small pieces:
   axis name to value, e.g. ``kernel="vecadd", tlb_entries=16``) plus the
   :class:`~repro.exec.jobs.ExperimentJob` that evaluates it,
 * :class:`Sweep` — an ordered collection of points.  ``run()`` dispatches
-  every job through a :class:`~repro.exec.runner.SweepRunner` (parallel,
-  memoized) or a plain serial loop, and returns the outcomes keyed by
-  coordinates,
+  every job, with its coordinates, through one runner's ``map`` — the
+  caller's :class:`~repro.exec.runner.SweepRunner` (parallel, memoized, or
+  a fleet's :class:`~repro.dist.runner.DistributedRunner`) or a serial
+  ``SweepRunner(jobs=1)`` — and returns the outcomes keyed by coordinates,
 * :class:`Grid` — a cartesian-product builder: declare the axes once and a
   factory turning one coordinate assignment into a job.
 
@@ -23,7 +24,6 @@ kernel="vecadd")``) — no positional regrouping anywhere.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
@@ -90,51 +90,13 @@ class Sweep:
     def __len__(self) -> int:
         return len(self._points)
 
-    def _coords_kwargs(self, method: Callable[..., Any]) -> Dict[str, Any]:
-        """``coords=`` for runner methods that accept it (results-store
-        labeling); older or custom runners without the parameter get none."""
-        try:
-            parameters = inspect.signature(method).parameters
-        except (TypeError, ValueError):
-            return {}
-        if "coords" not in parameters:
-            return {}
-        return {"coords": [dict(p.coords) for p in self._points]}
-
     def run(self, runner: Optional[SweepRunner] = None) -> "SweepOutcomes":
         """Evaluate every point; serial and runner-backed results are identical."""
         runner = runner if runner is not None else SweepRunner(jobs=1, cache=None)
         results = runner.map(run_job, [p.job for p in self._points],
                              label=self.label or "sweep",
-                             **self._coords_kwargs(runner.map))
+                             coords=[dict(p.coords) for p in self._points])
         return SweepOutcomes(self._points, results)
-
-    def run_stream(self, runner: Optional[SweepRunner] = None
-                   ) -> Iterator[Tuple[Point, Any]]:
-        """Evaluate every point, yielding ``(point, outcome)`` incrementally.
-
-        With a streaming runner (one providing ``map_stream``, e.g. the
-        distributed runner) pairs arrive in completion order as the fleet
-        reports them; otherwise the whole sweep is evaluated first and then
-        yielded in declaration order.  Either way every point is yielded
-        exactly once, with the same outcomes ``run()`` would return —
-        ``SweepOutcomes(points, results)`` rebuilt from the collected pairs
-        equals ``run()``'s.
-        """
-        runner = runner if runner is not None else SweepRunner(jobs=1, cache=None)
-        label = self.label or "sweep"
-        jobs = [p.job for p in self._points]
-        stream = getattr(runner, "map_stream", None)
-        if stream is None:
-            for point, result in zip(
-                    self._points,
-                    runner.map(run_job, jobs, label=label,
-                               **self._coords_kwargs(runner.map))):
-                yield point, result
-            return
-        for position, result in stream(run_job, jobs, label=label,
-                                       **self._coords_kwargs(stream)):
-            yield self._points[position], result
 
 
 class Grid:

@@ -14,10 +14,11 @@ sweeps from serial loops into schedulable work:
   of work: one workload under one registered execution model
   (:mod:`repro.models`) with one harness configuration.
 
-The same seam scales past one machine: :mod:`repro.dist` provides a
-broker-backed :class:`~repro.dist.runner.DistributedRunner` (same ``map``
-contract, same keys) whose workers share one :class:`MemoCache` file as
-the fleet-wide memo store.
+There is one ``map`` path, :meth:`SweepRunner.map`, and it scales past one
+machine: :mod:`repro.dist` provides
+:class:`~repro.dist.runner.DistributedRunner`, a :class:`SweepRunner` whose
+distinct misses run on a broker fleet whose workers can share one
+:class:`MemoCache` file as the fleet-wide memo store.
 
 See the "Execution models & sweeps" section of the README for usage, and
 ``repro.cli`` for the ``--jobs`` / ``--no-cache`` / ``--cache-dir`` flags.

@@ -13,6 +13,13 @@ accelerations:
 * **timing**: per-sweep wall-clock is accumulated in an
   ``ExperimentMediator``-style ``timings`` dict for progress reporting.
 
+:meth:`SweepRunner.map` is the one path every runner takes: it keys the
+points, serves memo hits, evaluates each distinct miss once, fills the memo,
+records the results store and accounts hits, timings and progress.  Only
+where the misses run is a subclass's choice — the one hook
+:meth:`SweepRunner._evaluate` (the pool here; a broker fleet in
+:class:`~repro.dist.runner.DistributedRunner`).
+
 Results are returned in input order and are bit-identical to the serial
 path: every point builds its own seeded simulation, so evaluation order and
 placement (process vs subprocess) cannot influence the outcome.
@@ -31,8 +38,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 from ..models import UnknownModelError
 from .cache import MemoCache
 from .keys import stable_key
-
-_UNSET = object()
 
 #: Pool-infrastructure errors that degrade to the serial path instead of
 #: propagating as point failures (see :meth:`SweepRunner._evaluate`).
@@ -138,13 +143,14 @@ class SweepRunner:
             coords: Optional[Sequence[Dict[str, Any]]] = None) -> List[Any]:
         """Apply ``fn`` to every item; returns results in input order.
 
-        ``fn`` must be pure and deterministic.  With a cache attached,
-        duplicate items (within this call or remembered from earlier calls)
-        are evaluated once; with ``jobs > 1`` the remaining evaluations run
-        on a process pool when ``fn`` and the items can be pickled.
-        ``coords`` optionally labels each item with its sweep coordinates
-        (one mapping per item, as :meth:`Sweep.run` passes) — recorded into
-        the attached results store, ignored otherwise.
+        ``fn`` must be pure and deterministic.  Whenever the items are keyed
+        (a cache or results store is attached, or the runner addresses its
+        work by key), in-call duplicates are evaluated once and, with a
+        cache, points remembered from earlier calls are not evaluated at
+        all; the distinct misses go to :meth:`_evaluate`.  ``coords``
+        optionally labels each item with its sweep coordinates (one mapping
+        per item, as :meth:`Sweep.run` passes) — recorded into the attached
+        results store, ignored otherwise.
         """
         items = list(items)
         if coords is not None and len(coords) != len(items):
@@ -154,11 +160,19 @@ class SweepRunner:
         self.stats.points_submitted += len(items)
 
         keys = self._keys_for(fn, items)
-        if self.cache is None or keys is None:
-            results = self._evaluate(fn, items)
+        if keys is None:
+            results = self._evaluate(fn, items, None, label)
         else:
-            results = self._map_memoized(fn, items, keys)
-        self._record_results(keys, items, results, label, coords)
+            results = self._map_keyed(fn, items, keys, label)
+        if self.results is not None and keys is not None:
+            # Cache hits are recorded too: the store's (key, sha) dedup makes
+            # that idempotent, and a warm-cache run fills a fresh store.
+            for position, key in enumerate(keys):
+                self.results.record(
+                    key, results[position], experiment=label,
+                    coords=coords[position] if coords is not None else None,
+                    kernel=getattr(getattr(items[position], "workload", None),
+                                   "kernel", None))
 
         elapsed = time.perf_counter() - started
         self.timings[label] = self.timings.get(label, 0.0) + elapsed
@@ -168,66 +182,55 @@ class SweepRunner:
                           f"(jobs={self.jobs}, cumulative cache hits={hits})")
         return results
 
+    #: Key every point even with no cache or store attached (set by runners
+    #: whose work is addressed by key, like a broker fleet's jobs).
+    _always_keyed = False
+
     def _keys_for(self, fn: Callable[[Any], Any],
                   items: Sequence[Any]) -> Optional[List[str]]:
-        """Memo keys for every item, or ``None`` when unkeyable.
+        """Memo keys for every item, or ``None`` when unkeyed.
 
         Unkeyable inputs (local closures, exotic objects) evaluate directly
         and are never memoized or recorded — correctness first, both layers
-        are best-effort.  Computed once per ``map`` so the cache and the
-        results store agree on the address of every point.
+        are best-effort.  Computed once per ``map`` so the cache, the
+        results store and :meth:`_evaluate` agree on every point's address.
         """
-        if self.cache is None and self.results is None:
+        if (self.cache is None and self.results is None
+                and not self._always_keyed):
             return None
         try:
             return [stable_key(fn, item) for item in items]
         except TypeError:
             return None
 
-    def _record_results(self, keys: Optional[List[str]],
-                        items: Sequence[Any], results: Sequence[Any],
-                        label: str,
-                        coords: Optional[Sequence[Dict[str, Any]]]) -> None:
-        """Append every outcome of one ``map`` call to the results store.
-
-        Cache hits are recorded too: the store's (key, sha) dedup makes
-        that idempotent, and it lets a warm-cache run populate a fresh
-        store without re-simulating anything.
-        """
-        if self.results is None or keys is None:
-            return
-        for position, (key, value) in enumerate(zip(keys, results)):
-            item = items[position]
-            self.results.record(
-                key, value, experiment=label,
-                coords=coords[position] if coords is not None else None,
-                kernel=getattr(getattr(item, "workload", None),
-                               "kernel", None))
-
-    def _map_memoized(self, fn: Callable[[Any], Any],
-                      items: Sequence[Any],
-                      keys: Sequence[str]) -> List[Any]:
-        results: List[Any] = [_UNSET] * len(items)
+    def _map_keyed(self, fn: Callable[[Any], Any], items: Sequence[Any],
+                   keys: Sequence[str], label: str) -> List[Any]:
+        """Serve memo hits, evaluate each distinct miss once, fill the memo."""
+        results: List[Any] = [None] * len(items)
         pending: Dict[str, List[int]] = {}   # key -> positions needing it
         for position, key in enumerate(keys):
-            if key in self.cache:
+            if self.cache is not None and key in self.cache:
                 results[position] = self.cache.get(key)
                 self.stats.cache_hits += 1
             else:
                 pending.setdefault(key, []).append(position)
 
         fresh = self._evaluate(
-            fn, [items[positions[0]] for positions in pending.values()])
+            fn, [items[positions[0]] for positions in pending.values()],
+            list(pending), label)
         for (key, positions), value in zip(pending.items(), fresh):
-            self.cache.put(key, value)
+            if self.cache is not None:
+                self.cache.put(key, value)
             for position in positions:
                 results[position] = value
             self.stats.cache_hits += len(positions) - 1   # in-call duplicates
         return results
 
     # ------------------------------------------------------------- evaluate
-    def _evaluate(self, fn: Callable[[Any], Any],
-                  items: Sequence[Any]) -> List[Any]:
+    def _evaluate(self, fn: Callable[[Any], Any], items: Sequence[Any],
+                  keys: Optional[Sequence[str]], label: str) -> List[Any]:
+        """Evaluate distinct uncached items, in order: serially or on the
+        pool here; subclasses use ``keys`` and ``label`` to run them elsewhere."""
         self.stats.points_executed += len(items)
         if self.jobs <= 1 or len(items) <= 1 or not _picklable(fn, items):
             self.stats.serial_batches += 1

@@ -24,10 +24,12 @@ from ..sim.recorder import (KIND_COMPUTE, KIND_FENCE, KIND_MEM, KIND_SWITCH,
                             KIND_YIELD, RecordedStream, TraceRecorder)
 from .engine import OP_COMPUTE, OP_FENCE, OP_MEM, OP_SWITCH, OP_YIELD
 
-#: Cache capacity (programs; a default-scale program takes 0.4–15 MB).
-_CACHE_CAPACITY = 64
+#: Cache budget in total program ops: about 60 MB at the ~230 B/op that the
+#: nine default-scale suite programs average (183k ops, 42.5 MB by
+#: tracemalloc), so all nine stay cached together.
+_CACHE_OPS = 1 << 18
 
-#: stable_key -> program.  LRU-evicted at capacity (a hit moves to the end).
+#: stable_key -> program, least recently used first (a hit moves to the end).
 _programs: "OrderedDict[str, list]" = OrderedDict()
 
 #: Monotonic counters exposed for runner/bench reporting.
@@ -77,9 +79,11 @@ def _cached_program(key: str, build: Callable[[], list]) -> list:
         return program
     record_stats["records"] += 1
     program = build()
-    if len(_programs) >= _CACHE_CAPACITY:
-        _programs.popitem(last=False)
-    _programs[key] = program
+    if len(program) <= _CACHE_OPS:    # a longer one is returned uncached
+        held = sum(map(len, _programs.values()))
+        while held + len(program) > _CACHE_OPS:
+            held -= len(_programs.popitem(last=False)[1])
+        _programs[key] = program
     return program
 
 

@@ -348,6 +348,33 @@ def test_cli_sweep_status_and_results_over_http(server, client, capsys):
     assert record["coords"] == {"n": 3}
 
 
+def test_cli_submit_to_http_broker_opens_no_local_stores(server, tmp_path,
+                                                        capsys, monkeypatch):
+    """The server's stores apply: submit creates neither a memo file nor a
+    results store, and says the one it was given was not consulted."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"label": "http-submit", "models": ["svm"],
+                                "kernels": ["vecadd"], "scale": "tiny",
+                                "axes": {"tlb_entries": [8, 16]}}))
+    flags = tmp_path / "flags"
+    assert main(["sweep", "submit", "--broker", server.url,
+                 "--cache-dir", str(flags / "memo"),
+                 "--results-db", str(flags / "results.db"),
+                 str(spec), "--id-only"]) == 0
+    err = capsys.readouterr().err
+    assert "not consulted" in err
+    assert "`repro broker serve --results-db`" in err
+    assert not flags.exists()
+
+    env = tmp_path / "env"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(env / "memo"))
+    monkeypatch.setenv("REPRO_RESULTS_DB", str(env / "results.db"))
+    assert main(["sweep", "submit", "--broker", server.url, str(spec),
+                 "--id-only"]) == 0
+    assert "not consulted" in capsys.readouterr().err
+    assert not env.exists()
+
+
 def test_cli_accepts_sqlite_scheme_urls(tmp_path, capsys):
     db = tmp_path / "cli.db"
     broker = SQLiteBroker(db)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.dist import (DistributedJobError, DistributedRunner, SQLiteBroker)
 from repro.eval.harness import HarnessConfig
-from repro.eval.sweep import Grid, SweepOutcomes
+from repro.eval.sweep import Grid
 from repro.exec import ExperimentJob, MemoCache, SweepRunner, run_job
 from repro.workloads import workload
 
@@ -64,30 +64,47 @@ def test_sweep_api_accepts_distributed_runner(broker):
     assert distributed.axes() == serial.axes()
 
 
-def test_run_stream_yields_every_point_once(broker):
-    grid = Grid(kernel=("vecadd",), tlb_entries=(8, 16, 32))
-    build = lambda kernel, tlb_entries: ExperimentJob(  # noqa: E731
-        "svm", workload(kernel, scale="tiny"),
-        HarnessConfig(tlb_entries=tlb_entries))
-    sweep = grid.sweep(build, label="fig5")
-    expected = grid.sweep(build, label="fig5").run()
+def test_fleet_and_serial_runners_share_one_map_path(broker, tmp_path):
+    """In-call duplicates, memo hits and fresh misses, all with coords:
+    the same values, accounting and store rows from both runners."""
+    from repro.exec.keys import stable_key
+    from repro.store import ResultsStore
 
-    pairs = list(sweep.run_stream(DistributedRunner(broker,
-                                                    cache=MemoCache())))
-    assert len(pairs) == 3
-    rebuilt = SweepOutcomes([p for p, _ in pairs], [r for _, r in pairs])
-    for coords, outcome in expected.items():
-        assert rebuilt.get(**coords) == outcome
+    seeded, fresh, other, last = _fig5_jobs(entries=(8, 16, 32, 64),
+                                            kernels=("vecadd",))
+    items = [seeded, fresh, seeded, other, fresh, last]
+    coords = [{"slot": slot} for slot in range(len(items))]
+    seeded_value = run_job(seeded)
 
+    def seeded_memo():
+        memo = MemoCache()
+        memo.put(stable_key(run_job, seeded), seeded_value)
+        return memo
 
-def test_run_stream_works_with_plain_runner():
-    grid = Grid(kernel=("vecadd",), tlb_entries=(8, 16))
-    build = lambda kernel, tlb_entries: ExperimentJob(  # noqa: E731
-        "svm", workload(kernel, scale="tiny"),
-        HarnessConfig(tlb_entries=tlb_entries))
-    pairs = list(grid.sweep(build).run_stream(SweepRunner(jobs=1)))
-    expected = grid.sweep(build).run()
-    assert [r for _, r in pairs] == expected.outcomes()
+    runs = []
+    for name in ("serial", "fleet"):
+        # Empty stores, so the broker has nothing to adopt at enqueue.
+        store = ResultsStore(tmp_path / f"{name}.db", sha="feed" * 3)
+        runner = (SweepRunner(jobs=1, cache=seeded_memo(), results=store)
+                  if name == "serial" else
+                  DistributedRunner(broker, workers=0, drain=True,
+                                    cache=seeded_memo(), results=store))
+        values = runner.map(run_job, items, label="parity", coords=coords)
+        rows = [{k: v for k, v in row.items()
+                 if k not in ("created", "wall_seconds")}
+                for row in store.query(experiment="parity")]
+        runs.append((values, runner.stats, rows))
+    (serial, serial_stats, serial_rows), (fleet, fleet_stats, fleet_rows) = runs
+
+    assert fleet == serial
+    for field in ("points_submitted", "points_executed", "cache_hits",
+                  "failed_jobs", "tier_counts"):
+        assert getattr(fleet_stats, field) == getattr(serial_stats, field), field
+    assert fleet_rows == serial_rows
+    # Three distinct misses ran; two memo hits and one duplicate did not.
+    assert serial_stats.points_executed == 3
+    assert serial_stats.cache_hits == 3
+    assert [row["slot"] for row in serial_rows] == [0, 1, 3, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +220,10 @@ class _CrashStagingBroker(SQLiteBroker):
         super().__init__(path, lease_seconds=10.0, clock=clock)
         self._staging = False
 
-    def create_sweep(self, items, label="sweep", spec=None, memo=None):
+    def create_sweep(self, items, label="sweep", spec=None, memo=None,
+                     results=None):
         ticket = super().create_sweep(items, label=label, spec=spec,
-                                      memo=memo)
+                                      memo=memo, results=results)
         if not self._staging:
             self._staging = True
             try:
@@ -241,26 +259,37 @@ def test_crashed_worker_job_is_reexecuted_bit_identically(tmp_path):
     assert runner.stats.retries == 1
 
 
+class _KillOneWorkerBroker(SQLiteBroker):
+    """SIGKILLs one of the runner's two live workers inside the first
+    ``fetch_results`` that returns a result, so the sweep goes on with one."""
+
+    runner = None
+    killed = False
+
+    def fetch_results(self, sweep_id, positions=None, *, values=True):
+        jobs = super().fetch_results(sweep_id, positions, values=values)
+        if jobs and not self.killed:
+            live = [p for p in self.runner.worker_processes if p.is_alive()]
+            if len(live) == 2:
+                live[0].kill()
+                self.killed = True
+        return jobs
+
+
 def test_kill_one_of_two_workers_mid_sweep_stays_bit_identical(tmp_path):
     """The acceptance scenario: 2 real workers, one SIGKILLed mid-run."""
     jobs = _fig5_jobs(entries=(4, 8, 16, 32), kernels=("vecadd", "matmul"))
     serial = SweepRunner(jobs=1).map(run_job, jobs)
 
-    broker = SQLiteBroker(tmp_path / "fleet.db", lease_seconds=0.5)
+    broker = _KillOneWorkerBroker(tmp_path / "fleet.db", lease_seconds=0.5)
     runner = DistributedRunner(broker, workers=2,
                                cache=MemoCache(path=tmp_path / "cache"),
                                drain=True, lease_seconds=0.5,
                                timeout=120.0)
-    results = [None] * len(jobs)
-    stream = runner.map_stream(run_job, jobs)
-    position, value = next(stream)               # fleet is live
-    results[position] = value
-    victims = [p for p in runner.worker_processes if p.is_alive()]
-    if victims:                                  # kill one mid-sweep
-        victims[0].kill()
-    for position, value in stream:
-        results[position] = value
+    broker.runner = runner
+    results = runner.map(run_job, jobs)
     broker.close()
+    assert broker.killed
     assert results == serial
 
 

@@ -202,18 +202,3 @@ def test_outcomes_to_table_formats():
                                         columns=["tlb_entries", "tier"]))
     assert data == [{"tlb_entries": 4, "tier": data[0]["tier"]},
                     {"tlb_entries": 8, "tier": data[1]["tier"]}]
-
-
-def test_runner_without_coords_support_still_works():
-    """Sweeps probe the runner's map signature: a minimal custom runner
-    without the coords parameter keeps working unchanged."""
-
-    class MinimalRunner:
-        def map(self, fn, items, label=None):
-            return [fn(item) for item in items]
-
-    grid = Grid(tlb_entries=(4, 8))
-    outcomes = grid.sweep(lambda tlb_entries:
-                          _job(entries=tlb_entries)).run(MinimalRunner())
-    assert len(outcomes) == 2
-    assert all(o.total_cycles > 0 for _, o in outcomes.items())

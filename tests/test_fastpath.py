@@ -22,6 +22,7 @@ from repro.eval.harness import (HarnessConfig, _build_svm_system,
                                 run_multiprocess, run_svm)
 from repro.exec.jobs import ExperimentJob, run_job
 from repro.exec.runner import SweepRunner
+from repro.fastpath import record
 from repro.fastpath.engine import ReplayFault
 from repro.fastpath.record import clear_program_cache, record_stats
 from repro.fastpath.replay import (TierUnavailable, mp_replay_blockers,
@@ -118,6 +119,30 @@ class TestProgramCache:
                             lambda bound: drained.append(bound) or real(bound))
         assert run_multiprocess(mp, config, tier="replay").tier == "replay"
         assert drained == []
+
+    def test_budget_evicts_least_recently_used_programs(self, monkeypatch):
+        """The cache holds at most ``_CACHE_OPS`` ops in all: a miss evicts
+        the least recently used programs until it fits, and a program
+        longer than the whole budget is returned without being cached."""
+        monkeypatch.setattr(record, "_CACHE_OPS", 10)
+        clear_program_cache()
+        try:
+            def cache(key, ops):
+                return record._cached_program(key, lambda: [("op",)] * ops)
+
+            cache("a", 4)
+            cache("b", 4)
+            cache("a", 4)                   # a hit: "a" is now most recent
+            cache("c", 4)                   # 12 > 10: evicts "b"
+            assert list(record._programs) == ["a", "c"]
+            assert len(cache("huge", 11)) == 11
+            assert list(record._programs) == ["a", "c"]
+            cache("d", 6)                   # 14 > 10: evicts "a"
+            assert list(record._programs) == ["c", "d"]
+            cache("e", 10)                  # fills the budget alone
+            assert list(record._programs) == ["e"]
+        finally:
+            clear_program_cache()
 
 
 # ---------------------------------------------------------------------------
