@@ -91,11 +91,8 @@ class _BrokerAPI:
         spec = wire.get_field(params, "spec", (str,), required=False)
         # memo/results are the *server's*: the fleet-wide dedup stores are
         # configured at serve time, not shipped over the wire per request.
-        extra: Dict[str, Any] = {}
-        if self.results is not None:
-            extra["results"] = self.results
         ticket = self.broker.create_sweep(items, label=label, spec=spec,
-                                          memo=self.memo, **extra)
+                                          memo=self.memo, results=self.results)
         return {"ticket": wire.encode_ticket(ticket)}
 
     def claim(self, params: Dict[str, Any]) -> Dict[str, Any]:

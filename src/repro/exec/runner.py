@@ -231,6 +231,8 @@ class SweepRunner:
                   keys: Optional[Sequence[str]], label: str) -> List[Any]:
         """Evaluate distinct uncached items, in order: serially or on the
         pool here; subclasses use ``keys`` and ``label`` to run them elsewhere."""
+        if not items:
+            return []
         self.stats.points_executed += len(items)
         if self.jobs <= 1 or len(items) <= 1 or not _picklable(fn, items):
             self.stats.serial_batches += 1

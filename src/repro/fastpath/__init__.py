@@ -9,7 +9,9 @@ cycle accounting, the stride prefetcher, flush/context-switch semantics,
 demand-fault service through the real OS fault handlers, and adaptive
 scheduling through the real scheduler and telemetry bus, with event-graph
 fidelity — same schedule calls, same order, identical counters — at a
-fraction of the event tier's Python overhead.
+fraction of the event tier's Python overhead.  The engine reads its timing
+from the synthesized components' own configs, and one table sends its
+counters into those components' real stat groups.
 
 Tier selection lives in the harness (``run_svm(..., tier=...)``) and the
 experiment/CLI layers; this package only answers "can this run replay?"

@@ -11,11 +11,14 @@ Exactness is by construction, not by approximation: the engine mirrors every
 ``Simulator.schedule`` call the real components would make — same delays,
 same order within an event, same synchronous call chains — so the heap pops
 in the identical order and every counter, stall and completion cycle comes
-out identical to the event tier.  The set-associative ASID-tagged TLB state
-is kept in the *real* :class:`~repro.vm.tlb.TLB` object (handed in by the
-caller, pre-warmed by any host-side pinning touches), manipulated inline with
-the exact semantics of ``lookup``/``insert``/``flush``; page-table walks read
-the real :class:`~repro.vm.pagetable.PageTable` nodes.
+out identical to the event tier.  It reads its timing from the real
+components' configs (thread, memif, MMU, TLB, walker, bus, DRAM), and one
+table (:data:`_STATS`) sends each counter it keeps in a local into the real
+component's stat group.  The set-associative ASID-tagged TLB state is kept
+in the *real* :class:`~repro.vm.tlb.TLB` object (pre-warmed by any
+host-side pinning touches), manipulated inline with the exact semantics of
+``lookup``/``insert``/``flush``; page-table walks read the real
+:class:`~repro.vm.pagetable.PageTable` nodes.
 
 Demand faults (a walk that finds the page not present) are serviced the way
 ``MMU._fault`` and the OS's ``DemandPagingHandler`` service them: interrupt
@@ -27,16 +30,16 @@ page, a service that fails, a full handler queue, exhausted retries) raise
 :class:`ReplayFault`, and the caller falls back to the event tier.
 
 A program may also be fed in pieces: when it runs out at a fence-drained
-instant, ``ReplayContext.refill`` is handed the counters so far and returns
-the next ops.  Adaptive scheduling uses this to let the real scheduler pick
-each slice from the real telemetry.
+instant, the counters so far go into the stat groups and
+``ReplayContext.refill`` returns the next ops.  Adaptive scheduling uses
+this to let the real scheduler pick each slice from the real telemetry.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..sim.engine import SimulationError
@@ -87,75 +90,34 @@ class ReplaySpace:
 
 
 @dataclass
-class _Acc:
-    """Mirror of :class:`repro.sim.stats.Accumulator` content."""
-
-    count: int = 0
-    total: int = 0
-    minimum: Optional[int] = None
-    maximum: Optional[int] = None
-
-    def add(self, sample: int) -> None:
-        self.count += 1
-        self.total += sample
-        if self.minimum is None or sample < self.minimum:
-            self.minimum = sample
-        if self.maximum is None or sample > self.maximum:
-            self.maximum = sample
-
-
-@dataclass
 class ReplayContext:
-    """Everything the engine needs about the synthesized system."""
+    """What the engine replays against.
 
-    spaces: List[ReplaySpace]
-    tlb: object                   # real repro.vm.tlb.TLB (possibly pre-warmed)
-    # Thread / memif timing.
-    max_outstanding: int
-    start_latency: int
-    issue_latency: int
-    # MMU / walker timing.
-    hit_latency: int
-    prefetch_depth: int
-    per_level_overhead: int
-    # Bus.
-    bus_width_bytes: int
-    address_phase_cycles: int
-    bus_max_inflight: int
-    walker_master: int            # bus master index of the walker port
-    memif_master: int             # bus master index of the thread's memif port
-    # DRAM.
-    dram_num_banks: int
-    dram_row_bytes: int
-    dram_row_hit: int
-    dram_row_miss: int
-    dram_controller: int
-    dram_bytes_per_cycle: int
-    dram_write_penalty: int
+    The engine reads its timing from ``synth``'s and ``platform``'s own
+    component configs, takes ``platform.sim.now`` at launch as micro-time 0,
+    and adds its counters into their stat groups.
+    """
+
+    synth: object                 # real repro.core.synthesis.SynthesizedThread
+    platform: object              # real repro.core.platform.Platform
+    spaces: List[ReplaySpace]     # by OP_SWITCH index; the run starts in [0]
     # Context switching (multi-process programs only).
     flush_on_switch: bool = False
     #: Returns the switch stall in cycles; the caller wires this to the real
     #: ``HostKernel.cost_context_switch`` so software overhead is charged
     #: identically to the event tier.
     on_switch_cost: Optional[Callable[[], int]] = None
-    max_cycles: Optional[int] = None
-    initial_space: int = 0
-    #: ``MMUConfig.max_fault_retries``: faults one translation may take.
-    max_fault_retries: int = 3
-    #: ``PageFault.thread`` of this thread's faults (its memif's name).
-    fault_thread: str = "?"
-    #: Simulator cycle of micro-time 0: fault records and ``refill`` see
-    #: absolute time.
-    clock_base: int = 0
-    #: Called when the program runs out at a fence-drained instant, with the
-    #: counters so far and the absolute cycle; returns the next program ops
-    #: (empty: the kernel is done).  None: the program is the whole kernel.
-    refill: Optional[Callable[["ReplayOutput", int], List[tuple]]] = None
+    #: Called with the absolute cycle when the program runs out at a
+    #: fence-drained instant, after the counters so far are in the stat
+    #: groups; returns the next program ops (empty: the kernel is done).
+    #: None: the program is the whole kernel.
+    refill: Optional[Callable[[int], List[tuple]]] = None
 
 
 @dataclass
 class ReplayOutput:
-    """Counters and timing of one replayed fabric execution.
+    """Timing of one replayed fabric execution (its counters are already in
+    the stat groups).
 
     All cycle values are relative to the fabric launch (micro-time 0).
     ``finish`` is the thread-completion cycle; ``last_cycle`` is the final
@@ -165,104 +127,96 @@ class ReplayOutput:
     finish: int
     last_cycle: int
     events: int
-    # mmu.*
-    translations: int = 0
-    tlb_hits: int = 0
-    tlb_misses: int = 0
-    tlb_refills: int = 0
-    prefetch_hits: int = 0
-    prefetches_issued: int = 0
-    prefetches_dropped: int = 0
-    prefetch_fills: int = 0
-    context_switches: int = 0
-    mmu_flushes: int = 0
-    faults: int = 0               # all not_present (nothing else is modelled)
-    miss_latency: _Acc = field(default_factory=_Acc)
-    fault_service_latency: _Acc = field(default_factory=_Acc)
-    # ptw.*
-    walks_requested: int = 0
-    levels_fetched: int = 0
-    walks_completed: int = 0
-    walks_faulted: int = 0
-    walk_cycles: int = 0
-    queue_wait: _Acc = field(default_factory=_Acc)
-    walk_latency: _Acc = field(default_factory=_Acc)
-    # thread / memif
-    compute_cycles: int = 0
-    mem_ops: int = 0
-    mem_bytes: int = 0
-    stall_cycles: _Acc = field(default_factory=_Acc)
-    memif_ops: int = 0
-    memif_bytes: int = 0
-    transactions: int = 0
-    # bus / dram
-    bus_requests: int = 0
-    bus_busy_cycles: int = 0
-    bus_requests_walker: int = 0
-    bus_requests_memif: int = 0
-    bus_contended_grants: int = 0
-    bus_queue_wait: _Acc = field(default_factory=_Acc)
-    bus_latency_walker: _Acc = field(default_factory=_Acc)
-    bus_latency_memif: _Acc = field(default_factory=_Acc)
-    dram_latency: _Acc = field(default_factory=_Acc)
-    dram_row_hits: int = 0
-    dram_row_misses: int = 0
-    dram_reads: int = 0
-    dram_writes: int = 0
-    dram_bytes_read: int = 0
-    dram_bytes_written: int = 0
 
 
 _HUGE = 1 << 62
 
+#: Where the loop's statistics go: ``(local, component, stat)``, one row per
+#: stat a local feeds, in the order the stats are first created.  A ``c_``
+#: local is a counter; any other local is the prefix of an accumulator quad
+#: (``<prefix>_cnt``, ``_tot``, ``_min``, ``_max``).  ``{walker}`` and
+#: ``{memif}`` are the bus port names of the thread's walker and memif.
+_STATS = (
+    ("c_compute", "thread", "compute_cycles"),
+    ("c_mem_ops", "thread", "mem_ops"),
+    ("c_mem_bytes", "thread", "mem_bytes"),
+    ("st", "thread", "stall_cycles"),
+    ("c_memif_ops", "memif", "ops"),
+    ("c_memif_bytes", "memif", "bytes"),
+    ("c_transactions", "memif", "transactions"),
+    ("c_translations", "mmu", "translations"),
+    ("c_mmu_hits", "mmu", "tlb_hits"),
+    ("c_mmu_misses", "mmu", "tlb_misses"),
+    ("c_refills", "mmu", "tlb_refills"),
+    ("c_pf_hits", "mmu", "prefetch_hits"),
+    ("c_pf_issued", "mmu", "prefetches_issued"),
+    ("c_pf_dropped", "mmu", "prefetches_dropped"),
+    ("c_pf_fills", "mmu", "prefetch_fills"),
+    ("c_switches", "mmu", "context_switches"),
+    ("c_flushes", "mmu", "flushes"),
+    ("c_faults", "mmu", "faults"),
+    ("c_faults", "mmu", "faults.not_present"),   # nothing else is modelled
+    ("ml", "mmu", "miss_latency"),
+    ("fs", "mmu", "fault_service_latency"),
+    ("c_walks_req", "walker", "walks_requested"),
+    ("c_levels", "walker", "levels_fetched"),
+    ("c_walks_done", "walker", "walks_completed"),
+    ("c_walks_faulted", "walker", "walks_faulted"),
+    ("c_walk_cycles", "walker", "walk_cycles"),
+    ("wq", "walker", "queue_wait"),
+    ("wl", "walker", "walk_latency"),
+    ("c_bus_requests", "bus", "requests"),
+    ("c_busy", "bus", "busy_cycles"),
+    ("c_contended", "bus", "contended_grants"),
+    ("c_breq_w", "bus", "requests_from.{walker}"),
+    ("c_breq_m", "bus", "requests_from.{memif}"),
+    ("qw", "bus", "queue_wait"),
+    ("blw", "bus", "latency_for.{walker}"),
+    ("blm", "bus", "latency_for.{memif}"),
+    ("c_reads", "dram", "requests"),
+    ("c_writes", "dram", "requests"),
+    ("c_row_hits", "dram", "row_hits"),
+    ("c_row_misses", "dram", "row_misses"),
+    ("c_reads", "dram", "reads"),
+    ("c_writes", "dram", "writes"),
+    ("c_bytes_r", "dram", "bytes_read"),
+    ("c_bytes_w", "dram", "bytes_written"),
+    ("dl", "dram", "latency"),
+)
 
-def _make_acc(count: int, total: int, minimum: int, maximum: int) -> _Acc:
-    """Freeze a localized (count, total, min, max) quad into an :class:`_Acc`."""
-    acc = _Acc()
-    if count:
-        acc.count = count
-        acc.total = total
-        acc.minimum = minimum
-        acc.maximum = maximum
-    return acc
+#: The locals a fold diffs: each counter, and each quad's count and total
+#: (a quad's minimum and maximum merge as they stand).
+_DIFFED = tuple(dict.fromkeys(
+    name for local, _, _ in _STATS
+    for name in ((local,) if local.startswith("c_")
+                 else (local + "_cnt", local + "_tot"))))
 
 
-#: ``ReplayOutput`` counters and the :func:`replay_fabric` locals holding
-#: them while the loop runs.
-_COUNTER_LOCALS = (
-    ("translations", "c_translations"), ("tlb_hits", "c_mmu_hits"),
-    ("tlb_misses", "c_mmu_misses"), ("tlb_refills", "c_refills"),
-    ("transactions", "c_transactions"), ("mem_ops", "c_mem_ops"),
-    ("mem_bytes", "c_mem_bytes"), ("memif_ops", "c_memif_ops"),
-    ("memif_bytes", "c_memif_bytes"), ("compute_cycles", "c_compute"),
-    ("bus_requests", "c_bus_requests"), ("bus_requests_walker", "c_breq_w"),
-    ("bus_requests_memif", "c_breq_m"), ("bus_busy_cycles", "c_busy"),
-    ("bus_contended_grants", "c_contended"), ("dram_row_hits", "c_row_hits"),
-    ("dram_row_misses", "c_row_misses"), ("dram_reads", "c_reads"),
-    ("dram_writes", "c_writes"), ("dram_bytes_read", "c_bytes_r"),
-    ("dram_bytes_written", "c_bytes_w"), ("walks_requested", "c_walks_req"),
-    ("levels_fetched", "c_levels"), ("walks_completed", "c_walks_done"),
-    ("walks_faulted", "c_walks_faulted"), ("walk_cycles", "c_walk_cycles"))
+def _fold(sinks: list, names: Dict[str, int], folded: Dict[str, int]) -> None:
+    """Add what the loop counted since the last fold into the stat groups.
 
-#: ``ReplayOutput`` accumulators and the prefix of their localized quad
-#: (``<prefix>_cnt``, ``_tot``, ``_min``, ``_max``).
-_ACC_LOCALS = (
-    ("bus_queue_wait", "qw"), ("bus_latency_walker", "blw"),
-    ("bus_latency_memif", "blm"), ("dram_latency", "dl"),
-    ("stall_cycles", "st"), ("queue_wait", "wq"), ("walk_latency", "wl"),
-    ("miss_latency", "ml"), ("fault_service_latency", "fs"))
-
-
-def _fold_counters(out: ReplayOutput, names: Dict[str, object]) -> None:
-    """Write the loop's localized counters (``names``: its ``locals()``)
-    into ``out``; the hot loop keeps them in locals, not on ``out``."""
-    for name, local in _COUNTER_LOCALS:
-        setattr(out, name, names[local])
-    for name, prefix in _ACC_LOCALS:
-        setattr(out, name, _make_acc(names[prefix + "_cnt"],
-                                     names[prefix + "_tot"],
-                                     names[prefix + "_min"],
-                                     names[prefix + "_max"]))
+    ``sinks`` is :data:`_STATS` with real groups and stat names, ``names``
+    the loop's ``locals()`` and ``folded`` the diffed locals' values at the
+    last fold, updated here.  Each local's change is taken once, before any
+    stat takes it, since one local may feed two stats.  A stat is created
+    only once it is non-zero, as the event tier creates it on first use.
+    """
+    delta = {name: names[name] - folded[name] for name in _DIFFED}
+    for name in _DIFFED:
+        folded[name] = names[name]
+    for local, group, stat in sinks:
+        if local.startswith("c_"):
+            if delta[local]:
+                group.counter(stat).inc(delta[local])
+        elif delta[local + "_cnt"]:
+            acc = group.accumulator(stat)
+            acc.count += delta[local + "_cnt"]
+            acc.total += delta[local + "_tot"]
+            low, high = names[local + "_min"], names[local + "_max"]
+            if acc.minimum is None or low < acc.minimum:
+                acc.minimum = low
+            if acc.maximum is None or high > acc.maximum:
+                acc.maximum = high
 
 
 def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
@@ -271,13 +225,20 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     The heavy lifting is one ``while heap`` loop over integer-coded events.
     Mutable scalars live in enclosing-scope cells; the hot TLB probe/refill
     path is inlined against the real TLB's set structures with semantics
-    identical to ``TLB.lookup``/``TLB.insert``.  Hot counters accumulate in
-    plain locals and are written back to ``out`` at the end (and before each
-    ``ctx.refill``); the per-chunk hit path (probe → translated → bus →
+    identical to ``TLB.lookup``/``TLB.insert``.  Counters accumulate in
+    plain locals and are added into the stat groups at the end (and before
+    each ``ctx.refill``); the per-chunk hit path (probe → translated → bus →
     DRAM → completion) runs entirely inside the dispatch branches without a
     single helper call.
     """
-    out = ReplayOutput(finish=-1, last_cycle=0, events=0)
+    synth = ctx.synth
+    platform = ctx.platform
+    mmu = synth.mmu
+    walker = synth.walker
+    memif = synth.memif
+    thread_cfg = synth.spec.thread_config()
+    bus_cfg = platform.bus.config
+    dram_cfg = platform.dram.config
 
     for sp in ctx.spaces:
         if sp.page_size <= 0 or sp.page_size & (sp.page_size - 1):
@@ -290,7 +251,11 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     pop = heapq.heappop
     seq = 0
     now = 0
-    limit = ctx.max_cycles if ctx.max_cycles is not None else _HUGE
+    # The simulator's cycle at launch is micro-time 0; fault records,
+    # ``refill`` and the cycle limit see absolute time.
+    clock_base = platform.sim.now
+    max_cycles = platform.config.max_cycles
+    limit = _HUGE if max_cycles is None else max_cycles - clock_base
 
     # ----- thread state -------------------------------------------------
     pc = 0
@@ -304,13 +269,12 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     stall_started = 0
     exhausted = False
     finish = -1
-    max_outstanding = ctx.max_outstanding
-    issue_latency = ctx.issue_latency
-    hit_latency = ctx.hit_latency
+    max_outstanding = thread_cfg.max_outstanding
+    issue_latency = memif.config.issue_latency
 
     # ----- per-space translation state ---------------------------------
     spaces = ctx.spaces
-    space = spaces[ctx.initial_space]
+    space = spaces[0]
     cur_asid = space.asid
     cur_table = space.page_table
     cur_page_size = space.page_size
@@ -321,8 +285,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     cur_levels = space.expected_levels
 
     # ----- TLB state, inlined against the real object -------------------
-    tlb = ctx.tlb
+    tlb = mmu.tlb
     tlb_cfg = tlb.config
+    hit_latency = tlb_cfg.hit_latency
     tlb_sets = tlb._sets
     num_sets = tlb_cfg.num_sets
     ways = tlb_cfg.ways
@@ -336,7 +301,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     from ..vm.tlb import TLBEntry
 
     # ----- prefetcher state (mirrors MMU) -------------------------------
-    prefetch_depth = ctx.prefetch_depth
+    prefetch_depth = mmu.config.prefetch_depth
     recent_misses: deque = deque(maxlen=8)
     prefetch_score = 16               # MMU.PREFETCH_SCORE_INIT
     prefetches_inflight: set = set()
@@ -344,7 +309,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     # ----- walker state -------------------------------------------------
     walk_queue: deque = deque()
     walker_busy = False
-    per_level_overhead = ctx.per_level_overhead
+    per_level_overhead = walker.config.per_level_overhead
     # Fault service changes PTEs in place (``set_present`` keeps the entry
     # object) and never adds table nodes, so per-vpn walk addresses and leaf
     # PTEs memoize.
@@ -353,39 +318,38 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     _missing = object()
 
     # ----- bus state ----------------------------------------------------
-    walker_master = ctx.walker_master
-    memif_master = ctx.memif_master
+    walker_master = walker.port.index
+    memif_master = memif.bus_port.index
     bus_queue_w: deque = deque()      # walker-port queue
     bus_queue_m: deque = deque()      # memif-port queue
     inflight_w = 0
     inflight_m = 0
     bus_busy = False
     bus_last = -1                     # RoundRobinArbiter._last_granted
-    bus_max_inflight = ctx.bus_max_inflight
-    bus_width = ctx.bus_width_bytes
-    addr_phase = ctx.address_phase_cycles
+    bus_max_inflight = bus_cfg.max_outstanding_per_master
+    bus_width = bus_cfg.bus_width_bytes
+    addr_phase = bus_cfg.address_phase_cycles
 
     # ----- fault service state (mirrors MMU._fault + DemandPagingHandler) -
-    max_retries = ctx.max_fault_retries
-    fault_thread = ctx.fault_thread
-    clock_base = ctx.clock_base
+    max_retries = mmu.config.max_fault_retries
+    fault_thread = memif.thread_name
     #: handler -> [queue of (fault, walk request, fault start), busy flag]
     handlers: Dict[object, list] = {}
 
     # ----- DRAM state ---------------------------------------------------
-    num_banks = ctx.dram_num_banks
-    row_bytes = ctx.dram_row_bytes
+    num_banks = dram_cfg.num_banks
+    row_bytes = dram_cfg.row_bytes
     row_span = row_bytes * num_banks
-    row_hit_lat = ctx.dram_row_hit
-    row_miss_lat = ctx.dram_row_miss
-    controller = ctx.dram_controller
-    dram_bpc = ctx.dram_bytes_per_cycle
-    write_penalty = ctx.dram_write_penalty
+    row_hit_lat = dram_cfg.row_hit_latency
+    row_miss_lat = dram_cfg.row_miss_latency
+    controller = dram_cfg.controller_latency
+    dram_bpc = dram_cfg.data_bus_bytes_per_cycle
+    write_penalty = dram_cfg.write_latency_penalty
     open_rows: List[Optional[int]] = [None] * num_banks
     bank_free = [0] * num_banks
     data_bus_free = 0
 
-    # ----- localized hot counters (written back to ``out`` at the end) --
+    # ----- counters, kept in locals until a fold adds them to the groups --
     c_translations = 0
     c_mmu_hits = 0
     c_mmu_misses = 0
@@ -412,6 +376,13 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     c_walks_done = 0
     c_walks_faulted = 0
     c_walk_cycles = 0
+    c_pf_hits = 0
+    c_pf_issued = 0
+    c_pf_dropped = 0
+    c_pf_fills = 0
+    c_switches = 0
+    c_flushes = 0
+    c_faults = 0
     # Accumulator quads: (count, total, min, max).
     qw_cnt = qw_tot = 0; qw_min = _HUGE; qw_max = -1     # bus queue wait
     blw_cnt = blw_tot = 0; blw_min = _HUGE; blw_max = -1  # bus latency (walker)
@@ -422,6 +393,14 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     wl_cnt = wl_tot = 0; wl_min = _HUGE; wl_max = -1      # walk latency
     ml_cnt = ml_tot = 0; ml_min = _HUGE; ml_max = -1      # mmu miss latency
     fs_cnt = fs_tot = 0; fs_min = _HUGE; fs_max = -1      # fault service
+    stats = platform.sim.stats
+    groups = {"thread": stats.group(synth.spec.name), "memif": memif.stats,
+              "mmu": mmu.stats, "walker": walker.stats,
+              "bus": platform.bus.stats, "dram": platform.dram.stats}
+    ports = {"walker": walker.port.name, "memif": memif.bus_port.name}
+    sinks = [(local, groups[component], stat.format(**ports))
+             for local, component, stat in _STATS]
+    folded = dict.fromkeys(_DIFFED, 0)
 
     # ------------------------------------------------------------- helpers
     def bus_grant() -> None:
@@ -517,7 +496,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     def walk_finish(request: tuple, addresses: list, started_at: int) -> None:
         nonlocal tick, tlb_evictions, seq, c_walks_done, c_walks_faulted
-        nonlocal c_walk_cycles, c_refills, c_transactions
+        nonlocal c_walk_cycles, c_refills, c_transactions, c_pf_dropped
+        nonlocal c_pf_fills
         nonlocal wl_cnt, wl_tot, wl_min, wl_max, ml_cnt, ml_tot, ml_min, ml_max
         req_space = request[2]
         vpn = request[1]
@@ -596,7 +576,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             key, stride = request[3]
             prefetches_inflight.discard(key)
             if entry is None or not entry.present:
-                out.prefetches_dropped += 1
+                c_pf_dropped += 1
             else:
                 entry.accessed = True
                 # TLB.insert(prefetched=True) + stride tag, inlined.
@@ -625,7 +605,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                                          prefetched=True)
                     installed.prefetch_stride = stride
                     tlb_set[key] = installed
-                out.prefetch_fills += 1
+                c_pf_fills += 1
         walker_start_next()
 
     def lend_tlb() -> None:
@@ -645,7 +625,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     def fault(request: tuple, entry) -> None:
         """Mirror of ``MMU._fault`` + ``DemandPagingHandler.handle_fault``."""
-        nonlocal seq
+        nonlocal seq, c_faults
         vpn = request[1]
         if entry is None or entry.present:
             raise ReplayFault(
@@ -654,7 +634,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 "services only not-present demand faults — run this "
                 "workload on the event tier")
         payload = request[3]          # (offset, size, is_write, chunks, i)
-        out.faults += 1
+        c_faults += 1
         record = PageFault(vaddr=payload[3][payload[4]][0],
                            access=(AccessType.WRITE if payload[2]
                                    else AccessType.READ),
@@ -724,7 +704,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         seq += 1
 
     def maybe_prefetch(vpn: int, stride: int) -> None:
-        nonlocal prefetch_score
+        nonlocal prefetch_score, c_pf_issued
         if prefetch_depth <= 0 or prefetch_score < 8:   # SCORE_GATE
             return
         table = cur_table
@@ -740,7 +720,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 continue
             prefetches_inflight.add(key)
             prefetch_score -= 1
-            out.prefetches_issued += 1
+            c_pf_issued += 1
             walker_walk((_REQ_WALK, target, space_now, (key, stride), 0, now))
 
     def translate(vaddr: int, size: int, is_write: bool, chunks: list,
@@ -753,7 +733,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         semantically identical.
         """
         nonlocal tick, tlb_hits, tlb_misses, prefetch_score, seq
-        nonlocal c_translations, c_mmu_hits, c_mmu_misses
+        nonlocal c_translations, c_mmu_hits, c_mmu_misses, c_pf_hits
         vpn = vaddr >> cur_shift
         c_translations += 1
         # TLB.lookup, inlined.
@@ -772,7 +752,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             c_mmu_hits += 1
             if entry.prefetched:
                 entry.prefetched = False
-                out.prefetch_hits += 1
+                c_pf_hits += 1
                 prefetch_score = min(31, prefetch_score + 4)  # MAX, HIT_BONUS
                 maybe_prefetch(vpn, entry.prefetch_stride)
             push(heap, (now + hit_latency, seq, 1,            # TRANSLATED
@@ -796,7 +776,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         maybe_prefetch(vpn, stride)
 
     # ------------------------------------------------------------ main loop
-    push(heap, (ctx.start_latency, seq, 0, None))             # ADVANCE
+    push(heap, (thread_cfg.start_latency, seq, 0, None))      # ADVANCE
     seq += 1
 
     events = 0
@@ -804,8 +784,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         now_, _, code, payload = pop(heap)
         if now_ > limit:
             raise SimulationError(
-                f"simulation exceeded max_cycles={ctx.max_cycles} "
-                f"(next event at {now_})")
+                f"simulation exceeded max_cycles={max_cycles} "
+                f"(next event at {clock_base + now_})")
         now = now_
         events += 1
 
@@ -1080,9 +1060,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 if pc >= nops:
                     if refill is not None:
                         # Out of program at a fence-drained instant: the
-                        # counters so far go out, the next ops come back.
-                        _fold_counters(out, locals())
-                        program = refill(out, clock_base + now)
+                        # counters so far go into the stat groups, the next
+                        # ops come back.
+                        _fold(sinks, locals(), folded)
+                        program = refill(clock_base + now)
                         pc = 0
                         nops = len(program)
                         if nops:
@@ -1165,7 +1146,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     for tlb_set in tlb_sets:
                         tlb_set.clear()
                     tlb.flushes += 1
-                    out.mmu_flushes += 1
+                    c_flushes += 1
                 cur_asid = space.asid
                 cur_table = space.page_table
                 cur_page_size = space.page_size
@@ -1176,7 +1157,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 cur_levels = space.expected_levels
                 recent_misses.clear()
                 prefetch_score = 16
-                out.context_switches += 1
+                c_switches += 1
                 stall = ctx.on_switch_cost() if ctx.on_switch_cost else 0
                 if stall > 0:
                     c_compute += stall
@@ -1246,9 +1227,5 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             f"(outstanding={outstanding}, pc={pc}/{nops})")
 
     lend_tlb()
-    _fold_counters(out, locals())
-
-    out.finish = finish
-    out.last_cycle = now
-    out.events = events
-    return out
+    _fold(sinks, locals(), folded)
+    return ReplayOutput(finish=finish, last_cycle=now, events=events)

@@ -6,15 +6,17 @@
 every software-side cost (thread create, pinning, host TLB touches, context
 switches, join) through the real components, and replace only the fabric
 event loop with :func:`repro.fastpath.engine.replay_fabric` driven by a
-cached replay program.  The engine's counters are written back into the real
-statistic groups, so ``platform.snapshot()`` and the harness aggregation are
-reused unchanged and the returned :class:`~repro.eval.harness.SVMResult` is
-exactly what the event tier would have produced.
+cached replay program.  The engine reads its timing from the synthesized
+thread's and the platform's own configs and adds its counters into their
+real statistic groups, so ``platform.snapshot()`` and the harness
+aggregation are reused unchanged and the returned
+:class:`~repro.eval.harness.SVMResult` is exactly what the event tier would
+have produced.
 
 Demand faults are serviced inside the replay through each space's real
 fault handler, and adaptive policies run through the real epoch-driven
 kernel and :class:`~repro.os.telemetry.TelemetryBus`: the engine hands the
-kernel each slice boundary (:class:`_SliceFeed`) after writing its counters
+kernel each slice boundary (:class:`_SliceFeed`) after adding its counters
 into the real statistic groups, so the bus reads the same registry the
 event tier's bus reads.
 
@@ -27,14 +29,12 @@ fault the engine does not model raises
 
 from __future__ import annotations
 
-import copy
-from dataclasses import fields
 from functools import partial
 from typing import Callable, List, Optional
 
 from ..sim.process import Compute, Fence
 from .engine import (OP_COMPUTE, OP_FENCE, OP_SWITCH, ReplayContext,
-                     ReplayOutput, ReplaySpace, _Acc, replay_fabric)
+                     ReplaySpace, replay_fabric)
 from .record import program_for_plan, program_for_workload
 
 __all__ = ["TierUnavailable", "svm_replay_blockers", "mp_replay_blockers",
@@ -68,117 +68,6 @@ def mp_replay_blockers(mp, config) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Stats write-back
-# ---------------------------------------------------------------------------
-def _merge_acc(group, name: str, acc) -> None:
-    if acc.count == 0:
-        # The event tier only creates an accumulator on its first sample;
-        # keep the snapshot keys identical.
-        return
-    real = group.accumulator(name)
-    real.count += acc.count
-    real.total += acc.total
-    if acc.minimum is not None:
-        if real.minimum is None or acc.minimum < real.minimum:
-            real.minimum = acc.minimum
-    if acc.maximum is not None:
-        if real.maximum is None or acc.maximum > real.maximum:
-            real.maximum = acc.maximum
-
-
-def _inc(group, name: str, amount: int) -> None:
-    if amount:
-        # Counters appear in the event tier's snapshot only once incremented;
-        # skip zeros so both tiers export the same keys.
-        group.counter(name).inc(amount)
-
-
-def _output_delta(out: ReplayOutput, prev: ReplayOutput) -> ReplayOutput:
-    """What ``out`` counted since ``prev``, an earlier copy of it.
-
-    Accumulators keep ``out``'s minimum and maximum: merging them again
-    changes nothing, so only counts and totals need the difference.
-    """
-    delta = copy.copy(out)
-    for item in fields(ReplayOutput):
-        now, then = getattr(out, item.name), getattr(prev, item.name)
-        if isinstance(now, _Acc):
-            setattr(delta, item.name, _Acc(now.count - then.count,
-                                           now.total - then.total,
-                                           now.minimum, now.maximum))
-        else:
-            setattr(delta, item.name, now - then)
-    return delta
-
-
-def _export_counters(platform, synth, thread_name: str, out) -> None:
-    """Add the engine's counters into the real component stat groups.
-
-    After the last call, ``platform.snapshot()`` reports the run exactly as
-    an event-tier execution would have.
-    """
-    stats = platform.sim.stats
-
-    thread = stats.group(thread_name)
-    _inc(thread, "compute_cycles", out.compute_cycles)
-    _inc(thread, "mem_ops", out.mem_ops)
-    _inc(thread, "mem_bytes", out.mem_bytes)
-    _merge_acc(thread, "stall_cycles", out.stall_cycles)
-
-    memif = synth.memif.stats
-    _inc(memif, "ops", out.memif_ops)
-    _inc(memif, "bytes", out.memif_bytes)
-    _inc(memif, "transactions", out.transactions)
-
-    mmu = synth.mmu.stats
-    _inc(mmu, "translations", out.translations)
-    _inc(mmu, "tlb_hits", out.tlb_hits)
-    _inc(mmu, "tlb_misses", out.tlb_misses)
-    _inc(mmu, "tlb_refills", out.tlb_refills)
-    _inc(mmu, "prefetch_hits", out.prefetch_hits)
-    _inc(mmu, "prefetches_issued", out.prefetches_issued)
-    _inc(mmu, "prefetches_dropped", out.prefetches_dropped)
-    _inc(mmu, "prefetch_fills", out.prefetch_fills)
-    _inc(mmu, "context_switches", out.context_switches)
-    _inc(mmu, "flushes", out.mmu_flushes)
-    _inc(mmu, "faults", out.faults)
-    _inc(mmu, "faults.not_present", out.faults)
-    _merge_acc(mmu, "miss_latency", out.miss_latency)
-    _merge_acc(mmu, "fault_service_latency", out.fault_service_latency)
-
-    walker = synth.walker.stats
-    _inc(walker, "walks_requested", out.walks_requested)
-    _inc(walker, "levels_fetched", out.levels_fetched)
-    _inc(walker, "walks_completed", out.walks_completed)
-    _inc(walker, "walks_faulted", out.walks_faulted)
-    _inc(walker, "walk_cycles", out.walk_cycles)
-    _merge_acc(walker, "queue_wait", out.queue_wait)
-    _merge_acc(walker, "walk_latency", out.walk_latency)
-
-    bus = platform.bus.stats
-    _inc(bus, "requests", out.bus_requests)
-    _inc(bus, "busy_cycles", out.bus_busy_cycles)
-    _inc(bus, "contended_grants", out.bus_contended_grants)
-    walker_port = synth.walker.port.name
-    memif_port = synth.memif.bus_port.name
-    _inc(bus, f"requests_from.{walker_port}", out.bus_requests_walker)
-    _inc(bus, f"requests_from.{memif_port}", out.bus_requests_memif)
-    _merge_acc(bus, "queue_wait", out.bus_queue_wait)
-    _merge_acc(bus, f"latency_for.{walker_port}", out.bus_latency_walker)
-    _merge_acc(bus, f"latency_for.{memif_port}", out.bus_latency_memif)
-
-    dram = platform.dram.stats
-    _inc(dram, "requests", out.dram_reads + out.dram_writes)
-    _inc(dram, "row_hits", out.dram_row_hits)
-    _inc(dram, "row_misses", out.dram_row_misses)
-    _inc(dram, "reads", out.dram_reads)
-    _inc(dram, "writes", out.dram_writes)
-    _inc(dram, "bytes_read", out.dram_bytes_read)
-    _inc(dram, "bytes_written", out.dram_bytes_written)
-    _merge_acc(dram, "latency", out.dram_latency)
-
-
-# ---------------------------------------------------------------------------
 # System execution
 # ---------------------------------------------------------------------------
 def _replay_space(space, handler) -> ReplaySpace:
@@ -207,7 +96,7 @@ def replay_system_run(system, thread_name: str, program: list,
 
     ``refill(cycle)``, when given, supplies the program in pieces: the
     engine calls it at the fence-drained instants where the program runs
-    out, after the counters so far have been added to the real stat groups.
+    out, after it has added the counters so far to the real stat groups.
     """
     from ..core.synthesis import SystemRunResult
 
@@ -222,55 +111,12 @@ def replay_system_run(system, thread_name: str, program: list,
     start_cycle = sim.now
     pinned_areas = list(synth.delegate.space.areas) if pin_all else None
     holder = {}
-    exported: List[ReplayOutput] = []   # the counters already in the groups
-
-    def export(out: ReplayOutput) -> None:
-        _export_counters(platform, synth, thread_name,
-                         _output_delta(out, exported[0]) if exported else out)
-        # A shallow copy is a snapshot: the engine folds fresh values into
-        # ``out`` and never mutates one it has handed out.
-        exported[:] = [copy.copy(out)]
-
-    def next_slice(out: ReplayOutput, cycle: int) -> list:
-        export(out)
-        return refill(cycle)
 
     def start_fabric(done: Callable[[], None]) -> None:
-        thread_cfg = synth.spec.thread_config()
-        memif_cfg = synth.memif.config
-        bus_cfg = platform.bus.config
-        dram_cfg = platform.dram.config
-        limit = platform.config.max_cycles
-        ctx = ReplayContext(
-            spaces=spaces,
-            tlb=synth.mmu.tlb,
-            max_outstanding=thread_cfg.max_outstanding,
-            start_latency=thread_cfg.start_latency,
-            issue_latency=memif_cfg.issue_latency,
-            hit_latency=synth.mmu.tlb.config.hit_latency,
-            prefetch_depth=synth.mmu.config.prefetch_depth,
-            per_level_overhead=synth.walker.config.per_level_overhead,
-            bus_width_bytes=bus_cfg.bus_width_bytes,
-            address_phase_cycles=bus_cfg.address_phase_cycles,
-            bus_max_inflight=bus_cfg.max_outstanding_per_master,
-            walker_master=synth.walker.port.index,
-            memif_master=synth.memif.bus_port.index,
-            dram_num_banks=dram_cfg.num_banks,
-            dram_row_bytes=dram_cfg.row_bytes,
-            dram_row_hit=dram_cfg.row_hit_latency,
-            dram_row_miss=dram_cfg.row_miss_latency,
-            dram_controller=dram_cfg.controller_latency,
-            dram_bytes_per_cycle=dram_cfg.data_bus_bytes_per_cycle,
-            dram_write_penalty=dram_cfg.write_latency_penalty,
-            flush_on_switch=flush_on_switch,
-            on_switch_cost=on_switch_cost,
-            max_cycles=None if limit is None else limit - sim.now,
-            initial_space=0,
-            max_fault_retries=synth.mmu.config.max_fault_retries,
-            fault_thread=synth.memif.thread_name,
-            clock_base=sim.now,
-            refill=None if refill is None else next_slice)
-        out = replay_fabric(program, ctx)
+        out = replay_fabric(program, ReplayContext(
+            synth=synth, platform=platform, spaces=spaces,
+            flush_on_switch=flush_on_switch, on_switch_cost=on_switch_cost,
+            refill=refill))
         holder["out"] = out
         sim.schedule(out.finish, done)
         if out.last_cycle > out.finish:
@@ -285,12 +131,10 @@ def replay_system_run(system, thread_name: str, program: list,
 
     end_cycle = platform.run()
 
-    out = holder["out"]
-    export(out)
     thread = sim.stats.group(thread_name)
     thread.counter("starts").inc(1)
     thread.counter("completions").inc(1)
-    thread.scalar("cycles").set(out.finish)
+    thread.scalar("cycles").set(holder["out"].finish)
     synth.mmu.export_stats()
 
     return SystemRunResult(

@@ -152,6 +152,14 @@ def test_cache_reuses_across_calls_and_runners():
     assert second.stats.points_executed == 1     # only 4 was fresh
 
 
+def test_a_map_of_memo_hits_runs_no_batch():
+    runner = SweepRunner(cache=MemoCache())
+    runner.map(abs, [-1, -2])
+    assert runner.map(abs, [-1, -2]) == [1, 2]
+    assert runner.stats.serial_batches == 1      # the second map ran nothing
+    assert runner.stats.points_executed == 2
+
+
 def test_cache_is_keyed_by_function_not_just_input():
     cache = MemoCache()
     runner = SweepRunner(jobs=1, cache=cache)
