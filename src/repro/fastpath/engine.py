@@ -33,6 +33,25 @@ A program may also be fed in pieces: when it runs out at a fence-drained
 instant, the counters so far go into the stat groups and
 ``ReplayContext.refill`` returns the next ops.  Adaptive scheduling uses
 this to let the real scheduler pick each slice from the real telemetry.
+
+Event payloads, by code (the heap pops in ``(cycle, seq)`` order):
+
+* ``ADVANCE``: ``None``.
+* ``TRANSLATED`` and ``BUS_ISSUE``: the memif's data request
+  ``(_REQ_DATA, paddr, size, is_write, chunks, index)``.
+* ``BUS_FORWARD``: the granted bus request itself, a data request or a
+  walker request ``(_REQ_WALK, pte_addr, pte_bytes, False, walk, addresses,
+  level, started_at)``.
+* ``DRAM_DONE``: ``(request, service)``.  The request's kind names its bus
+  port: ``_REQ_DATA`` the memif's, ``_REQ_WALK`` the walker's (the bus has
+  exactly these two masters).
+* ``WALK_STEP``: the walker request of the level just fetched; the walk
+  goes on at ``level + 1``.
+* ``FAULT_SERVICE``: ``(handler, state)``; ``FAULT_DONE``: ``(handler,
+  state, walk, started, fault_started)``.
+
+Every push takes the next ``seq`` and the loop drains the heap, so the
+final ``seq`` is the number of events popped: ``ReplayOutput.events``.
 """
 
 from __future__ import annotations
@@ -121,7 +140,8 @@ class ReplayOutput:
 
     All cycle values are relative to the fabric launch (micro-time 0).
     ``finish`` is the thread-completion cycle; ``last_cycle`` is the final
-    event (stray prefetch walks may outlive the thread).
+    event (stray prefetch walks may outlive the thread).  ``events`` is the
+    number of events pushed, which the drained heap also popped.
     """
 
     finish: int
@@ -229,7 +249,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     plain locals and are added into the stat groups at the end (and before
     each ``ctx.refill``); the per-chunk hit path (probe → translated → bus →
     DRAM → completion) runs entirely inside the dispatch branches without a
-    single helper call.
+    single helper call.  Payloads are the requests themselves (see the
+    module docstring), and the returned ``events`` is the push count,
+    ``seq``.
     """
     synth = ctx.synth
     platform = ctx.platform
@@ -276,13 +298,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     spaces = ctx.spaces
     space = spaces[0]
     cur_asid = space.asid
-    cur_table = space.page_table
     cur_page_size = space.page_size
     cur_shift = cur_page_size.bit_length() - 1
     cur_mask = cur_page_size - 1
     cur_vpn_limit = space.vpn_limit
-    cur_pte_bytes = space.pte_bytes
-    cur_levels = space.expected_levels
 
     # ----- TLB state, inlined against the real object -------------------
     tlb = mmu.tlb
@@ -320,6 +339,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     # ----- bus state ----------------------------------------------------
     walker_master = walker.port.index
     memif_master = memif.bus_port.index
+    # RoundRobinArbiter.choose over ascending candidate indices: first index
+    # greater than the last grant, else wrap to the lowest.
+    rr_lo, rr_hi = sorted((walker_master, memif_master))
     bus_queue_w: deque = deque()      # walker-port queue
     bus_queue_m: deque = deque()      # memif-port queue
     inflight_w = 0
@@ -412,13 +434,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             bus_busy = False
             return
         bus_busy = True
-        # RoundRobinArbiter.choose over ascending candidate indices: first
-        # index greater than the last grant, else wrap to the lowest.
         if cand_w and cand_m:
-            lo, hi = ((walker_master, memif_master)
-                      if walker_master < memif_master
-                      else (memif_master, walker_master))
-            chosen = lo if (bus_last < lo or bus_last >= hi) else hi
+            chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
+                      else rr_hi)
         elif cand_w:
             chosen = walker_master
         else:
@@ -444,7 +462,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             beats = 1
         occupancy = addr_phase + beats
         c_busy += occupancy
-        push(heap, (now + occupancy, seq, 3, (chosen, payload)))  # BUS_FORWARD
+        push(heap, (now + occupancy, seq, 3, payload))      # BUS_FORWARD
         seq += 1
 
     # Walk request tuples: demand -> (0, vpn, space, issue_payload, started,
@@ -550,10 +568,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     else:
                         del tlb_set[rng.choice(list(tlb_set))]
                 tick += 1
-                tlb_set[key] = TLBEntry(vpn=vpn, frame=entry.frame,
-                                        writable=entry.writable,
-                                        asid=cur_asid, inserted_at=tick,
-                                        last_used=tick)
+                # Positional: (vpn, frame, writable, asid, inserted_at,
+                # last_used), half the cost of the keyword call.
+                tlb_set[key] = TLBEntry(vpn, entry.frame, entry.writable,
+                                        cur_asid, tick, tick)
             c_refills += 1
             entry.accessed = True
             issue_payload = request[3]    # (offset, size, is_write, chunks, i)
@@ -599,10 +617,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         else:
                             del tlb_set[rng.choice(list(tlb_set))]
                     tick += 1
-                    installed = TLBEntry(vpn=vpn, frame=entry.frame,
-                                         writable=entry.writable, asid=key[0],
-                                         inserted_at=tick, last_used=tick,
-                                         prefetched=True)
+                    installed = TLBEntry(vpn, entry.frame, entry.writable,
+                                         key[0], tick, tick, True)
                     installed.prefetch_stride = stride
                     tlb_set[key] = installed
                 c_pf_fills += 1
@@ -707,7 +723,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         nonlocal prefetch_score, c_pf_issued
         if prefetch_depth <= 0 or prefetch_score < 8:   # SCORE_GATE
             return
-        table = cur_table
         asid = cur_asid
         limit = cur_vpn_limit
         space_now = space
@@ -765,6 +780,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         walker_walk((_REQ_DATA, vpn, space,
                      (vaddr & cur_mask, size, is_write, chunks, index),
                      now, now, max_retries))
+        if prefetch_depth <= 0:
+            return          # the stride history feeds only the prefetcher
         # _miss_stride: continue the closest recent stream, else next-page.
         stride = 1
         for recent in reversed(recent_misses):
@@ -779,15 +796,12 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     push(heap, (thread_cfg.start_latency, seq, 0, None))      # ADVANCE
     seq += 1
 
-    events = 0
     while heap:
-        now_, _, code, payload = pop(heap)
-        if now_ > limit:
+        now, _, code, payload = pop(heap)
+        if now > limit:
             raise SimulationError(
                 f"simulation exceeded max_cycles={max_cycles} "
-                f"(next event at {clock_base + now_})")
-        now = now_
-        events += 1
+                f"(next event at {clock_base + now})")
 
         if code == 1:                   # _EV_TRANSLATED
             # Hit latency elapsed -> memif.issue(): one transaction.  The
@@ -796,16 +810,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             push(heap, (now + issue_latency, seq, 2, payload))
             seq += 1
         elif code == 4:                 # _EV_DRAM_DONE
-            master, request, service = payload
-            if master == walker_master:
-                inflight_w -= 1
-                blw_cnt += 1
-                blw_tot += service
-                if service < blw_min:
-                    blw_min = service
-                if service > blw_max:
-                    blw_max = service
-            else:
+            # The request's kind names its port: data -> memif, walk ->
+            # walker.
+            request, service = payload
+            if request[0] == _REQ_DATA:
                 inflight_m -= 1
                 blm_cnt += 1
                 blm_tot += service
@@ -813,7 +821,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     blm_min = service
                 if service > blm_max:
                     blm_max = service
-            if request[0] == _REQ_DATA:
                 chunks = request[4]
                 index = request[5] + 1
                 if index < len(chunks):
@@ -886,9 +893,15 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     elif exhausted and outstanding == 0 and finish < 0:
                         finish = now
             else:
+                inflight_w -= 1
+                blw_cnt += 1
+                blw_tot += service
+                if service < blw_min:
+                    blw_min = service
+                if service > blw_max:
+                    blw_max = service
                 push(heap, (now + per_level_overhead, seq, 5,  # WALK_STEP
-                            (request[4], request[5], request[6] + 1,
-                             request[7])))
+                            request))
                 seq += 1
             if not bus_busy:
                 # Bus grant, inlined (see ``bus_grant`` for the commented
@@ -898,10 +911,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 if cand_w or cand_m:
                     bus_busy = True
                     if cand_w and cand_m:
-                        lo, hi = ((walker_master, memif_master)
-                                  if walker_master < memif_master
-                                  else (memif_master, walker_master))
-                        chosen = lo if (bus_last < lo or bus_last >= hi) else hi
+                        chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
+                                  else rr_hi)
                     elif cand_w:
                         chosen = walker_master
                     else:
@@ -927,7 +938,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         beats = 1
                     occupancy = addr_phase + beats
                     c_busy += occupancy
-                    push(heap, (now + occupancy, seq, 3, (chosen, gpayload)))
+                    push(heap, (now + occupancy, seq, 3, gpayload))
                     seq += 1
         elif code == 2:                 # _EV_BUS_ISSUE (memif-port submit)
             c_bus_requests += 1
@@ -940,10 +951,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 if cand_w or cand_m:
                     bus_busy = True
                     if cand_w and cand_m:
-                        lo, hi = ((walker_master, memif_master)
-                                  if walker_master < memif_master
-                                  else (memif_master, walker_master))
-                        chosen = lo if (bus_last < lo or bus_last >= hi) else hi
+                        chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
+                                  else rr_hi)
                     elif cand_w:
                         chosen = walker_master
                     else:
@@ -969,12 +978,11 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         beats = 1
                     occupancy = addr_phase + beats
                     c_busy += occupancy
-                    push(heap, (now + occupancy, seq, 3, (chosen, gpayload)))
+                    push(heap, (now + occupancy, seq, 3, gpayload))
                     seq += 1
         elif code == 3:                 # _EV_BUS_FORWARD -> DRAM access
-            master, request = payload
-            addr = request[1]
-            size = request[2]
+            addr = payload[1]
+            size = payload[2]
             bank = (addr // row_bytes) % num_banks
             start = now + controller
             free_at = bank_free[bank]
@@ -995,7 +1003,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             if data_bus_free > data_start:
                 data_start = data_bus_free
             finish_at = data_start + transfer
-            if request[3]:
+            if payload[3]:
                 finish_at += write_penalty
                 c_writes += 1
                 c_bytes_w += size
@@ -1013,7 +1021,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 dl_min = service
             if service > dl_max:
                 dl_max = service
-            push(heap, (finish_at, seq, 4, (master, request, service)))
+            push(heap, (finish_at, seq, 4, (payload, service)))
             seq += 1
             # Bus grant, inlined (the occupancy window just ended, so the
             # bus idles unless a queued request can be granted now).
@@ -1024,10 +1032,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             else:
                 bus_busy = True
                 if cand_w and cand_m:
-                    lo, hi = ((walker_master, memif_master)
-                              if walker_master < memif_master
-                              else (memif_master, walker_master))
-                    chosen = lo if (bus_last < lo or bus_last >= hi) else hi
+                    chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
+                              else rr_hi)
                 elif cand_w:
                     chosen = walker_master
                 else:
@@ -1053,7 +1059,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     beats = 1
                 occupancy = addr_phase + beats
                 c_busy += occupancy
-                push(heap, (now + occupancy, seq, 3, (chosen, gpayload)))
+                push(heap, (now + occupancy, seq, 3, gpayload))
                 seq += 1
         elif code == 0:                 # _EV_ADVANCE
             while True:
@@ -1148,13 +1154,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     tlb.flushes += 1
                     c_flushes += 1
                 cur_asid = space.asid
-                cur_table = space.page_table
                 cur_page_size = space.page_size
                 cur_shift = cur_page_size.bit_length() - 1
                 cur_mask = cur_page_size - 1
                 cur_vpn_limit = space.vpn_limit
-                cur_pte_bytes = space.pte_bytes
-                cur_levels = space.expected_levels
                 recent_misses.clear()
                 prefetch_score = 16
                 c_switches += 1
@@ -1166,16 +1169,19 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     break
                 # zero-stall switch: fall through to the next program op
         elif code == 5:   # _EV_WALK_STEP (per-level overhead; walk_do inlined)
-            request, addresses, level, started_at = payload
+            # The payload is the walker's bus request for the level just
+            # fetched; the walk moves on to the next one.
+            _, _, pte_bytes, _, request, addresses, level, started_at = payload
+            level += 1
             if level >= len(addresses):
                 walk_finish(request, addresses, started_at)
             else:
                 c_levels += 1
                 c_bus_requests += 1
                 c_breq_w += 1
-                bus_queue_w.append(((_REQ_WALK, addresses[level],
-                                     request[2].pte_bytes, False, request,
-                                     addresses, level, started_at), now))
+                bus_queue_w.append(((_REQ_WALK, addresses[level], pte_bytes,
+                                     False, request, addresses, level,
+                                     started_at), now))
                 if not bus_busy:
                     # Bus grant, inlined (walker queue is non-empty).
                     cand_w = inflight_w < bus_max_inflight
@@ -1183,11 +1189,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     if cand_w or cand_m:
                         bus_busy = True
                         if cand_w and cand_m:
-                            lo, hi = ((walker_master, memif_master)
-                                      if walker_master < memif_master
-                                      else (memif_master, walker_master))
-                            chosen = (lo if (bus_last < lo or bus_last >= hi)
-                                      else hi)
+                            chosen = (rr_lo if (bus_last < rr_lo
+                                                or bus_last >= rr_hi) else rr_hi)
                         elif cand_w:
                             chosen = walker_master
                         else:
@@ -1213,8 +1216,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                             beats = 1
                         occupancy = addr_phase + beats
                         c_busy += occupancy
-                        push(heap, (now + occupancy, seq, 3,
-                                    (chosen, gpayload)))
+                        push(heap, (now + occupancy, seq, 3, gpayload))
                         seq += 1
         elif code == 6:                 # _EV_FAULT_SERVICE
             fault_service(*payload)
@@ -1228,4 +1230,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     lend_tlb()
     _fold(sinks, locals(), folded)
-    return ReplayOutput(finish=finish, last_cycle=now, events=events)
+    # Every push is followed by ``seq += 1`` and the loop drains the heap,
+    # so the pushes counted by ``seq`` are the events popped.
+    return ReplayOutput(finish=finish, last_cycle=now, events=seq)

@@ -2,14 +2,17 @@
 
 A :class:`WorkloadSpec` describes a workload abstractly (which kernel, what
 problem size, how much of it is resident at start).  Binding it to a process
-address space allocates the buffers, generates auxiliary data (linked-list
-chain order, histogram bin indices, sparse patterns) with a seeded RNG, and
-yields a :class:`BoundWorkload` that can mint fresh kernel generators — one
-per execution model — plus the byte counts every baseline needs.
+address space allocates the buffers and yields a :class:`BoundWorkload` that
+can mint fresh kernel generators — one per execution model — plus the byte
+counts every baseline needs.  Auxiliary data (linked-list chain order,
+histogram bin indices, sparse patterns, random addresses) comes from a
+seeded RNG on the first ``make_kernel()`` call and is kept for later calls,
+so a run whose replay program is cached never draws it.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
@@ -214,19 +217,21 @@ def _bind_linked_list(spec: WorkloadSpec, space: AddressSpace) -> BoundWorkload:
     pool_bytes = nodes * node_bytes
     pool = _mmap(space, pool_bytes, f"{spec.name}.pool", spec.residency)
 
-    rng = random.Random(spec.seed)
-    order = list(range(nodes))
-    rng.shuffle(order)
-    chain = [pool.start + idx * node_bytes for idx in order[:visit]]
+    @functools.cache
+    def chain() -> List[int]:
+        order = list(range(nodes))
+        random.Random(spec.seed).shuffle(order)
+        return [pool.start + idx * node_bytes for idx in order[:visit]]
 
     def make() -> KernelGenerator:
-        return kernels.linked_list(chain, node_bytes=node_bytes)
+        return kernels.linked_list(chain(), node_bytes=node_bytes)
 
-    touched = len(chain) * node_bytes
+    visited = len(range(nodes)[:visit])
     return BoundWorkload(spec=spec, make_kernel=make, areas=[pool],
-                         footprint_bytes=pool_bytes, touched_bytes=touched,
+                         footprint_bytes=pool_bytes,
+                         touched_bytes=visited * node_bytes,
                          copy_in_bytes=pool_bytes, copy_out_bytes=0,
-                         items=len(chain), marshal_items=nodes)
+                         items=visited, marshal_items=nodes)
 
 
 def _bind_histogram(spec: WorkloadSpec, space: AddressSpace) -> BoundWorkload:
@@ -238,17 +243,18 @@ def _bind_histogram(spec: WorkloadSpec, space: AddressSpace) -> BoundWorkload:
     src = _mmap(space, src_size, f"{spec.name}.src", spec.residency)
     bins = _mmap(space, bins_size, f"{spec.name}.bins", spec.residency)
 
-    rng = random.Random(spec.seed)
-    if skew:
-        # Skewed distribution: 80% of updates hit 20% of the bins.
-        hot = max(1, num_bins // 5)
-        indices = [rng.randrange(hot) if rng.random() < 0.8
-                   else rng.randrange(num_bins) for _ in range(n)]
-    else:
-        indices = [rng.randrange(num_bins) for _ in range(n)]
+    @functools.cache
+    def indices() -> List[int]:
+        rng = random.Random(spec.seed)
+        if skew:
+            # Skewed distribution: 80% of updates hit 20% of the bins.
+            hot = max(1, num_bins // 5)
+            return [rng.randrange(hot) if rng.random() < 0.8
+                    else rng.randrange(num_bins) for _ in range(n)]
+        return [rng.randrange(num_bins) for _ in range(n)]
 
     def make() -> KernelGenerator:
-        return kernels.histogram(src.start, n, bins.start, indices,
+        return kernels.histogram(src.start, n, bins.start, indices(),
                                  burst_words=spec.burst_words)
 
     return BoundWorkload(spec=spec, make_kernel=make, areas=[src, bins],
@@ -269,13 +275,16 @@ def _bind_spmv(spec: WorkloadSpec, space: AddressSpace) -> BoundWorkload:
     x = _mmap(space, cols * WORD, f"{spec.name}.x", spec.residency)
     y = _mmap(space, rows * WORD, f"{spec.name}.y", spec.residency)
 
-    rng = random.Random(spec.seed)
     row_lengths = [nnz_per_row] * rows
-    gathers = [rng.randrange(cols) for _ in range(nnz)]
+
+    @functools.cache
+    def gathers() -> List[int]:
+        rng = random.Random(spec.seed)
+        return [rng.randrange(cols) for _ in range(nnz)]
 
     def make() -> KernelGenerator:
         return kernels.spmv(row_lengths, values.start, colidx.start,
-                            x.start, y.start, gathers,
+                            x.start, y.start, gathers(),
                             burst_words=spec.burst_words)
 
     footprint = (2 * nnz + cols + rows) * WORD
@@ -292,12 +301,14 @@ def _bind_random_access(spec: WorkloadSpec, space: AddressSpace) -> BoundWorkloa
     accesses = _param(spec, "accesses")
     table = _mmap(space, table_bytes, f"{spec.name}.table", spec.residency)
 
-    rng = random.Random(spec.seed)
-    addresses = [table.start + rng.randrange(table_bytes // WORD) * WORD
-                 for _ in range(accesses)]
+    @functools.cache
+    def addresses() -> List[int]:
+        rng = random.Random(spec.seed)
+        return [table.start + rng.randrange(table_bytes // WORD) * WORD
+                for _ in range(accesses)]
 
     def make() -> KernelGenerator:
-        return kernels.random_access(addresses, write_fraction=0.25)
+        return kernels.random_access(addresses(), write_fraction=0.25)
 
     return BoundWorkload(spec=spec, make_kernel=make, areas=[table],
                          footprint_bytes=table_bytes,

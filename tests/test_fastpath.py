@@ -8,6 +8,7 @@ jobs/runner/harness, that the replay tier runs on the standard library
 alone, and the zero-cost tracing contract.
 """
 
+import heapq
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ from repro.eval.harness import (HarnessConfig, _build_svm_system,
                                 run_multiprocess, run_svm)
 from repro.exec.jobs import ExperimentJob, run_job
 from repro.exec.runner import SweepRunner
-from repro.fastpath import record
+from repro.fastpath import engine, record, replay
 from repro.fastpath.engine import ReplayFault
 from repro.fastpath.record import clear_program_cache, record_stats
 from repro.fastpath.replay import (TierUnavailable, mp_replay_blockers,
@@ -243,6 +244,55 @@ class TestTierPlumbing:
         assert runner.stats.tier_counts == {"replay": 1, "event": 1}
         assert "tier_event=1" in runner.summary()
         assert "tier_replay=1" in runner.summary()
+
+
+# ---------------------------------------------------------------------------
+# Replay engine
+# ---------------------------------------------------------------------------
+class TestReplayEvents:
+    """``ReplayOutput.events`` is the number of events the engine popped."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count the engine's heap pops and keep each ``ReplayOutput``."""
+        pops = []
+        outputs = []
+
+        class CountingHeapq:
+            heappush = staticmethod(heapq.heappush)
+
+            @staticmethod
+            def heappop(heap):
+                pops.append(None)
+                return heapq.heappop(heap)
+
+        def replay_fabric(program, ctx):
+            outputs.append(engine.replay_fabric(program, ctx))
+            return outputs[-1]
+
+        monkeypatch.setattr(engine, "heapq", CountingHeapq)
+        monkeypatch.setattr(replay, "replay_fabric", replay_fabric)
+        return pops, outputs
+
+    def test_single_process_walks(self, counted):
+        pops, outputs = counted
+        result = run_svm(workload("random_access", scale="tiny"),
+                         HarnessConfig(tlb_entries=16), tier="replay")
+        assert result.tier == "replay"
+        assert result.walks > 0
+        assert [out.events for out in outputs] == [len(pops)]
+        assert len(pops) > 0
+
+    def test_adaptive_multiprocess_refills(self, counted):
+        pops, outputs = counted
+        mp = contention(["vecadd"] * 2, scale="tiny", quantum=2000,
+                        policy="adaptive-fault", residency=0.5, n=1024)
+        result = run_multiprocess(mp, HarnessConfig(tlb_entries=32),
+                                  tier="replay")
+        assert result.tier == "replay"
+        assert result.telemetry.num_epochs > 1
+        assert [out.events for out in outputs] == [len(pops)]
+        assert len(pops) > 0
 
 
 # ---------------------------------------------------------------------------

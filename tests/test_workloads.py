@@ -1,5 +1,8 @@
 """Unit tests for workload specs, suites and characterisation."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from repro.workloads import (
     available_workload_kernels,
     characterise,
     pattern_classes,
+    specs,
     standard_suite,
     workload,
 )
@@ -112,6 +116,28 @@ def test_residency_controls_resident_pages():
     resident = sum(platform.space.resident_pages(a) for a in bound.areas)
     total = sum(a.size for a in bound.areas) // platform.page_size
     assert 0 < resident < total
+
+
+def test_random_data_is_drawn_on_the_first_kernel_only(monkeypatch):
+    """Binding builds no RNG; the first ``make_kernel()`` builds one and
+    later calls reuse its data, so a replay whose program is cached (and so
+    never makes a kernel) draws nothing."""
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            made.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(specs, "random", SimpleNamespace(Random=CountingRandom))
+    for kernel in ("linked_list", "histogram", "spmv", "random_access"):
+        made.clear()
+        bound = workload(kernel, scale="tiny").bind(Platform().space)
+        assert made == [], kernel
+        first = run_functional(bound.make_kernel())
+        second = run_functional(bound.make_kernel())
+        assert len(made) == 1, kernel
+        assert first == second, kernel
 
 
 def test_seed_makes_binding_deterministic():
