@@ -2,7 +2,6 @@
 
 from .common import FabricRunResult, run_physically_addressed
 from .copydma import CopyDMAAccelerator, CopyDMARunResult, CopyModelConfig
-from .ideal import IdealAccelerator, IdealRunResult
 from .software import SoftwareCPU, SoftwareCPUConfig, SoftwareRunResult
 
 __all__ = [
@@ -10,8 +9,6 @@ __all__ = [
     "CopyDMARunResult",
     "CopyModelConfig",
     "FabricRunResult",
-    "IdealAccelerator",
-    "IdealRunResult",
     "SoftwareCPU",
     "SoftwareCPUConfig",
     "SoftwareRunResult",

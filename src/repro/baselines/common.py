@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.platform import Platform
-from ..hwthread.memif import MemoryInterface, MemoryInterfaceConfig
-from ..hwthread.thread import HardwareThread, HardwareThreadConfig
+from ..hwthread.memif import MemoryInterface
+from ..hwthread.thread import HardwareThread
 from ..sim.process import KernelGenerator
 from ..vm.types import AccessType
 
@@ -23,15 +22,14 @@ class FabricRunResult:
 
 
 def run_physically_addressed(platform: Platform, kernel: KernelGenerator,
-                             name: str = "accel",
-                             thread_config: Optional[HardwareThreadConfig] = None,
-                             memif_config: Optional[MemoryInterfaceConfig] = None
-                             ) -> FabricRunResult:
+                             name: str = "accel") -> FabricRunResult:
     """Run ``kernel`` on a hardware thread *without* an MMU.
 
     Addresses are translated functionally (zero cycles) through the process
     page table, which models an accelerator operating on pinned, physically
-    known buffers.  Used by the ideal and copy-DMA baselines.
+    known buffers.  Used by the ideal and copy-DMA baselines.  A page that is
+    not resident raises ``KeyError``: an accelerator without an MMU cannot
+    take page faults.
     """
     space = platform.space
 
@@ -40,9 +38,8 @@ def run_physically_addressed(platform: Platform, kernel: KernelGenerator,
 
     port = platform.bus.attach_master(name)
     memif = MemoryInterface(platform.sim, port, translator=translator,
-                            config=memif_config, name=f"{name}.memif")
-    thread = HardwareThread(platform.sim, kernel, memif,
-                            config=thread_config, name=name)
+                            name=f"{name}.memif")
+    thread = HardwareThread(platform.sim, kernel, memif, name=name)
 
     outcome = {"ok": None}
     start_cycle = platform.sim.now

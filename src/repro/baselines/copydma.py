@@ -19,11 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.platform import Platform
-from ..hwthread.memif import MemoryInterfaceConfig
-from ..hwthread.thread import HardwareThreadConfig
 from ..sim.process import KernelGenerator
 from .common import FabricRunResult, run_physically_addressed
 
@@ -75,12 +72,8 @@ class CopyDMARunResult:
 class CopyDMAAccelerator:
     """Conventional copy-in / compute / copy-out accelerator baseline."""
 
-    def __init__(self, copy_config: CopyModelConfig | None = None,
-                 thread_config: Optional[HardwareThreadConfig] = None,
-                 memif_config: Optional[MemoryInterfaceConfig] = None):
+    def __init__(self, copy_config: CopyModelConfig | None = None):
         self.copy_config = copy_config or CopyModelConfig()
-        self.thread_config = thread_config
-        self.memif_config = memif_config
 
     # ------------------------------------------------------------------ run
     def run(self, platform: Platform, kernel: KernelGenerator,
@@ -110,8 +103,7 @@ class CopyDMAAccelerator:
         copy_out_cycles = self._copy_cycles(platform, copy_out_bytes)
 
         fabric: FabricRunResult = run_physically_addressed(
-            platform, kernel, name=name,
-            thread_config=self.thread_config, memif_config=self.memif_config)
+            platform, kernel, name=name)
         if fabric.aborted:
             raise RuntimeError("copy-DMA accelerator aborted (unexpected)")
 

@@ -154,11 +154,8 @@ class SoftwareCPU:
             cycles += cfg.issue_cycles_per_element
             l1_latency = l1.lookup(addr, is_write)
             if l1_latency > cfg.cache.hit_latency and l2 is not None:
-                # L1 miss: probe the L2; an L2 hit shortens the penalty.
-                l2_latency = l2.lookup(addr, is_write)
-                if l2_latency <= cfg.l2_cache.hit_latency:  # type: ignore[union-attr]
-                    l1_latency = cfg.cache.hit_latency + l2_latency
-                else:
-                    l1_latency = cfg.cache.hit_latency + l2_latency
+                # L1 miss: the L2 lookup's latency, hit or miss, follows
+                # the L1 hit latency.
+                l1_latency = cfg.cache.hit_latency + l2.lookup(addr, is_write)
             cycles += l1_latency
         return cycles

@@ -798,7 +798,7 @@ def _sweep_command(broker, args: argparse.Namespace) -> int:
 
     if args.sweep_command == "status":
         try:
-            status = service.sweep_status(broker, args.sweep_id)
+            status = broker.status(args.sweep_id)
         except KeyError:
             print(f"unknown sweep {args.sweep_id!r}", file=sys.stderr)
             return 2

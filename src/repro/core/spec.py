@@ -92,7 +92,6 @@ class SystemSpec:
     #: capacity.  Requires ``shared_tlb`` (there must be one fabric TLB for
     #: the host to share).
     host_shares_tlb: bool = False
-    host_priority_port: bool = False   # give the host a fixed-priority port
     #: OS scheduling policy multi-process workloads on this system should be
     #: time-sliced with (``repro.os.scheduler`` registry name).  ``None``
     #: leaves the choice to the workload spec.  This makes the policy a

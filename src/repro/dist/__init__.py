@@ -29,8 +29,7 @@ from .broker import (Broker, ClaimedJob, JobResult, SQLiteBroker, SweepTicket,
                      register_broker_scheme)
 from .http import BrokerServer, BrokerUnavailable, HTTPBroker
 from .runner import DistributedJobError, DistributedRunner
-from .service import (SpecError, expand_spec, iter_results, submit_sweep,
-                      sweep_status)
+from .service import SpecError, expand_spec, iter_results, submit_sweep
 from .wire import WIRE_VERSION, WireError, WireVersionError
 from .worker import Worker, worker_main
 
@@ -38,7 +37,7 @@ __all__ = [
     "Broker", "SQLiteBroker", "WorkItem", "SweepTicket", "ClaimedJob",
     "JobResult", "Worker", "worker_main", "DistributedRunner",
     "DistributedJobError", "SpecError", "expand_spec", "submit_sweep",
-    "sweep_status", "iter_results", "connect_broker",
+    "iter_results", "connect_broker",
     "register_broker_scheme", "broker_schemes", "BrokerServer", "HTTPBroker",
     "BrokerUnavailable", "WireError", "WireVersionError", "WIRE_VERSION",
 ]

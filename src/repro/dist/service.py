@@ -1,6 +1,6 @@
 """Sweep service front-end: JSON spec in, sweep id out, results streamed.
 
-The thin layer between the CLI (``repro sweep submit/status/results``) and a
+The thin layer between the CLI (``repro sweep submit/results``) and a
 :class:`~repro.dist.broker.Broker`.  A *sweep spec* is a small JSON object
 describing a :class:`~repro.eval.sweep.Grid` of canonical
 :class:`~repro.exec.jobs.ExperimentJob` points::
@@ -176,11 +176,6 @@ def submit_sweep(broker: Broker, spec: Dict[str, Any],
     return broker.create_sweep(
         items, label=sweep.label or "sweep", spec=canonical_spec(spec),
         memo=memo, results=results)
-
-
-def sweep_status(broker: Broker, sweep_id: str) -> Dict[str, Any]:
-    """The broker's status record for one sweep (KeyError if unknown)."""
-    return broker.status(sweep_id)
 
 
 def _jsonable_outcome(value: Any) -> Any:

@@ -55,7 +55,6 @@ class Worker:
     def __init__(self, broker: Broker, memo: Optional[MemoCache] = None,
                  worker_id: Optional[str] = None, *,
                  lease_seconds: Optional[float] = None,
-                 heartbeat_interval: Optional[float] = None,
                  clock: Callable[[], float] = time.time) -> None:
         self.broker = broker
         self.memo = memo
@@ -64,9 +63,7 @@ class Worker:
         self.lease_seconds = (lease_seconds if lease_seconds is not None
                               else getattr(broker, "lease_seconds", 30.0))
         #: Heartbeat well inside the lease, so one missed beat never loses it.
-        self.heartbeat_interval = (heartbeat_interval
-                                   if heartbeat_interval is not None
-                                   else max(self.lease_seconds / 3.0, 0.05))
+        self.heartbeat_interval = max(self.lease_seconds / 3.0, 0.05)
         self.clock = clock
         self.jobs_run = 0
         self.failures = 0
@@ -181,8 +178,7 @@ def worker_main(broker_url: Union[str, os.PathLike],
                 lease_seconds: Optional[float] = None,
                 idle_grace: float = 0.0,
                 poll_interval: float = 0.05,
-                max_jobs: Optional[int] = None,
-                cache_max_bytes: Optional[int] = None) -> int:
+                max_jobs: Optional[int] = None) -> int:
     """Process entry point: connect to the broker and drain it until idle.
 
     ``broker_url`` is anything :func:`~repro.dist.broker.connect_broker`
@@ -195,8 +191,7 @@ def worker_main(broker_url: Union[str, os.PathLike],
     """
     broker = connect_broker(broker_url, **(
         {} if lease_seconds is None else {"lease_seconds": lease_seconds}))
-    memo = (MemoCache(path=cache_dir, max_bytes=cache_max_bytes)
-            if cache_dir is not None else None)
+    memo = MemoCache(path=cache_dir) if cache_dir is not None else None
     worker = Worker(broker, memo=memo, worker_id=worker_id,
                     lease_seconds=lease_seconds)
     try:

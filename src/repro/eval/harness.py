@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
+from ..baselines.common import run_physically_addressed
 from ..baselines.copydma import CopyDMAAccelerator, CopyDMARunResult
-from ..baselines.ideal import IdealAccelerator
 from ..baselines.software import SoftwareCPU, SoftwareCPUConfig
 from ..core.platform import Platform, PlatformConfig
 from ..core.spec import SystemSpec, ThreadSpec, size_tlb_for_footprint
@@ -30,7 +30,6 @@ from ..os.telemetry import (ProcessInfo, TelemetryBus, TelemetryTrace,
                             epoch_fairness)
 from ..sim.process import run_functional
 from ..sim.stats import sum_matching
-from ..sim.trace import GLOBAL_TRACER
 from ..workloads.multiprocess import (MultiProcessSpec,
                                       adaptive_time_sliced_kernel, slice_plan,
                                       time_sliced_kernel)
@@ -126,11 +125,6 @@ class SVMResult:
                 "host_tlb_refills"]
             out["epoch_fairness"] = epoch_fairness(self.telemetry)
         return out
-
-
-#: Back-compat alias: the snapshot aggregation now lives in ``sim.stats`` so
-#: the telemetry bus and the harness cannot disagree on counter semantics.
-_sum_stat = sum_matching
 
 
 #: Row-column names for the canonical models (kept stable for golden data).
@@ -286,7 +280,6 @@ def run_svm(spec: WorkloadSpec, config: HarnessConfig | None = None,
             if tier == "replay":
                 raise
             tier_reason = str(reason)
-            GLOBAL_TRACER.log(0, "harness", "tier_fallback", tier_reason)
 
     platform, system, bound = _build_svm_system(spec, config, num_threads)
     kernels = {f"hwt{i}": bound[i].make_kernel() for i in range(num_threads)}
@@ -303,9 +296,9 @@ def _svm_result(result: SystemRunResult, fabric_cycles: int,
                 telemetry: Optional[TelemetryTrace] = None) -> SVMResult:
     """Aggregate a system run's statistics into an :class:`SVMResult`."""
     stats = result.stats
-    hits = _sum_stat(stats, "mmu.", "tlb_hits")
-    misses = _sum_stat(stats, "mmu.", "tlb_misses")
-    faults = _sum_stat(stats, "mmu.", "faults")
+    hits = sum_matching(stats, "mmu.", "tlb_hits")
+    misses = sum_matching(stats, "mmu.", "tlb_misses")
+    faults = sum_matching(stats, "mmu.", "faults")
     hit_rate = hits / (hits + misses) if (hits + misses) else 0.0
     return SVMResult(total_cycles=result.total_cycles,
                      fabric_cycles=fabric_cycles,
@@ -314,16 +307,16 @@ def _svm_result(result: SystemRunResult, fabric_cycles: int,
                      faults=faults,
                      software_overhead_cycles=result.software_overhead_cycles,
                      system_result=result,
-                     walks=_sum_stat(stats, "ptw.", "walks_completed"),
-                     walker_levels=_sum_stat(stats, "ptw.", "levels_fetched"),
-                     walker_cycles=_sum_stat(stats, "ptw.", "walk_cycles"),
-                     miss_stall_cycles=_sum_stat(stats, "mmu.",
-                                                 "miss_latency.total"),
-                     prefetches_issued=_sum_stat(stats, "mmu.",
-                                                 "prefetches_issued"),
-                     prefetch_hits=_sum_stat(stats, "mmu.", "prefetch_hits"),
-                     context_switches=_sum_stat(stats, "mmu.",
-                                                "context_switches"),
+                     walks=sum_matching(stats, "ptw.", "walks_completed"),
+                     walker_levels=sum_matching(stats, "ptw.", "levels_fetched"),
+                     walker_cycles=sum_matching(stats, "ptw.", "walk_cycles"),
+                     miss_stall_cycles=sum_matching(stats, "mmu.",
+                                                    "miss_latency.total"),
+                     prefetches_issued=sum_matching(stats, "mmu.",
+                                                    "prefetches_issued"),
+                     prefetch_hits=sum_matching(stats, "mmu.", "prefetch_hits"),
+                     context_switches=sum_matching(stats, "mmu.",
+                                                   "context_switches"),
                      telemetry=telemetry)
 
 
@@ -451,7 +444,6 @@ def run_multiprocess(mp: MultiProcessSpec,
             if tier == "replay":
                 raise
             tier_reason = str(reason)
-            GLOBAL_TRACER.log(0, "harness", "tier_fallback", tier_reason)
 
     platform, system, spaces, handlers, bound = _build_mp_system(mp, config)
     synth = system.threads["hwt0"]
@@ -471,7 +463,7 @@ def run_multiprocess(mp: MultiProcessSpec,
         plan = slice_plan(op_lists, quantum=mp.quantum, policy=mp.policy,
                           weights=mp.weights,
                           page_size=config.platform.page_size)
-        kernel = time_sliced_kernel(plan, on_switch, initial_process=0)
+        kernel = time_sliced_kernel(plan, on_switch)
 
     result = system.run({"hwt0": kernel}, pin_all=config.pin_all,
                         prefetch_pages=config.prefetch_pages)
@@ -483,14 +475,21 @@ def run_multiprocess(mp: MultiProcessSpec,
 
 
 def run_ideal(spec: WorkloadSpec, config: HarnessConfig | None = None) -> int:
-    """Run on the ideal physically-addressed accelerator; returns cycles."""
+    """Run on the ideal physically-addressed accelerator; returns cycles.
+
+    The ideal accelerator is the SVM thread's datapath and memory traffic
+    with free address translation, so its gap to the SVM thread is the cost
+    of virtual memory (TLB misses, page-table walks, faults).
+    """
     config = config or HarnessConfig()
     platform = Platform(config.platform)
     resident = replace(spec, residency=1.0)   # no MMU -> everything resident
     workload = resident.bind(platform.space)
-    accel = IdealAccelerator()
-    result = accel.run(platform, workload.make_kernel())
-    return result.fabric_cycles
+    result = run_physically_addressed(platform, workload.make_kernel(),
+                                      name="ideal")
+    if result.aborted:
+        raise RuntimeError("ideal accelerator aborted (unexpected)")
+    return result.cycles
 
 
 def run_copydma(spec: WorkloadSpec,

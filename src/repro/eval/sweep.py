@@ -121,10 +121,6 @@ class Grid:
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
 
-    @property
-    def axes(self) -> Dict[str, List[Hashable]]:
-        return {name: list(values) for name, values in self._axes.items()}
-
     def size(self) -> int:
         total = 1
         for values in self._axes.values():

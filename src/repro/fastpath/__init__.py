@@ -22,8 +22,7 @@ experiment/CLI layers; this package only answers "can this run replay?"
 from .engine import (ReplayContext, ReplayFault, ReplayOutput, ReplaySpace,
                      replay_fabric)
 from .record import (build_program, clear_program_cache, program_for_plan,
-                     program_for_workload, record_stats, split_chunks,
-                     stream_for_ops)
+                     program_for_workload, record_stats, split_chunks)
 from .replay import (TierUnavailable, mp_replay_blockers, replay_multiprocess,
                      replay_svm, svm_replay_blockers)
 
@@ -31,7 +30,7 @@ __all__ = [
     "ReplayContext", "ReplayFault", "ReplayOutput", "ReplaySpace",
     "replay_fabric",
     "build_program", "clear_program_cache", "program_for_plan",
-    "program_for_workload", "record_stats", "split_chunks", "stream_for_ops",
+    "program_for_workload", "record_stats", "split_chunks",
     "TierUnavailable", "mp_replay_blockers", "replay_multiprocess",
     "replay_svm", "svm_replay_blockers",
 ]

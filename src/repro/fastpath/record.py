@@ -102,8 +102,7 @@ def program_for_workload(spec, bound, page_size: int,
 
 
 def program_for_plan(mp, make_plan: Callable[[], Sequence[tuple]],
-                     page_size: int, max_burst_bytes: int,
-                     initial_process: int = 0) -> list:
+                     page_size: int, max_burst_bytes: int) -> list:
     """The replay program of a static multi-process slice plan.
 
     Mirrors :func:`repro.workloads.multiprocess.time_sliced_kernel`: a
@@ -114,7 +113,7 @@ def program_for_plan(mp, make_plan: Callable[[], Sequence[tuple]],
     """
     def build() -> list:
         recorder = TraceRecorder()
-        current = initial_process
+        current = 0
         for process, ops in make_plan():
             if process != current:
                 recorder.rows.append((KIND_FENCE, 0, 0, False, 0))
@@ -125,10 +124,4 @@ def program_for_plan(mp, make_plan: Callable[[], Sequence[tuple]],
         return build_program(recorder.finish(), page_size, max_burst_bytes)
 
     return _cached_program(
-        stable_key("fastpath-mp", mp, page_size, max_burst_bytes,
-                   initial_process), build)
-
-
-def stream_for_ops(ops) -> RecordedStream:
-    """Record an operation iterable (generator or list) without caching."""
-    return TraceRecorder.capture(ops)
+        stable_key("fastpath-mp", mp, page_size, max_burst_bytes), build)

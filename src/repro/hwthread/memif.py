@@ -24,7 +24,6 @@ from ..mem.port import MemoryRequest, MemoryTarget
 from ..sim.component import Component
 from ..sim.engine import Simulator
 from ..sim.process import Access, Burst
-from ..sim.trace import GLOBAL_TRACER
 from ..vm.mmu import MMU
 from ..vm.types import AccessType, Translation
 
@@ -101,9 +100,6 @@ class MemoryInterface(Component):
         """Issue a virtual-address operation; ``on_done`` fires at retirement."""
         if self.recorder is not None:
             self.recorder.on_op(op)
-        if GLOBAL_TRACER.enabled:
-            GLOBAL_TRACER.log(self.sim.now, self.name, "op",
-                              f"addr={op.addr:#x} write={op.is_write}")
         if isinstance(op, Access):
             size = op.size
         elif isinstance(op, Burst):

@@ -153,10 +153,6 @@ class HardwareThread(Component):
 
     # ------------------------------------------------------------------ info
     @property
-    def finished(self) -> bool:
-        return self.finished_at is not None
-
-    @property
     def aborted(self) -> bool:
         return self._aborted
 

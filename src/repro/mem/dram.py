@@ -54,10 +54,6 @@ class DRAMModel(Component):
         self._data_bus_free = 0
 
     # ------------------------------------------------------------ addressing
-    def bank_of(self, addr: int) -> int:
-        """Bank index of an address (row-interleaved mapping)."""
-        return self._bank_row(addr)[0]
-
     def _bank_row(self, addr: int) -> tuple[int, int]:
         """``(bank, row)`` of an address: consecutive rows go to
         consecutive banks."""

@@ -93,11 +93,6 @@ class FrameAllocator:
     def frames_free(self) -> int:
         return self._num_frames - len(self._allocated)
 
-    @property
-    def bytes_free(self) -> int:
-        """Unallocated physical memory — page-size-independent capacity."""
-        return self.frames_free * self.page_size
-
     def frame_address(self, frame: int) -> int:
         """Physical byte address of a frame number."""
         return frame * self.page_size

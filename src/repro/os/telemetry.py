@@ -93,13 +93,6 @@ class ProcessEpoch:
             return 0.0
         return self.tlb_misses / self.quantum
 
-    @property
-    def fault_rate(self) -> float:
-        """Major faults per kilocycle of measured runtime (0 if idle)."""
-        if self.run_cycles <= 0:
-            return 0.0
-        return 1000.0 * self.major_faults / self.run_cycles
-
 
 @dataclass(frozen=True)
 class EpochStats:

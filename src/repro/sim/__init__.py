@@ -14,7 +14,6 @@ from .process import (
     run_functional,
 )
 from .stats import Accumulator, Counter, Histogram, Scalar, StatsRegistry, merge_snapshots
-from .trace import GLOBAL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "Access",
@@ -25,7 +24,6 @@ __all__ = [
     "Counter",
     "Event",
     "Fence",
-    "GLOBAL_TRACER",
     "Histogram",
     "Operation",
     "ProcessState",
@@ -33,8 +31,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StatsRegistry",
-    "TraceRecord",
-    "Tracer",
     "Yield",
     "count_bytes",
     "merge_snapshots",

@@ -51,12 +51,3 @@ class Component:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
 
-
-class NamedMixin:
-    """Tiny helper for objects that carry a name but are not components."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"

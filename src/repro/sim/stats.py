@@ -9,7 +9,7 @@ after a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 
 class Counter:
@@ -184,9 +184,6 @@ class StatsRegistry:
         if owner not in self._groups:
             self._groups[owner] = StatGroup(owner)
         return self._groups[owner]
-
-    def groups(self) -> Iterable[Tuple[str, StatGroup]]:
-        return self._groups.items()
 
     def snapshot(self) -> Dict[str, float]:
         """Flatten every statistic into ``{"component.stat": value}``."""

@@ -412,17 +412,6 @@ class ResultsStore:
                  "created": first_seen[sha]}
                 for sha, values in groups.items()]
 
-    def distinct(self, column: str) -> List[str]:
-        """Distinct non-null values of one indexed column (for discovery)."""
-        if column not in ("experiment", "model", "kernel", "tier", "git_sha"):
-            raise ValueError(f"column {column!r} is not queryable; use one "
-                             "of experiment, model, kernel, tier, git_sha")
-        with self._lock:
-            rows = self._db.execute(
-                f"SELECT DISTINCT {column} FROM runs WHERE {column}"
-                " IS NOT NULL ORDER BY 1").fetchall()
-        return [row[0] for row in rows]
-
 
 #: Process-wide stores, one per path — mirrors ``default_cache`` so the CLI
 #: and library callers touching the same file share one connection.

@@ -36,7 +36,6 @@ from typing import Callable, Optional
 
 from ..sim.component import Component
 from ..sim.engine import Simulator
-from ..sim.trace import GLOBAL_TRACER
 from .faults import FaultHandler
 from .pagetable import PageTable, PageTableEntry
 from .tlb import TLB, TLBConfig
@@ -146,13 +145,6 @@ class MMU(Component):
             return
 
         self.count("tlb_misses")
-        tracer = GLOBAL_TRACER
-        if tracer.enabled:
-            # Guarded: a disabled tracer costs one attribute load here, and
-            # the f-string is only built when the record is stored.
-            tracer.log(self.sim.now, self.name, "tlb_miss",
-                       f"vaddr={vaddr:#x} vpn={vpn} "
-                       f"asid={self.page_table.asid} thread={thread}")
         started = self.sim.now
         self._walk(vaddr, vpn, offset, access, callback, thread, started,
                    retries_left=self.config.max_fault_retries)

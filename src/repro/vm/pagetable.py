@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .types import AccessType, FaultType, PageFault, Permissions, Translation
+from .types import AccessType, FaultType, PageFault, Translation
 
 #: Conventional x86-style huge-page size.  With a 32-bit virtual address a
 #: 2 MB page leaves 11 VPN bits — a single-level table resolves them, so a
@@ -94,9 +94,6 @@ class PageTableEntry:
     accessed: bool = False
     dirty: bool = False
     pinned: bool = False
-
-    def permissions(self) -> Permissions:
-        return Permissions(readable=True, writable=self.writable, user=self.user)
 
 
 class _TableNode:

@@ -19,7 +19,6 @@ from typing import Callable, Deque, Optional
 
 from ..mem.port import MemoryRequest, MemoryTarget
 from ..sim.component import Component
-from ..sim.trace import GLOBAL_TRACER
 from ..sim.engine import Simulator
 from .pagetable import PageTable, PageTableEntry
 
@@ -120,11 +119,6 @@ class PageTableWalker(Component):
         self.count("walks_completed")
         self.count("walk_cycles", walk_cycles)
         self.sample("walk_latency", walk_cycles)
-        if GLOBAL_TRACER.enabled:
-            GLOBAL_TRACER.log(self.sim.now, self.name, "walk_done",
-                              f"vpn={request.vpn} levels={len(addresses)} "
-                              f"cycles={walk_cycles} "
-                              f"faulted={entry is None}")
         if entry is None:
             self.count("walks_faulted")
         request.callback(entry, walk_cycles)

@@ -249,18 +249,18 @@ def slice_plan(op_lists: Sequence[List[Operation]],
 
 
 def time_sliced_kernel(plan: SlicePlan,
-                       on_switch: Callable[[int], int],
-                       initial_process: int = 0) -> KernelGenerator:
+                       on_switch: Callable[[int], int]) -> KernelGenerator:
     """Replay a slice plan as one kernel generator.
 
     ``on_switch(process)`` is invoked at every process boundary — after a
     ``Fence`` has drained the outgoing process's outstanding operations — and
     returns the context-switch stall in fabric cycles.  The switch hook runs
     when the generator is advanced past the fence, i.e. exactly at the point
-    the OS would perform the switch.
+    the OS would perform the switch.  Process 0 is the one running at the
+    start, so a plan that opens with it pays no switch.
     """
     def generate() -> KernelGenerator:
-        current = initial_process
+        current = 0
         for process, ops in plan:
             if process != current:
                 yield Fence()
@@ -281,8 +281,7 @@ def adaptive_time_sliced_kernel(op_lists: Sequence[List[Operation]],
                                 bus,
                                 on_switch: Callable[[int], int],
                                 weights: Optional[Sequence[float]] = None,
-                                page_size: int = 4096,
-                                initial_process: int = 0) -> KernelGenerator:
+                                page_size: int = 4096) -> KernelGenerator:
     """Replan the time-slicing every epoch from live telemetry.
 
     Unlike :func:`time_sliced_kernel`, no complete plan exists up front: one
@@ -306,7 +305,7 @@ def adaptive_time_sliced_kernel(op_lists: Sequence[List[Operation]],
 
     def generate() -> KernelGenerator:
         cursors = [0] * len(op_lists)
-        current = initial_process
+        current = 0
         while any(cursors[i] < len(op_lists[i]) for i in range(len(op_lists))):
             for index, ops in enumerate(op_lists):
                 if cursors[index] >= len(ops):

@@ -79,18 +79,8 @@ class BoundWorkload:
         return self.spec.name
 
     @property
-    def kernel_name(self) -> str:
-        return self.spec.kernel
-
-    @property
     def schedule(self) -> KernelSchedule:
         return schedule_for(self.spec.kernel)
-
-    @property
-    def footprint_pages(self) -> int:
-        # Footprint is reported in pages of the address space's page size by
-        # the evaluation harness; store bytes and let the caller divide.
-        return 0
 
 
 # ---------------------------------------------------------------------------

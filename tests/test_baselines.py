@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.baselines.common import run_physically_addressed
 from repro.baselines.copydma import CopyDMAAccelerator, CopyModelConfig
-from repro.baselines.ideal import IdealAccelerator
 from repro.baselines.software import SoftwareCPU, SoftwareCPUConfig
 from repro.core.platform import ClockConfig, Platform
 from repro.hwthread.hls import schedule_for
@@ -77,8 +77,9 @@ def test_software_config_validation():
 def test_ideal_accelerator_runs_workload():
     platform = Platform()
     bound = workload("vecadd", scale="tiny").bind(platform.space)
-    result = IdealAccelerator().run(platform, bound.make_kernel())
-    assert result.fabric_cycles > 0
+    result = run_physically_addressed(platform, bound.make_kernel(),
+                                      name="ideal")
+    assert result.cycles > 0
     assert result.mem_bytes == bound.touched_bytes
 
 
@@ -86,7 +87,7 @@ def test_ideal_requires_resident_pages():
     platform = Platform()
     bound = workload("vecadd", scale="tiny", residency=0.0).bind(platform.space)
     with pytest.raises(KeyError):
-        IdealAccelerator().run(platform, bound.make_kernel())
+        run_physically_addressed(platform, bound.make_kernel(), name="ideal")
 
 
 # ------------------------------------------------------------------ copydma

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.dist import (SQLiteBroker, SpecError, Worker, expand_spec,
-                        iter_results, submit_sweep, sweep_status)
+                        iter_results, submit_sweep)
 from repro.eval.harness import HarnessConfig
 from repro.exec import ExperimentJob, run_job
 from repro.workloads import workload
@@ -91,7 +91,7 @@ def test_expand_spec_rejects_non_object():
 def test_submit_drain_results_roundtrip(broker):
     ticket = submit_sweep(broker, SPEC)
     assert ticket.total == 3 and ticket.already_done == 0
-    status = sweep_status(broker, ticket.sweep_id)
+    status = broker.status(ticket.sweep_id)
     assert status["label"] == "fig5-grid" and status["pending"] == 3
     assert json.loads(status["spec"])["axes"] == SPEC["axes"]
 
@@ -122,7 +122,7 @@ def test_submitted_keys_match_in_process_runs(broker, tmp_path):
 
     ticket = submit_sweep(broker, SPEC, memo=cache)
     assert ticket.already_done == 3              # no worker needed at all
-    assert sweep_status(broker, ticket.sweep_id)["finished"]
+    assert broker.status(ticket.sweep_id)["finished"]
 
 
 def test_iter_results_follow_terminates_and_times_out(broker):
@@ -235,7 +235,7 @@ def test_submit_adopts_results_store_rows(broker, tmp_path):
 
     ticket = submit_sweep(broker, SPEC, results=store)
     assert ticket.already_done == 3
-    assert sweep_status(broker, ticket.sweep_id)["finished"]
+    assert broker.status(ticket.sweep_id)["finished"]
     records = list(iter_results(broker, ticket.sweep_id))
     assert {r["worker"] for r in records} == {"store"}
 

@@ -11,7 +11,7 @@ from repro.eval.harness import (
     run_svm,
 )
 from repro.eval.report import format_series, format_table, speedup_summary
-from repro.workloads import workload
+from repro.workloads import standard_suite, workload
 
 
 TINY = workload("vecadd", scale="tiny")
@@ -47,6 +47,15 @@ def test_run_copydma_breakdown_positive():
     assert result.total_cycles > 0
     assert result.copy_in_cycles > 0
     assert result.fabric_cycles > 0
+
+
+@pytest.mark.parametrize("spec", standard_suite("tiny"),
+                         ids=lambda spec: spec.name)
+def test_copydma_fabric_term_equals_the_ideal_run(spec):
+    # Copy-DMA computes on the same fully resident buffers through the same
+    # physically addressed fabric run as the ideal accelerator; only the
+    # copy terms around that run differ.
+    assert run_copydma(spec).fabric_cycles == run_ideal(spec)
 
 
 def test_run_software_single_and_multi():

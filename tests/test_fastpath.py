@@ -1,11 +1,11 @@
-"""Unit tests for the two-tier record/replay subsystem and the tracer.
+"""Unit tests for the two-tier record/replay subsystem.
 
 The differential suite (``test_differential_models.py``) pins the headline
 guarantee — replay results equal event-simulator results exactly.  These
 tests cover the mechanisms underneath: stream recording (functional and
 live), the content-keyed program cache, tier selection plumbing through
-jobs/runner/harness, that the replay tier runs on the standard library
-alone, and the zero-cost tracing contract.
+jobs/runner/harness, and that the replay tier runs on the standard library
+alone.
 """
 
 import heapq
@@ -33,7 +33,6 @@ from repro.sim.process import Access, Burst, Compute, Fence, Yield
 from repro.sim.recorder import (KIND_COMPUTE, KIND_FENCE, KIND_MEM,
                                 KIND_YIELD, TraceRecorder,
                                 UnrecordableOperation)
-from repro.sim.trace import Tracer
 from repro.workloads import contention, workload
 
 
@@ -355,76 +354,3 @@ class TestStandardLibraryOnly:
                             "print('numpy' in sys.modules)")
         assert loaded.strip() == "False"
 
-
-# ---------------------------------------------------------------------------
-# Tracer
-# ---------------------------------------------------------------------------
-class TestTracer:
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.log(1, "mmu", "tlb_miss", "vaddr=0x1000")
-        assert len(tracer) == 0
-
-    def test_disabled_tracer_never_builds_lazy_detail(self):
-        tracer = Tracer(enabled=False)
-
-        def explode():
-            raise AssertionError("detail built while tracing is disabled")
-
-        tracer.log(1, "mmu", "tlb_miss", explode)   # must not raise
-
-    def test_lazy_detail_is_evaluated_when_enabled(self):
-        tracer = Tracer(enabled=True)
-        calls = []
-
-        def detail():
-            calls.append(1)
-            return "vpn=7"
-
-        tracer.log(3, "ptw", "walk_done", detail)
-        assert calls == [1]
-        assert tracer.records[0].detail == "vpn=7"
-
-    def test_limit_drops_and_counts(self):
-        tracer = Tracer(enabled=True, limit=2)
-        for cycle in range(5):
-            tracer.log(cycle, "bus", "grant")
-        assert len(tracer) == 2
-        assert tracer.dropped == 3
-
-    def test_section_brackets_a_block(self):
-        tracer = Tracer(enabled=True)
-        with tracer.section(10, "harness", "sweep", "fig5"):
-            tracer.log(11, "harness", "point")
-        events = [r.event for r in tracer]
-        assert events == ["sweep:begin", "point", "sweep:end"]
-        assert tracer.records[0].detail == "fig5"
-        assert tracer.records[2].detail == "fig5"
-
-    def test_section_emits_end_even_on_raise(self):
-        tracer = Tracer(enabled=True)
-        with pytest.raises(RuntimeError):
-            with tracer.section(10, "harness", "sweep"):
-                raise RuntimeError("boom")
-        assert [r.event for r in tracer] == ["sweep:begin", "sweep:end"]
-
-    def test_section_evaluates_lazy_detail_once(self):
-        tracer = Tracer(enabled=True)
-        calls = []
-
-        def detail():
-            calls.append(1)
-            return "d"
-
-        with tracer.section(0, "c", "e", detail):
-            pass
-        assert calls == [1]
-
-    def test_filter_by_component_and_event(self):
-        tracer = Tracer(enabled=True)
-        tracer.log(0, "mmu", "tlb_miss")
-        tracer.log(1, "ptw", "walk_done")
-        tracer.log(2, "mmu", "tlb_miss")
-        assert len(tracer.filter(component="mmu")) == 2
-        assert len(tracer.filter(event="walk_done")) == 1
-        assert len(tracer.filter(component="mmu", event="walk_done")) == 0

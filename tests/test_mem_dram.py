@@ -79,7 +79,7 @@ def test_different_banks_overlap():
     done = []
     # Two requests mapping to different banks can overlap their access phases.
     for addr in (0, row_bytes):
-        assert dram.bank_of(0) != dram.bank_of(row_bytes)
+        assert dram._bank_row(0)[0] != dram._bank_row(row_bytes)[0]
         request = MemoryRequest(addr=addr, size=8,
                                 callback=lambda r: done.append(sim.now))
         dram.access(request)
@@ -106,8 +106,8 @@ def test_utilisation_bounded():
 
 def test_bank_mapping_is_stable():
     _, dram = make_dram()
-    assert dram.bank_of(0x0) == dram.bank_of(0x0)
-    banks = {dram.bank_of(i * dram.config.row_bytes)
+    assert dram._bank_row(0x0)[0] == dram._bank_row(0x0)[0]
+    banks = {dram._bank_row(i * dram.config.row_bytes)[0]
              for i in range(dram.config.num_banks)}
     assert len(banks) == dram.config.num_banks
 
