@@ -259,7 +259,6 @@ class SynthesizedSystem:
             per_thread_fabric[name] = completion.fabric_cycles or 0 if completion else 0
             per_thread_wall[name] = completion.wall_cycles or 0 if completion else 0
 
-        host_overhead = self.platform.clocks.host_to_fabric(0)
         return SystemRunResult(
             total_cycles=end_cycle - start_cycle,
             per_thread_fabric_cycles=per_thread_fabric,

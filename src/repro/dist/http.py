@@ -387,12 +387,6 @@ class BrokerServer:
         self._httpd.close_connections()
         self._httpd.server_close()
 
-    def __enter__(self) -> "BrokerServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
 
 # ---------------------------------------------------------------------------
 # Client

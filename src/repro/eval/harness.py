@@ -147,9 +147,6 @@ class ComparisonResult:
     def __getitem__(self, model: str) -> RunOutcome:
         return self.outcomes[model]
 
-    def __contains__(self, model: str) -> bool:
-        return model in self.outcomes
-
     @property
     def models(self) -> List[str]:
         return list(self.outcomes)

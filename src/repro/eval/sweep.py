@@ -168,9 +168,6 @@ class SweepOutcomes:
             raise KeyError(f"no sweep point at {dict(key)!r}; "
                            f"axes: {self.axes()}") from None
 
-    def __getitem__(self, coords: Coords) -> Any:
-        return self._data[coords]
-
     def __contains__(self, coords: Coords) -> bool:
         return coords in self._data
 

@@ -29,6 +29,13 @@ Faults the engine does not model (an unmapped page, a write to a read-only
 page, a service that fails, a full handler queue, exhausted retries) raise
 :class:`ReplayFault`, and the caller falls back to the event tier.
 
+Each hot mechanism is written out once.  The bus grant sits at the tail of
+the dispatch loop, where every BUS_FORWARD ends, and DRAM_DONE, BUS_ISSUE
+and WALK_STEP on an idle bus; ``bus_grant`` repeats it only for a walker
+submit, which grants at once, as ``SystemBus.submit`` does.  The clean-hit
+probe sits in ADVANCE and DRAM_DONE, and ``walk_finish`` fills the TLB of
+demand and prefetch walks through one inlined ``TLB.insert``.
+
 A program may also be fed in pieces: when it runs out at a fence-drained
 instant, the counters so far go into the stat groups and
 ``ReplayContext.refill`` returns the next ops.  Adaptive scheduling uses
@@ -249,9 +256,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     plain locals and are added into the stat groups at the end (and before
     each ``ctx.refill``); the per-chunk hit path (probe → translated → bus →
     DRAM → completion) runs entirely inside the dispatch branches without a
-    single helper call.  Payloads are the requests themselves (see the
-    module docstring), and the returned ``events`` is the push count,
-    ``seq``.
+    single helper call: the bus grant runs at the loop's tail, the clean-hit
+    probe in ADVANCE and DRAM_DONE.  Payloads are the requests themselves
+    (see the module docstring), and ``events`` is the push count, ``seq``.
     """
     synth = ctx.synth
     platform = ctx.platform
@@ -426,6 +433,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     # ------------------------------------------------------------- helpers
     def bus_grant() -> None:
+        """The loop-tail grant, for ``walk_do``: a walker submit runs inside
+        other events and must grant at once, as ``SystemBus.submit`` does."""
         nonlocal bus_busy, bus_last, inflight_w, inflight_m, seq
         nonlocal c_busy, c_contended, qw_cnt, qw_tot, qw_min, qw_max
         cand_w = bool(bus_queue_w) and inflight_w < bus_max_inflight
@@ -541,39 +550,55 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             # faulted walk; the MMU will just drop the prefetch.
             c_walks_faulted += 1
 
-        if request[0] == _REQ_DATA:       # demand walk
+        prefetched = request[0] != _REQ_DATA
+        if not prefetched:                # demand walk
             if (entry is None or not entry.present
                     or (request[3][2] and not entry.writable)):
                 fault(request, entry)
                 walker_start_next()
                 return
-            # TLB.insert under the *currently active* ASID (mirrors the MMU,
-            # which tags demand refills with its active page table).
+            # Demand refills take the *currently active* ASID (the MMU tags
+            # them with its active page table).
             key = (cur_asid, vpn)
-            tlb_set = tlb_sets[vpn % num_sets]
-            resident = tlb_set.get(key)
-            if resident is not None:
-                resident.frame = entry.frame
-                resident.writable = entry.writable
+        else:                             # prefetch walk
+            key, stride = request[3]
+            prefetches_inflight.discard(key)
+            if entry is None or not entry.present:
+                c_pf_dropped += 1
+                walker_start_next()
+                return
+        # TLB.insert, inlined: a demand refill clears a resident entry's
+        # prefetch tag, a prefetch refresh keeps it.
+        tlb_set = tlb_sets[vpn % num_sets]
+        resident = tlb_set.get(key)
+        if resident is not None:
+            resident.frame = entry.frame
+            resident.writable = entry.writable
+            if not prefetched:
                 resident.prefetched = False
-            else:
-                if len(tlb_set) >= ways:
-                    tlb_evictions += 1
-                    if policy == "lru":
-                        tlb_set.popitem(last=False)
-                    elif policy == "fifo":
-                        victim = min(tlb_set,
-                                     key=lambda v: tlb_set[v].inserted_at)
-                        del tlb_set[victim]
-                    else:
-                        del tlb_set[rng.choice(list(tlb_set))]
-                tick += 1
-                # Positional: (vpn, frame, writable, asid, inserted_at,
-                # last_used), half the cost of the keyword call.
-                tlb_set[key] = TLBEntry(vpn, entry.frame, entry.writable,
-                                        cur_asid, tick, tick)
+        else:
+            if len(tlb_set) >= ways:
+                tlb_evictions += 1
+                if policy == "lru":
+                    tlb_set.popitem(last=False)
+                elif policy == "fifo":
+                    victim = min(tlb_set,
+                                 key=lambda v: tlb_set[v].inserted_at)
+                    del tlb_set[victim]
+                else:
+                    del tlb_set[rng.choice(list(tlb_set))]
+            tick += 1
+            # Positional: (vpn, frame, writable, asid, inserted_at,
+            # last_used, prefetched), half the cost of the keyword call.
+            resident = TLBEntry(vpn, entry.frame, entry.writable, key[0],
+                                tick, tick, prefetched)
+            tlb_set[key] = resident
+        entry.accessed = True
+        if prefetched:
+            resident.prefetch_stride = stride
+            c_pf_fills += 1
+        else:
             c_refills += 1
-            entry.accessed = True
             issue_payload = request[3]    # (offset, size, is_write, chunks, i)
             if issue_payload[2]:
                 entry.dirty = True
@@ -590,38 +615,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         (_REQ_DATA, paddr, issue_payload[1], issue_payload[2],
                          issue_payload[3], issue_payload[4])))
             seq += 1
-        else:                             # prefetch walk
-            key, stride = request[3]
-            prefetches_inflight.discard(key)
-            if entry is None or not entry.present:
-                c_pf_dropped += 1
-            else:
-                entry.accessed = True
-                # TLB.insert(prefetched=True) + stride tag, inlined.
-                tlb_set = tlb_sets[vpn % num_sets]
-                resident = tlb_set.get(key)
-                if resident is not None:
-                    resident.frame = entry.frame
-                    resident.writable = entry.writable
-                    # entry.prefetched and True -> unchanged
-                    resident.prefetch_stride = stride
-                else:
-                    if len(tlb_set) >= ways:
-                        tlb_evictions += 1
-                        if policy == "lru":
-                            tlb_set.popitem(last=False)
-                        elif policy == "fifo":
-                            victim = min(tlb_set,
-                                         key=lambda v: tlb_set[v].inserted_at)
-                            del tlb_set[victim]
-                        else:
-                            del tlb_set[rng.choice(list(tlb_set))]
-                    tick += 1
-                    installed = TLBEntry(vpn, entry.frame, entry.writable,
-                                         key[0], tick, tick, True)
-                    installed.prefetch_stride = stride
-                    tlb_set[key] = installed
-                c_pf_fills += 1
         walker_start_next()
 
     def lend_tlb() -> None:
@@ -742,10 +735,11 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                   index: int) -> None:
         """Mirror of ``MMU.translate`` + the memif issue that follows a hit.
 
-        The dispatch loop inlines the clean-hit fast path and only calls in
-        here for misses, prefetched hits, write-protection upgrades, and the
-        cold issue sites (stall release); the two implementations must stay
-        semantically identical.
+        The dispatch loop inlines the clean-hit fast path at its two issue
+        sites, ADVANCE (an op's first chunk) and DRAM_DONE (the next chunk,
+        or a stalled op's first), and calls in here only for misses,
+        prefetched hits and write-protection upgrades; the inlined probe and
+        this path must stay semantically identical.
         """
         nonlocal tick, tlb_hits, tlb_misses, prefetch_score, seq
         nonlocal c_translations, c_mmu_hits, c_mmu_misses, c_pf_hits
@@ -809,6 +803,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             c_transactions += 1
             push(heap, (now + issue_latency, seq, 2, payload))
             seq += 1
+            continue
         elif code == 4:                 # _EV_DRAM_DONE
             # The request's kind names its port: data -> memif, walk ->
             # walker.
@@ -823,8 +818,37 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     blm_max = service
                 chunks = request[4]
                 index = request[5] + 1
-                if index < len(chunks):
-                    # Next chunk of a multi-chunk op: inline clean-hit probe.
+                if index == len(chunks):
+                    # Operation retired -> hardware thread _on_mem_done.  A
+                    # stalled op takes the slot and issues its first chunk
+                    # below; otherwise no chunk issues.
+                    outstanding -= 1
+                    if waiting_slot:
+                        waiting_slot = False
+                        stall = now - stall_started
+                        st_cnt += 1
+                        st_tot += stall
+                        if stall < st_min:
+                            st_min = stall
+                        if stall > st_max:
+                            st_max = stall
+                        outstanding += 1
+                        c_memif_ops += 1
+                        c_memif_bytes += stalled_bytes
+                        chunks = stalled_chunks
+                        index = 0
+                    else:
+                        chunks = None
+                        if waiting_fence and outstanding == 0:
+                            waiting_fence = False
+                            push(heap, (now, seq, 0, None))   # ADVANCE
+                            seq += 1
+                        elif exhausted and outstanding == 0 and finish < 0:
+                            finish = now
+                if chunks is not None:
+                    # The op's next chunk, or the released op's first:
+                    # inline clean-hit probe (misses and prefetched hits
+                    # take the full translate path).
                     vaddr, size, is_write = chunks[index]
                     vpn = vaddr >> cur_shift
                     key = (cur_asid, vpn)
@@ -847,51 +871,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         seq += 1
                     else:
                         translate(vaddr, size, is_write, chunks, index)
-                else:
-                    # Operation retired -> hardware thread _on_mem_done.
-                    outstanding -= 1
-                    if waiting_slot:
-                        waiting_slot = False
-                        stall = now - stall_started
-                        st_cnt += 1
-                        st_tot += stall
-                        if stall < st_min:
-                            st_min = stall
-                        if stall > st_max:
-                            st_max = stall
-                        outstanding += 1
-                        c_memif_ops += 1
-                        c_memif_bytes += stalled_bytes
-                        vaddr, size, is_write = stalled_chunks[0]
-                        vpn = vaddr >> cur_shift
-                        key = (cur_asid, vpn)
-                        tlb_set = tlb_sets[vpn % num_sets]
-                        entry = tlb_set.get(key)
-                        if (entry is not None and not entry.prefetched
-                                and (not is_write or entry.writable)):
-                            tick += 1
-                            tlb_hits += 1
-                            entry.last_used = tick
-                            if is_lru:
-                                tlb_set.move_to_end(key)
-                            c_translations += 1
-                            c_mmu_hits += 1
-                            push(heap, (now + hit_latency, seq, 1,
-                                        (_REQ_DATA,
-                                         (entry.frame << cur_shift)
-                                         | (vaddr & cur_mask),
-                                         size, is_write, stalled_chunks, 0)))
-                            seq += 1
-                        else:
-                            translate(vaddr, size, is_write, stalled_chunks, 0)
+                    if not index:
+                        # The released op is in flight; the thread advances.
                         push(heap, (now, seq, 0, None))       # ADVANCE
                         seq += 1
-                    elif waiting_fence and outstanding == 0:
-                        waiting_fence = False
-                        push(heap, (now, seq, 0, None))       # ADVANCE
-                        seq += 1
-                    elif exhausted and outstanding == 0 and finish < 0:
-                        finish = now
             else:
                 inflight_w -= 1
                 blw_cnt += 1
@@ -903,83 +886,14 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 push(heap, (now + per_level_overhead, seq, 5,  # WALK_STEP
                             request))
                 seq += 1
-            if not bus_busy:
-                # Bus grant, inlined (see ``bus_grant`` for the commented
-                # form; repeated at each hot call site to avoid call costs).
-                cand_w = bus_queue_w and inflight_w < bus_max_inflight
-                cand_m = bus_queue_m and inflight_m < bus_max_inflight
-                if cand_w or cand_m:
-                    bus_busy = True
-                    if cand_w and cand_m:
-                        chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
-                                  else rr_hi)
-                    elif cand_w:
-                        chosen = walker_master
-                    else:
-                        chosen = memif_master
-                    bus_last = chosen
-                    if chosen == walker_master:
-                        gpayload, issued = bus_queue_w.popleft()
-                        inflight_w += 1
-                    else:
-                        gpayload, issued = bus_queue_m.popleft()
-                        inflight_m += 1
-                    wait = now - issued
-                    qw_cnt += 1
-                    qw_tot += wait
-                    if wait < qw_min:
-                        qw_min = wait
-                    if wait > qw_max:
-                        qw_max = wait
-                    if wait > 0:
-                        c_contended += 1
-                    beats = (gpayload[2] + bus_width - 1) // bus_width
-                    if beats < 1:
-                        beats = 1
-                    occupancy = addr_phase + beats
-                    c_busy += occupancy
-                    push(heap, (now + occupancy, seq, 3, gpayload))
-                    seq += 1
+            if bus_busy:
+                continue
         elif code == 2:                 # _EV_BUS_ISSUE (memif-port submit)
             c_bus_requests += 1
             c_breq_m += 1
             bus_queue_m.append((payload, now))
-            if not bus_busy:
-                # Bus grant, inlined.
-                cand_w = bus_queue_w and inflight_w < bus_max_inflight
-                cand_m = inflight_m < bus_max_inflight
-                if cand_w or cand_m:
-                    bus_busy = True
-                    if cand_w and cand_m:
-                        chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
-                                  else rr_hi)
-                    elif cand_w:
-                        chosen = walker_master
-                    else:
-                        chosen = memif_master
-                    bus_last = chosen
-                    if chosen == walker_master:
-                        gpayload, issued = bus_queue_w.popleft()
-                        inflight_w += 1
-                    else:
-                        gpayload, issued = bus_queue_m.popleft()
-                        inflight_m += 1
-                    wait = now - issued
-                    qw_cnt += 1
-                    qw_tot += wait
-                    if wait < qw_min:
-                        qw_min = wait
-                    if wait > qw_max:
-                        qw_max = wait
-                    if wait > 0:
-                        c_contended += 1
-                    beats = (gpayload[2] + bus_width - 1) // bus_width
-                    if beats < 1:
-                        beats = 1
-                    occupancy = addr_phase + beats
-                    c_busy += occupancy
-                    push(heap, (now + occupancy, seq, 3, gpayload))
-                    seq += 1
+            if bus_busy:
+                continue
         elif code == 3:                 # _EV_BUS_FORWARD -> DRAM access
             addr = payload[1]
             size = payload[2]
@@ -1023,44 +937,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 dl_max = service
             push(heap, (finish_at, seq, 4, (payload, service)))
             seq += 1
-            # Bus grant, inlined (the occupancy window just ended, so the
-            # bus idles unless a queued request can be granted now).
-            cand_w = bus_queue_w and inflight_w < bus_max_inflight
-            cand_m = bus_queue_m and inflight_m < bus_max_inflight
-            if not (cand_w or cand_m):
-                bus_busy = False
-            else:
-                bus_busy = True
-                if cand_w and cand_m:
-                    chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
-                              else rr_hi)
-                elif cand_w:
-                    chosen = walker_master
-                else:
-                    chosen = memif_master
-                bus_last = chosen
-                if chosen == walker_master:
-                    gpayload, issued = bus_queue_w.popleft()
-                    inflight_w += 1
-                else:
-                    gpayload, issued = bus_queue_m.popleft()
-                    inflight_m += 1
-                wait = now - issued
-                qw_cnt += 1
-                qw_tot += wait
-                if wait < qw_min:
-                    qw_min = wait
-                if wait > qw_max:
-                    qw_max = wait
-                if wait > 0:
-                    c_contended += 1
-                beats = (gpayload[2] + bus_width - 1) // bus_width
-                if beats < 1:
-                    beats = 1
-                occupancy = addr_phase + beats
-                c_busy += occupancy
-                push(heap, (now + occupancy, seq, 3, gpayload))
-                seq += 1
+            # The occupancy window closed: grant the next request or idle.
         elif code == 0:                 # _EV_ADVANCE
             while True:
                 if pc >= nops:
@@ -1168,60 +1045,68 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     seq += 1
                     break
                 # zero-stall switch: fall through to the next program op
-        elif code == 5:   # _EV_WALK_STEP (per-level overhead; walk_do inlined)
+            continue
+        elif code == 5:                 # _EV_WALK_STEP (walk_do inlined)
             # The payload is the walker's bus request for the level just
             # fetched; the walk moves on to the next one.
             _, _, pte_bytes, _, request, addresses, level, started_at = payload
             level += 1
             if level >= len(addresses):
                 walk_finish(request, addresses, started_at)
-            else:
-                c_levels += 1
-                c_bus_requests += 1
-                c_breq_w += 1
-                bus_queue_w.append(((_REQ_WALK, addresses[level], pte_bytes,
-                                     False, request, addresses, level,
-                                     started_at), now))
-                if not bus_busy:
-                    # Bus grant, inlined (walker queue is non-empty).
-                    cand_w = inflight_w < bus_max_inflight
-                    cand_m = bus_queue_m and inflight_m < bus_max_inflight
-                    if cand_w or cand_m:
-                        bus_busy = True
-                        if cand_w and cand_m:
-                            chosen = (rr_lo if (bus_last < rr_lo
-                                                or bus_last >= rr_hi) else rr_hi)
-                        elif cand_w:
-                            chosen = walker_master
-                        else:
-                            chosen = memif_master
-                        bus_last = chosen
-                        if chosen == walker_master:
-                            gpayload, issued = bus_queue_w.popleft()
-                            inflight_w += 1
-                        else:
-                            gpayload, issued = bus_queue_m.popleft()
-                            inflight_m += 1
-                        wait = now - issued
-                        qw_cnt += 1
-                        qw_tot += wait
-                        if wait < qw_min:
-                            qw_min = wait
-                        if wait > qw_max:
-                            qw_max = wait
-                        if wait > 0:
-                            c_contended += 1
-                        beats = (gpayload[2] + bus_width - 1) // bus_width
-                        if beats < 1:
-                            beats = 1
-                        occupancy = addr_phase + beats
-                        c_busy += occupancy
-                        push(heap, (now + occupancy, seq, 3, gpayload))
-                        seq += 1
+                continue
+            c_levels += 1
+            c_bus_requests += 1
+            c_breq_w += 1
+            bus_queue_w.append(((_REQ_WALK, addresses[level], pte_bytes,
+                                 False, request, addresses, level,
+                                 started_at), now))
+            if bus_busy:
+                continue
         elif code == 6:                 # _EV_FAULT_SERVICE
             fault_service(*payload)
+            continue
         else:                           # _EV_FAULT_DONE
             fault_done(*payload)
+            continue
+
+        # Bus grant: every BUS_FORWARD falls through to here, and DRAM_DONE,
+        # BUS_ISSUE and WALK_STEP on an idle bus; every other event continues.
+        cand_w = bus_queue_w and inflight_w < bus_max_inflight
+        cand_m = bus_queue_m and inflight_m < bus_max_inflight
+        if not (cand_w or cand_m):
+            bus_busy = False
+            continue
+        bus_busy = True
+        if cand_w and cand_m:
+            chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
+                      else rr_hi)
+        elif cand_w:
+            chosen = walker_master
+        else:
+            chosen = memif_master
+        bus_last = chosen
+        if chosen == walker_master:
+            gpayload, issued = bus_queue_w.popleft()
+            inflight_w += 1
+        else:
+            gpayload, issued = bus_queue_m.popleft()
+            inflight_m += 1
+        wait = now - issued
+        qw_cnt += 1
+        qw_tot += wait
+        if wait < qw_min:
+            qw_min = wait
+        if wait > qw_max:
+            qw_max = wait
+        if wait > 0:
+            c_contended += 1
+        beats = (gpayload[2] + bus_width - 1) // bus_width
+        if beats < 1:
+            beats = 1
+        occupancy = addr_phase + beats
+        c_busy += occupancy
+        push(heap, (now + occupancy, seq, 3, gpayload))        # BUS_FORWARD
+        seq += 1
 
     if finish < 0:
         raise SimulationError(

@@ -180,12 +180,6 @@ class ResultsStore:
         with self._lock:
             self._db.close()
 
-    def __enter__(self) -> "ResultsStore":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
     # ------------------------------------------------------------- recording
     def record(self, key: str, outcome: Any, *,
                experiment: str = "",

@@ -348,6 +348,17 @@ def test_cli_sweep_status_and_results_over_http(server, client, capsys):
     assert record["coords"] == {"n": 3}
 
 
+def test_sweeps_are_listed_over_http(backend, server, client, capsys):
+    client.create_sweep([_item("k0")], label="first")
+    client.create_sweep([_item("k1"), _item("k2")], label="second")
+    listed = client.sweeps()
+    assert sorted(status["label"] for status in listed) == ["first", "second"]
+    assert listed == backend.sweeps()
+
+    assert main(["sweep", "list", "--broker", server.url, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == listed
+
+
 def test_cli_submit_to_http_broker_opens_no_local_stores(server, tmp_path,
                                                         capsys, monkeypatch):
     """The server's stores apply: submit creates neither a memo file nor a
