@@ -710,8 +710,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _broker_command(args)
 
     if args.command == "sweep":
-        from .dist import BrokerUnavailable, connect_broker
+        from .dist import BrokerUnavailable, connect_broker, sqlite_path
         try:
+            path = sqlite_path(args.broker)
+            if (args.sweep_command != "submit" and path is not None
+                    and not os.path.exists(path)):
+                # Reading commands must not create a broker database.
+                missing = f"no broker database at {path}"
+                print(missing if args.sweep_command == "list" else
+                      f"unknown sweep {args.sweep_id!r}: {missing}",
+                      file=sys.stderr)
+                return 2
             broker = connect_broker(args.broker)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from ..hwthread.memif import MemoryInterface
-from ..hwthread.thread import HardwareThread
-from ..os.delegate import DelegateThread, ThreadCompletion
+from ..hwthread.thread import HardwareThread, ThreadDoneCallback
+from ..os.delegate import DelegateThread
 from ..sim.process import KernelGenerator
 from ..vm.mmu import MMU
 from ..vm.tlb import TLB
@@ -43,8 +43,6 @@ class SynthesizedThread:
     walker: PageTableWalker
     memif: MemoryInterface
     delegate: DelegateThread
-    thread: Optional[HardwareThread] = None
-    completion: Optional[ThreadCompletion] = None
     resources: ResourceEstimate = field(default_factory=ResourceEstimate)
 
 
@@ -208,56 +206,63 @@ class SynthesizedSystem:
             prefetch_pages: int = 0) -> SystemRunResult:
         """Execute the system: one kernel generator per hardware thread.
 
-        ``kernels`` maps thread names to generators.  Every thread is created
-        through its OS delegate (so driver overheads are charged), started,
-        and the simulation runs until all threads complete.
+        ``kernels`` maps thread names to generators.  Each drives a
+        :class:`HardwareThread` on its thread's memory interface, and
+        :meth:`launch` runs the threads' lifecycles.
         """
-        unknown = set(kernels) - set(self.threads)
-        if unknown:
-            raise KeyError(f"kernels bound to unknown threads: {sorted(unknown)}")
-        missing = set(self.threads) - set(kernels)
-        if missing:
-            raise KeyError(f"no kernel bound to threads: {sorted(missing)}")
-
-        sim = self.platform.sim
-        start_cycle = sim.now
-        aborted: List[str] = []
-
+        self._check_bound(kernels)
+        starts = {}
         for name, generator in kernels.items():
             synth = self.threads[name]
-            hw_thread = HardwareThread(sim, generator, synth.memif,
-                                       config=synth.spec.thread_config(),
-                                       name=name)
-            synth.thread = hw_thread
+            starts[name] = HardwareThread(
+                self.platform.sim, generator, synth.memif,
+                config=synth.spec.thread_config(), name=name).start
+        return self.launch(starts, pin_all=pin_all,
+                           prefetch_pages=prefetch_pages)
 
+    def launch(self, starts: Dict[str, Callable[[ThreadDoneCallback], None]],
+               pin_all: bool = False,
+               prefetch_pages: int = 0) -> SystemRunResult:
+        """Run every thread's lifecycle; ``starts`` starts its fabric side.
+
+        ``starts`` maps each thread name to a ``start(on_done)`` callable
+        that starts the thread's fabric side and calls ``on_done(ok)`` when
+        it finishes (``ok`` is False if it aborted): a
+        :meth:`HardwareThread.start` (see :meth:`run`), or the replay tier's
+        :func:`repro.fastpath.replay.replay_start`.  Every thread is created
+        through its OS delegate (so driver overheads are charged), pinned
+        and prefetched as asked, and started; the simulation runs until all
+        threads are joined.
+        """
+        self._check_bound(starts)
+        start_cycle = self.platform.sim.now
+        aborted: List[str] = []
+
+        for name, start in starts.items():
+            delegate = self.threads[name].delegate
             # Pin the areas of the thread's *own* address space: threads may
             # live in different processes (synthesize's ``spaces=`` mapping).
-            pinned_areas = list(synth.delegate.space.areas) if pin_all else None
+            pinned_areas = list(delegate.space.areas) if pin_all else None
 
             def start_fabric(done: Callable[[], None],
-                             thread: HardwareThread = hw_thread,
-                             thread_name: str = name) -> None:
+                             start=start, thread_name: str = name) -> None:
                 def on_done(ok: bool) -> None:
                     if not ok:
                         aborted.append(thread_name)
                     done()
-                thread.start(on_done)
+                start(on_done)
 
-            synth.completion = synth.delegate.create_and_start(
-                start_fabric, pinned_areas=pinned_areas,
-                prefetch_pages=prefetch_pages)
+            delegate.create_and_start(start_fabric, pinned_areas=pinned_areas,
+                                      prefetch_pages=prefetch_pages)
 
         end_cycle = self.platform.run()
-
-        for synth in self.threads.values():
-            synth.mmu.export_stats()
 
         per_thread_fabric: Dict[str, int] = {}
         per_thread_wall: Dict[str, int] = {}
         for name, synth in self.threads.items():
-            completion = synth.completion
-            per_thread_fabric[name] = completion.fabric_cycles or 0 if completion else 0
-            per_thread_wall[name] = completion.wall_cycles or 0 if completion else 0
+            synth.mmu.export_stats()
+            per_thread_fabric[name] = synth.delegate.completion.fabric_cycles or 0
+            per_thread_wall[name] = synth.delegate.completion.wall_cycles or 0
 
         return SystemRunResult(
             total_cycles=end_cycle - start_cycle,
@@ -267,3 +272,11 @@ class SynthesizedSystem:
             software_overhead_cycles=self.platform.kernel.software_overhead_cycles,
             stats=self.platform.snapshot(),
         )
+
+    def _check_bound(self, names) -> None:
+        unknown = set(names) - set(self.threads)
+        if unknown:
+            raise KeyError(f"kernels bound to unknown threads: {sorted(unknown)}")
+        missing = set(self.threads) - set(names)
+        if missing:
+            raise KeyError(f"no kernel bound to threads: {sorted(missing)}")

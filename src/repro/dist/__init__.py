@@ -26,7 +26,7 @@ fleet coordinated through a shared work queue, without changing any caller:
 
 from .broker import (Broker, ClaimedJob, JobResult, SQLiteBroker, SweepTicket,
                      WorkItem, broker_schemes, connect_broker,
-                     register_broker_scheme)
+                     register_broker_scheme, sqlite_path)
 from .http import BrokerServer, BrokerUnavailable, HTTPBroker
 from .runner import DistributedJobError, DistributedRunner
 from .service import SpecError, expand_spec, iter_results, submit_sweep
@@ -37,7 +37,7 @@ __all__ = [
     "Broker", "SQLiteBroker", "WorkItem", "SweepTicket", "ClaimedJob",
     "JobResult", "Worker", "worker_main", "DistributedRunner",
     "DistributedJobError", "SpecError", "expand_spec", "submit_sweep",
-    "iter_results", "connect_broker",
+    "iter_results", "connect_broker", "sqlite_path",
     "register_broker_scheme", "broker_schemes", "BrokerServer", "HTTPBroker",
     "BrokerUnavailable", "WireError", "WireVersionError", "WIRE_VERSION",
 ]

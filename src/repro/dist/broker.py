@@ -220,15 +220,24 @@ def connect_broker(url: Union[str, os.PathLike], **options: Any) -> Broker:
     return factory(text, **options)
 
 
+def sqlite_path(url: Union[str, os.PathLike]) -> Optional[str]:
+    """The database file a SQLite broker URL names: a bare path, or the path
+    of a ``sqlite://`` URL; ``None`` for a URL of any other scheme."""
+    text = os.fspath(url)
+    head, sep, path = text.partition("://")
+    if not (sep and head):
+        return text
+    if head.lower() != "sqlite":
+        return None
+    # sqlite:///abs/path keeps its leading slash; sqlite://rel.db is
+    # relative.  An empty path is a mistake worth naming.
+    if not path:
+        raise ValueError(f"broker URL {text!r} names no database path")
+    return path
+
+
 def _sqlite_from_url(url: str, **options: Any) -> "SQLiteBroker":
-    path = url
-    if url.lower().startswith("sqlite://"):
-        path = url[len("sqlite://"):]
-        # sqlite:///abs/path keeps its leading slash; sqlite://rel.db is
-        # relative.  An empty path is a mistake worth naming.
-        if not path:
-            raise ValueError(f"broker URL {url!r} names no database path")
-    return SQLiteBroker(path, **options)
+    return SQLiteBroker(sqlite_path(url), **options)
 
 
 def _http_from_url(url: str, **options: Any) -> Broker:

@@ -16,7 +16,8 @@ derived metrics the evaluation section reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..baselines.common import run_physically_addressed
 from ..baselines.copydma import CopyDMAAccelerator, CopyDMARunResult
@@ -214,19 +215,42 @@ class ComparisonResult:
 # ---------------------------------------------------------------------------
 # Individual execution models
 # ---------------------------------------------------------------------------
-def _check_tier(tier: str) -> None:
+def _tiered(tier: str, blocker: Callable[[], Optional[str]],
+            run: Callable[[bool], SVMResult]) -> SVMResult:
+    """Run one point on ``tier``: the one place a tier is picked.
+
+    ``run(replay)`` builds a fresh system and runs it once, its fabric
+    replayed or event-simulated.  Unless ``tier`` is ``"event"``, the point
+    replays if ``blocker()`` gives no reason; a reason, a ``TierUnavailable``
+    or a ``ReplayFault`` raises under ``"replay"`` and under ``"auto"``
+    reruns the point on the event tier, with ``tier_reason`` set.
+    """
     if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
+    if tier == "event":
+        return run(False)
+    from ..fastpath.engine import ReplayFault
+    from ..fastpath.replay import TierUnavailable
+    try:
+        reason = blocker()
+        if reason is not None:
+            raise TierUnavailable(reason)
+        svm = run(True)
+        svm.tier = "replay"
+        return svm
+    except (TierUnavailable, ReplayFault) as fault:
+        if tier == "replay":
+            raise
+        reason = str(fault)
+    # Outside the handler, so the aborted replay is freed before this run.
+    svm = run(False)
+    svm.tier_reason = reason
+    return svm
 
 
 def _build_svm_system(spec: WorkloadSpec, config: HarnessConfig,
                       num_threads: int):
-    """Build the platform + synthesized system for a single-process run.
-
-    Shared by the event tier (:func:`run_svm`) and the replay tier
-    (:func:`repro.fastpath.replay.replay_svm`), so both execute on an
-    identically constructed system.
-    """
+    """Build the platform + synthesized system for a single-process run."""
     platform = Platform(config.platform)
 
     bound: List[BoundWorkload] = []
@@ -258,38 +282,43 @@ def run_svm(spec: WorkloadSpec, config: HarnessConfig | None = None,
     (weak scaling: each thread works on its own buffers).
 
     ``tier`` selects the execution engine: ``"event"`` (the default) runs the
-    full event-driven simulation, ``"replay"`` demands the vectorized
-    record/replay fast path (raising
-    :class:`~repro.fastpath.replay.TierUnavailable` when the run is not
-    eligible), and ``"auto"`` uses replay when eligible, falling back to the
-    event tier otherwise (the reason lands on ``SVMResult.tier_reason``).
-    Both tiers produce identical results — the differential suite pins this.
+    full event-driven simulation, ``"replay"`` demands the record/replay
+    fast path (raising :class:`~repro.fastpath.replay.TierUnavailable` when
+    the run is not eligible), and ``"auto"`` uses replay when eligible,
+    falling back to the event tier otherwise (the reason lands on
+    ``SVMResult.tier_reason``).  Both tiers run the same system through
+    :meth:`~repro.core.synthesis.SynthesizedSystem.launch`, and produce
+    identical results — the differential suite pins this.
     """
     config = config or HarnessConfig()
-    _check_tier(tier)
-    tier_reason: Optional[str] = None
-    if tier != "event":
-        from ..fastpath.engine import ReplayFault
-        from ..fastpath.replay import TierUnavailable, replay_svm
-        try:
-            return replay_svm(spec, config, num_threads)
-        except (TierUnavailable, ReplayFault) as reason:
-            if tier == "replay":
-                raise
-            tier_reason = str(reason)
 
-    platform, system, bound = _build_svm_system(spec, config, num_threads)
-    kernels = {f"hwt{i}": bound[i].make_kernel() for i in range(num_threads)}
-    result = system.run(kernels, pin_all=config.pin_all,
-                        prefetch_pages=config.prefetch_pages)
+    def blocker() -> Optional[str]:
+        from ..fastpath.replay import svm_replay_blockers
+        return svm_replay_blockers(spec, config, num_threads)
 
-    fabric = max(result.per_thread_fabric_cycles.values()) if result.per_thread_fabric_cycles else 0
-    svm = _svm_result(result, fabric)
-    svm.tier_reason = tier_reason
-    return svm
+    def run(replay: bool) -> SVMResult:
+        platform, system, bound = _build_svm_system(spec, config, num_threads)
+        if not replay:
+            result = system.run(
+                {f"hwt{i}": bound[i].make_kernel() for i in range(num_threads)},
+                pin_all=config.pin_all, prefetch_pages=config.prefetch_pages)
+        else:
+            from ..fastpath import (ReplayContext, program_for_workload,
+                                    replay_space, replay_start)
+            synth = system.threads["hwt0"]
+            program = program_for_workload(spec, bound[0], platform.page_size,
+                                           synth.memif.config.max_burst_bytes)
+            ctx = ReplayContext(synth=synth, platform=platform, spaces=[
+                replay_space(platform.space, synth.mmu.fault_handler)])
+            result = system.launch({"hwt0": replay_start(ctx, program)},
+                                   pin_all=config.pin_all,
+                                   prefetch_pages=config.prefetch_pages)
+        return _svm_result(result)
+
+    return _tiered(tier, blocker, run)
 
 
-def _svm_result(result: SystemRunResult, fabric_cycles: int,
+def _svm_result(result: SystemRunResult,
                 telemetry: Optional[TelemetryTrace] = None) -> SVMResult:
     """Aggregate a system run's statistics into an :class:`SVMResult`."""
     stats = result.stats
@@ -298,7 +327,8 @@ def _svm_result(result: SystemRunResult, fabric_cycles: int,
     faults = sum_matching(stats, "mmu.", "faults")
     hit_rate = hits / (hits + misses) if (hits + misses) else 0.0
     return SVMResult(total_cycles=result.total_cycles,
-                     fabric_cycles=fabric_cycles,
+                     fabric_cycles=max(result.per_thread_fabric_cycles.values(),
+                                       default=0),
                      tlb_hit_rate=hit_rate,
                      tlb_misses=misses,
                      faults=faults,
@@ -320,10 +350,9 @@ def _svm_result(result: SystemRunResult, fabric_cycles: int,
 def _build_mp_system(mp: MultiProcessSpec, config: HarnessConfig):
     """Build the platform + system + per-process state for an N-process run.
 
-    Shared by the event tier (:func:`run_multiprocess`) and the replay tier
-    (:func:`repro.fastpath.replay.replay_multiprocess`).  Returns each
-    process's bound workload; :func:`_functional_ops` turns them into the
-    op lists the schedulers slice, which a cached replay program never needs.
+    Returns each process's bound workload; :func:`_functional_ops` turns
+    them into the op lists the schedulers slice, which a cached replay
+    program never needs.
     """
     platform = Platform(config.platform)
 
@@ -413,8 +442,9 @@ def run_multiprocess(mp: MultiProcessSpec,
 
     ``tier`` selects the execution engine exactly as in :func:`run_svm`.
     The replay tier serves demand faults and adaptive policies too (the real
-    scheduler and telemetry bus pick each slice from the replayed
-    counters); a fault it does not model falls back to the event tier, and
+    scheduler and telemetry bus pick each slice from the replayed counters,
+    and a :class:`~repro.fastpath.replay.SliceFeed` lowers it); a fault it
+    does not model falls back to the event tier, and
     ``SVMResult.tier_reason`` says why.
 
     **Static vs adaptive scheduling.**  Policies without an online feedback
@@ -429,46 +459,72 @@ def run_multiprocess(mp: MultiProcessSpec,
     ``SVMResult.telemetry``.
     """
     config = config or HarnessConfig()
-    _check_tier(tier)
-    tier_reason: Optional[str] = None
-    if tier != "event":
-        from ..fastpath.engine import ReplayFault
-        from ..fastpath.replay import TierUnavailable, replay_multiprocess
-        try:
-            return replay_multiprocess(mp, config,
-                                       flush_on_switch=flush_on_switch)
-        except (TierUnavailable, ReplayFault) as reason:
-            if tier == "replay":
-                raise
-            tier_reason = str(reason)
+    plan = partial(slice_plan, quantum=mp.quantum, policy=mp.policy,
+                   weights=mp.weights, page_size=config.platform.page_size)
 
-    platform, system, spaces, handlers, bound = _build_mp_system(mp, config)
-    synth = system.threads["hwt0"]
-    op_lists = _functional_ops(bound)
+    def blocker() -> Optional[str]:
+        from ..fastpath.replay import mp_replay_blockers
+        return mp_replay_blockers(mp, config)
 
-    def on_switch(process: int) -> int:
-        if flush_on_switch:
-            synth.mmu.flush()
-        synth.mmu.activate(spaces[process].page_table, handlers[process])
-        return platform.kernel.cost_context_switch()
+    def run(replay: bool) -> SVMResult:
+        platform, system, spaces, handlers, bound = _build_mp_system(mp, config)
+        synth = system.threads["hwt0"]
+        adaptive = get_policy(mp.policy).adaptive
+        bus: Optional[TelemetryBus] = None
+        if not replay:
+            op_lists = _functional_ops(bound)
 
-    bus: Optional[TelemetryBus] = None
-    if get_policy(mp.policy).adaptive:
-        kernel, bus = _adaptive_kernel(mp, config, platform, spaces,
-                                       handlers, op_lists, on_switch)
-    else:
-        plan = slice_plan(op_lists, quantum=mp.quantum, policy=mp.policy,
-                          weights=mp.weights,
-                          page_size=config.platform.page_size)
-        kernel = time_sliced_kernel(plan, on_switch)
+            def on_switch(process: int) -> int:
+                if flush_on_switch:
+                    synth.mmu.flush()
+                synth.mmu.activate(spaces[process].page_table,
+                                   handlers[process])
+                return platform.kernel.cost_context_switch()
 
-    result = system.run({"hwt0": kernel}, pin_all=config.pin_all,
-                        prefetch_pages=config.prefetch_pages)
-    fabric = max(result.per_thread_fabric_cycles.values(), default=0)
-    svm = _svm_result(result, fabric,
-                      telemetry=bus.trace if bus is not None else None)
-    svm.tier_reason = tier_reason
-    return svm
+            if adaptive:
+                kernel, bus = _adaptive_kernel(mp, config, platform, spaces,
+                                               handlers, op_lists, on_switch)
+            else:
+                kernel = time_sliced_kernel(plan(op_lists), on_switch)
+            result = system.run({"hwt0": kernel}, pin_all=config.pin_all,
+                                prefetch_pages=config.prefetch_pages)
+        else:
+            from ..fastpath import (ReplayContext, SliceFeed,
+                                    program_for_plan, program_for_workload,
+                                    replay_space, replay_start)
+            page_size = platform.page_size
+            burst = synth.memif.config.max_burst_bytes
+            ctx = ReplayContext(
+                synth=synth, platform=platform,
+                spaces=[replay_space(space, handler)
+                        for space, handler in zip(spaces, handlers)],
+                flush_on_switch=flush_on_switch)
+            if adaptive:
+                # Programs are cached per process spec, shared by every run
+                # that schedules that process; the slices are the live
+                # scheduler's.
+                op_lists = _functional_ops(bound)
+                feed = SliceFeed(
+                    op_lists,
+                    [program_for_workload(spec, b, page_size, burst)
+                     for spec, b in zip(mp.specs, bound)],
+                    platform.kernel.cost_context_switch, platform.sim.now)
+                feed.kernel, bus = _adaptive_kernel(
+                    mp, config, platform, spaces, handlers, op_lists,
+                    feed.on_switch, clock=lambda: feed.cycle)
+                ctx.refill = feed
+                program = []
+            else:
+                ctx.on_switch_cost = platform.kernel.cost_context_switch
+                program = program_for_plan(
+                    mp, lambda: plan(_functional_ops(bound)), page_size, burst)
+            result = system.launch({"hwt0": replay_start(ctx, program)},
+                                   pin_all=config.pin_all,
+                                   prefetch_pages=config.prefetch_pages)
+        return _svm_result(result,
+                           telemetry=None if bus is None else bus.trace)
+
+    return _tiered(tier, blocker, run)
 
 
 def run_ideal(spec: WorkloadSpec, config: HarnessConfig | None = None) -> int:

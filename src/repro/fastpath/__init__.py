@@ -13,24 +13,29 @@ fraction of the event tier's Python overhead.  The engine reads its timing
 from the synthesized components' own configs, and one table sends its
 counters into those components' real stat groups.
 
-Tier selection lives in the harness (``run_svm(..., tier=...)``) and the
-experiment/CLI layers; this package only answers "can this run replay?"
-(:func:`svm_replay_blockers` / :func:`mp_replay_blockers`) and "replay it"
-(:func:`replay_svm` / :func:`replay_multiprocess`).
+Tier selection lives in one place, the harness (``run_svm(...,
+tier=...)``), and both tiers run a point through the same lifecycle,
+:meth:`~repro.core.synthesis.SynthesizedSystem.launch`.  This package
+answers "can this run replay?" (:func:`svm_replay_blockers` /
+:func:`mp_replay_blockers`) and supplies the replayed fabric side:
+:func:`replay_start` over a :class:`ReplayContext` and a program from
+:func:`program_for_workload` / :func:`program_for_plan`, with
+:func:`replay_space` for each address space and :class:`SliceFeed` to feed
+an adaptive scheduler's slices.
 """
 
 from .engine import (ReplayContext, ReplayFault, ReplayOutput, ReplaySpace,
                      replay_fabric)
 from .record import (build_program, clear_program_cache, program_for_plan,
                      program_for_workload, record_stats, split_chunks)
-from .replay import (TierUnavailable, mp_replay_blockers, replay_multiprocess,
-                     replay_svm, svm_replay_blockers)
+from .replay import (SliceFeed, TierUnavailable, mp_replay_blockers,
+                     replay_space, replay_start, svm_replay_blockers)
 
 __all__ = [
     "ReplayContext", "ReplayFault", "ReplayOutput", "ReplaySpace",
     "replay_fabric",
     "build_program", "clear_program_cache", "program_for_plan",
     "program_for_workload", "record_stats", "split_chunks",
-    "TierUnavailable", "mp_replay_blockers", "replay_multiprocess",
-    "replay_svm", "svm_replay_blockers",
+    "SliceFeed", "TierUnavailable", "mp_replay_blockers", "replay_space",
+    "replay_start", "svm_replay_blockers",
 ]

@@ -320,7 +320,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     policy = tlb_cfg.replacement      # "lru" | "fifo" | "random"
     is_lru = policy == "lru"
     rng = tlb._rng
-    tick = tlb._tick
     tlb_hits = tlb.hits
     tlb_misses = tlb.misses
     tlb_evictions = tlb.evictions
@@ -522,7 +521,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             bus_grant()
 
     def walk_finish(request: tuple, addresses: list, started_at: int) -> None:
-        nonlocal tick, tlb_evictions, seq, c_walks_done, c_walks_faulted
+        nonlocal tlb_evictions, seq, c_walks_done, c_walks_faulted
         nonlocal c_walk_cycles, c_refills, c_transactions, c_pf_dropped
         nonlocal c_pf_fills
         nonlocal wl_cnt, wl_tot, wl_min, wl_max, ml_cnt, ml_tot, ml_min, ml_max
@@ -579,19 +578,15 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         else:
             if len(tlb_set) >= ways:
                 tlb_evictions += 1
-                if policy == "lru":
-                    tlb_set.popitem(last=False)
-                elif policy == "fifo":
-                    victim = min(tlb_set,
-                                 key=lambda v: tlb_set[v].inserted_at)
-                    del tlb_set[victim]
-                else:
+                # The first entry is the LRU and the FIFO victim (TLB._evict).
+                if policy == "random":
                     del tlb_set[rng.choice(list(tlb_set))]
-            tick += 1
-            # Positional: (vpn, frame, writable, asid, inserted_at,
-            # last_used, prefetched), half the cost of the keyword call.
+                else:
+                    tlb_set.popitem(last=False)
+            # Positional: (vpn, frame, writable, asid, prefetched), half the
+            # cost of the keyword call.
             resident = TLBEntry(vpn, entry.frame, entry.writable, key[0],
-                                tick, tick, prefetched)
+                                prefetched)
             tlb_set[key] = resident
         entry.accessed = True
         if prefetched:
@@ -619,15 +614,13 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     def lend_tlb() -> None:
         """Write the inlined TLB state back before real code reads it."""
-        tlb._tick = tick
         tlb.hits = tlb_hits
         tlb.misses = tlb_misses
         tlb.evictions = tlb_evictions
 
     def reclaim_tlb() -> None:
         """Take the TLB state back after real code may have touched it."""
-        nonlocal tick, tlb_hits, tlb_misses, tlb_evictions
-        tick = tlb._tick
+        nonlocal tlb_hits, tlb_misses, tlb_evictions
         tlb_hits = tlb.hits
         tlb_misses = tlb.misses
         tlb_evictions = tlb.evictions
@@ -741,18 +734,16 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         prefetched hits and write-protection upgrades; the inlined probe and
         this path must stay semantically identical.
         """
-        nonlocal tick, tlb_hits, tlb_misses, prefetch_score, seq
+        nonlocal tlb_hits, tlb_misses, prefetch_score, seq
         nonlocal c_translations, c_mmu_hits, c_mmu_misses, c_pf_hits
         vpn = vaddr >> cur_shift
         c_translations += 1
         # TLB.lookup, inlined.
-        tick += 1
         tlb_set = tlb_sets[vpn % num_sets]
         key = (cur_asid, vpn)
         entry = tlb_set.get(key)
         if entry is not None:
             tlb_hits += 1
-            entry.last_used = tick
             if is_lru:
                 tlb_set.move_to_end(key)
         else:
@@ -856,9 +847,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     entry = tlb_set.get(key)
                     if (entry is not None and not entry.prefetched
                             and (not is_write or entry.writable)):
-                        tick += 1
                         tlb_hits += 1
-                        entry.last_used = tick
                         if is_lru:
                             tlb_set.move_to_end(key)
                         c_translations += 1
@@ -981,9 +970,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     entry = tlb_set.get(key)
                     if (entry is not None and not entry.prefetched
                             and (not is_write or entry.writable)):
-                        tick += 1
                         tlb_hits += 1
-                        entry.last_used = tick
                         if is_lru:
                             tlb_set.move_to_end(key)
                         c_translations += 1

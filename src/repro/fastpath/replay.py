@@ -1,44 +1,42 @@
-"""Replay-tier entry points: run a workload through the fast path.
+"""Replay-tier plumbing: who can replay, and a replayed fabric to launch.
 
-:func:`replay_svm` and :func:`replay_multiprocess` are drop-in peers of
-:func:`repro.eval.harness.run_svm` / ``run_multiprocess``: they build the
-*same* platform and synthesized system through the same harness helpers, run
-every software-side cost (thread create, pinning, host TLB touches, context
-switches, join) through the real components, and replace only the fabric
-event loop with :func:`repro.fastpath.engine.replay_fabric` driven by a
-cached replay program.  The engine reads its timing from the synthesized
-thread's and the platform's own configs and adds its counters into their
-real statistic groups, so ``platform.snapshot()`` and the harness
-aggregation are reused unchanged and the returned
-:class:`~repro.eval.harness.SVMResult` is exactly what the event tier would
-have produced.
+A replayed point runs on the *same* platform and synthesized system as an
+event-tier point, through the same lifecycle,
+:meth:`~repro.core.synthesis.SynthesizedSystem.launch`: thread create,
+pinning, host TLB touches, context switches and join all run through the
+real components.  Only the fabric side differs: where the event tier starts
+a :class:`~repro.hwthread.thread.HardwareThread`, :func:`replay_start` runs a
+cached replay program through :func:`repro.fastpath.engine.replay_fabric`.
+The engine reads its timing from the synthesized thread's and the
+platform's own configs and adds its counters into their real statistic
+groups, so ``platform.snapshot()`` and the harness aggregation are the
+event tier's, and so is the result.
 
 Demand faults are serviced inside the replay through each space's real
 fault handler, and adaptive policies run through the real epoch-driven
 kernel and :class:`~repro.os.telemetry.TelemetryBus`: the engine hands the
-kernel each slice boundary (:class:`_SliceFeed`) after adding its counters
+kernel each slice boundary (:class:`SliceFeed`) after adding its counters
 into the real statistic groups, so the bus reads the same registry the
 event tier's bus reads.
 
 Eligibility is decided *before* running (:func:`svm_replay_blockers` /
 :func:`mp_replay_blockers` return a human-readable reason or ``None``); a
 fault the engine does not model raises
-:class:`~repro.fastpath.engine.ReplayFault` mid-replay, which
-``tier="auto"`` callers treat as "fall back to the event tier".
+:class:`~repro.fastpath.engine.ReplayFault` mid-replay.  The harness
+(:mod:`repro.eval.harness`) picks the tier and, for ``tier="auto"``, falls
+back to the event tier on either.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..sim.process import Compute, Fence
 from .engine import (OP_COMPUTE, OP_FENCE, OP_SWITCH, ReplayContext,
                      ReplaySpace, replay_fabric)
-from .record import program_for_plan, program_for_workload
 
 __all__ = ["TierUnavailable", "svm_replay_blockers", "mp_replay_blockers",
-           "replay_svm", "replay_multiprocess"]
+           "replay_space", "replay_start", "SliceFeed"]
 
 
 class TierUnavailable(RuntimeError):
@@ -68,9 +66,10 @@ def mp_replay_blockers(mp, config) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# System execution
+# The replayed fabric
 # ---------------------------------------------------------------------------
-def _replay_space(space, handler) -> ReplaySpace:
+def replay_space(space, handler) -> ReplaySpace:
+    """The translation state of a real address space and its fault handler."""
     table = space.page_table
     return ReplaySpace(asid=table.asid, page_table=table,
                        page_size=table.config.page_size,
@@ -80,98 +79,44 @@ def _replay_space(space, handler) -> ReplaySpace:
                        handler=handler)
 
 
-def replay_system_run(system, thread_name: str, program: list,
-                      spaces: List[ReplaySpace],
-                      flush_on_switch: bool = False,
-                      on_switch_cost: Optional[Callable[[], int]] = None,
-                      pin_all: bool = False, prefetch_pages: int = 0,
-                      refill: Optional[Callable[[int], list]] = None):
-    """Mirror of :meth:`SynthesizedSystem.run` with a replayed fabric.
+def replay_start(ctx: ReplayContext, program: list):
+    """The replayed fabric side of ``ctx.synth``, for
+    :meth:`~repro.core.synthesis.SynthesizedSystem.launch`.
 
-    The delegate lifecycle (create, pin, host TLB touches, prefetch, join)
-    executes through the real components; at launch the pre-recorded program
-    runs through :func:`replay_fabric` against the system's real TLB, page
-    tables and fault handlers, and the completion/join events are scheduled
-    at the exact cycles the event tier would produce.
-
-    ``refill(cycle)``, when given, supplies the program in pieces: the
-    engine calls it at the fence-drained instants where the program runs
-    out, after it has added the counters so far to the real stat groups.
+    The returned ``start(on_done)`` runs ``program`` through
+    :func:`replay_fabric` at launch, against the system's real TLB, page
+    tables, fault handlers and stat groups, then schedules ``on_done(True)``
+    at the cycle the event tier's thread would finish and holds the
+    simulation open to the engine's last event, so the delegate's join and
+    the platform's final cycle land where the event tier puts them.  It
+    writes the thread's ``starts``, ``completions`` and ``cycles`` as
+    :class:`~repro.hwthread.thread.HardwareThread` does.  A fault the engine
+    does not model raises :class:`~repro.fastpath.engine.ReplayFault` out of
+    the simulation.
     """
-    from ..core.synthesis import SystemRunResult
-
-    platform = system.platform
-    sim = platform.sim
-    synth = system.threads[thread_name]
+    platform = ctx.platform
     if platform.bus.num_masters != 2:
         raise TierUnavailable(
             f"replay models one walker + one memif bus master "
             f"(found {platform.bus.num_masters})")
+    sim = platform.sim
 
-    start_cycle = sim.now
-    pinned_areas = list(synth.delegate.space.areas) if pin_all else None
-    holder = {}
-
-    def start_fabric(done: Callable[[], None]) -> None:
-        out = replay_fabric(program, ReplayContext(
-            synth=synth, platform=platform, spaces=spaces,
-            flush_on_switch=flush_on_switch, on_switch_cost=on_switch_cost,
-            refill=refill))
-        holder["out"] = out
-        sim.schedule(out.finish, done)
+    def start(on_done) -> None:
+        out = replay_fabric(program, ctx)
+        thread = sim.stats.group(ctx.synth.spec.name)
+        thread.counter("starts").inc(1)
+        thread.counter("completions").inc(1)
+        thread.scalar("cycles").set(out.finish)
+        sim.schedule(out.finish, lambda: on_done(True))
         if out.last_cycle > out.finish:
             # Stray prefetch walks outlive the thread in the event tier; the
             # platform's final cycle must match, so hold the sim open.
             sim.schedule(out.last_cycle, lambda: None)
 
-    completion = synth.delegate.create_and_start(
-        start_fabric, pinned_areas=pinned_areas,
-        prefetch_pages=prefetch_pages)
-    synth.completion = completion
-
-    end_cycle = platform.run()
-
-    thread = sim.stats.group(thread_name)
-    thread.counter("starts").inc(1)
-    thread.counter("completions").inc(1)
-    thread.scalar("cycles").set(holder["out"].finish)
-    synth.mmu.export_stats()
-
-    return SystemRunResult(
-        total_cycles=end_cycle - start_cycle,
-        per_thread_fabric_cycles={thread_name: completion.fabric_cycles or 0},
-        per_thread_wall_cycles={thread_name: completion.wall_cycles or 0},
-        aborted_threads=[],
-        software_overhead_cycles=platform.kernel.software_overhead_cycles,
-        stats=platform.snapshot())
+    return start
 
 
-# ---------------------------------------------------------------------------
-# Harness-level entry points
-# ---------------------------------------------------------------------------
-def replay_svm(spec, config=None, num_threads: int = 1):
-    """Replay-tier equivalent of :func:`repro.eval.harness.run_svm`."""
-    from ..eval.harness import (HarnessConfig, _build_svm_system, _svm_result)
-    config = config or HarnessConfig()
-    blocker = svm_replay_blockers(spec, config, num_threads)
-    if blocker is not None:
-        raise TierUnavailable(blocker)
-
-    platform, system, bound = _build_svm_system(spec, config, num_threads)
-    synth = system.threads["hwt0"]
-    program = program_for_workload(spec, bound[0], platform.page_size,
-                                   synth.memif.config.max_burst_bytes)
-    result = replay_system_run(
-        system, "hwt0", program,
-        [_replay_space(platform.space, synth.mmu.fault_handler)],
-        pin_all=config.pin_all, prefetch_pages=config.prefetch_pages)
-    fabric = max(result.per_thread_fabric_cycles.values(), default=0)
-    svm = _svm_result(result, fabric)
-    svm.tier = "replay"
-    return svm
-
-
-class _SliceFeed:
+class SliceFeed:
     """The real adaptive kernel's slices, lowered to program ops on demand.
 
     The engine calls the feed whenever its program runs out at a
@@ -228,52 +173,3 @@ class _SliceFeed:
                 break
         return ops
 
-
-def replay_multiprocess(mp, config=None, flush_on_switch: bool = False):
-    """Replay-tier equivalent of :func:`repro.eval.harness.run_multiprocess`."""
-    from ..eval.harness import (HarnessConfig, _adaptive_kernel,
-                                _build_mp_system, _functional_ops, _svm_result)
-    from ..os.scheduler import get_policy
-    from ..workloads.multiprocess import slice_plan
-    config = config or HarnessConfig()
-    blocker = mp_replay_blockers(mp, config)
-    if blocker is not None:
-        raise TierUnavailable(blocker)
-
-    platform, system, spaces, handlers, bound = _build_mp_system(mp, config)
-    synth = system.threads["hwt0"]
-    page_size = platform.page_size
-    burst = synth.memif.config.max_burst_bytes
-    run = partial(replay_system_run, system, "hwt0",
-                  spaces=[_replay_space(space, handler)
-                          for space, handler in zip(spaces, handlers)],
-                  flush_on_switch=flush_on_switch, pin_all=config.pin_all,
-                  prefetch_pages=config.prefetch_pages)
-    bus = None
-    if get_policy(mp.policy).adaptive:
-        # Programs are cached per process spec, shared by every run that
-        # schedules that process; the slices are the live scheduler's.
-        op_lists = _functional_ops(bound)
-        feed = _SliceFeed(
-            op_lists,
-            [program_for_workload(spec, b, page_size, burst)
-             for spec, b in zip(mp.specs, bound)],
-            platform.kernel.cost_context_switch, platform.sim.now)
-        feed.kernel, bus = _adaptive_kernel(
-            mp, config, platform, spaces, handlers, op_lists,
-            feed.on_switch, clock=lambda: feed.cycle)
-        result = run(program=[], refill=feed)
-    else:
-        program = program_for_plan(
-            mp, lambda: slice_plan(_functional_ops(bound),
-                                   quantum=mp.quantum, policy=mp.policy,
-                                   weights=mp.weights,
-                                   page_size=config.platform.page_size),
-            page_size, burst)
-        result = run(program=program,
-                     on_switch_cost=platform.kernel.cost_context_switch)
-    fabric = max(result.per_thread_fabric_cycles.values(), default=0)
-    svm = _svm_result(result, fabric,
-                      telemetry=None if bus is None else bus.trace)
-    svm.tier = "replay"
-    return svm

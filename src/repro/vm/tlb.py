@@ -58,8 +58,6 @@ class TLBEntry:
     frame: int
     writable: bool
     asid: int = 0
-    inserted_at: int = 0
-    last_used: int = 0
     #: Installed by a prefetcher rather than a demand miss.  The MMU clears
     #: the flag on first demand hit (and counts it as a useful prefetch).
     prefetched: bool = False
@@ -87,7 +85,6 @@ class TLB:
         self._sets: List[OrderedDict[TLBKey, TLBEntry]] = [
             OrderedDict() for _ in range(self._num_sets)]
         self._rng = random.Random(self.config.seed)
-        self._tick = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -100,12 +97,10 @@ class TLB:
     # ---------------------------------------------------------------- lookup
     def lookup(self, vpn: int, asid: int = 0) -> Optional[TLBEntry]:
         """Probe the TLB.  Returns the entry on a hit, None on a miss."""
-        self._tick += 1
         tlb_set = self._sets[self._set_index(vpn)]
         entry = tlb_set.get((asid, vpn))
         if entry is not None:
             self.hits += 1
-            entry.last_used = self._tick
             if self.config.replacement == "lru":
                 tlb_set.move_to_end((asid, vpn))
             return entry
@@ -132,24 +127,22 @@ class TLB:
             return entry
         if len(tlb_set) >= self.config.ways:
             self._evict(tlb_set)
-        self._tick += 1
         entry = TLBEntry(vpn=vpn, frame=frame, writable=writable, asid=asid,
-                         inserted_at=self._tick, last_used=self._tick,
                          prefetched=prefetched)
         tlb_set[key] = entry
         return entry
 
     def _evict(self, tlb_set: OrderedDict[TLBKey, TLBEntry]) -> None:
+        """Drop one entry of a full set.
+
+        A set's order is its insertion order, and only an LRU hit moves an
+        entry to the end, so the first entry is the LRU and the FIFO victim.
+        """
         self.evictions += 1
-        policy = self.config.replacement
-        if policy == "lru":
+        if self.config.replacement == "random":
+            del tlb_set[self._rng.choice(list(tlb_set))]
+        else:
             tlb_set.popitem(last=False)
-        elif policy == "fifo":
-            victim = min(tlb_set, key=lambda v: tlb_set[v].inserted_at)
-            del tlb_set[victim]
-        else:  # random
-            victim = self._rng.choice(list(tlb_set))
-            del tlb_set[victim]
 
     # ----------------------------------------------------------- maintenance
     def invalidate(self, vpn: int, asid: Optional[int] = None) -> bool:

@@ -220,6 +220,17 @@ def test_cli_status_unknown_sweep(tmp_path, capsys):
     assert main(["sweep", "results", "--broker", broker_path, "nope"]) == 2
 
 
+def test_cli_reading_commands_create_no_broker(tmp_path, capsys):
+    """``status``, ``results`` and ``list`` on a missing SQLite broker exit 2
+    naming the path, and create neither the file nor its directory."""
+    broker_path = str(tmp_path / "no" / "b.db")
+    for command in (["status", "abc"], ["results", "abc"], ["list"]):
+        assert main(["sweep", command[0], "--broker", broker_path,
+                     *command[1:]]) == 2
+        assert f"no broker database at {broker_path}" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
+
+
 # ---------------------------------------------------------------------------
 # Results store through the service boundary
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ jobs/runner/harness, and that the replay tier runs on the standard library
 alone.
 """
 
+import dataclasses
 import heapq
 import json
 import os
@@ -218,6 +219,25 @@ class TestTierPlumbing:
         assert result.system_result.aborted_threads == ["hwt0"]
         with pytest.raises(ReplayFault, match="fault queue"):
             run_svm(spec, config, tier="replay")
+
+    def test_fallback_gives_exactly_the_event_tiers_result(self):
+        """A replay that fills the fault queue mid-run falls back to a fresh
+        event-tier run: nothing of the aborted replay leaks into it, for
+        one process, a static plan and the adaptive feed alike."""
+        config = HarnessConfig(tlb_entries=8, platform=PlatformConfig(
+            fault_handler=FaultHandlerConfig(max_queue_depth=1)))
+        spec = workload("random_access", scale="tiny", residency=0.25)
+        runs = [lambda tier: run_svm(spec, config, tier=tier)]
+        for policy in ("round-robin", "miss-fair"):
+            mp = contention(["random_access", "vecadd"], scale="tiny",
+                            residency=0.25, quantum=2000, policy=policy)
+            runs.append(lambda tier, mp=mp: run_multiprocess(mp, config,
+                                                             tier=tier))
+        for run in runs:
+            auto = run("auto")
+            assert auto.tier == "event"
+            assert "fault queue" in auto.tier_reason
+            assert dataclasses.replace(auto, tier_reason=None) == run("event")
 
     def test_blockers_report_none_for_eligible_runs(self):
         spec = workload("vecadd", scale="tiny", n=256)
