@@ -42,6 +42,7 @@ from .eval.harness import HarnessConfig, compare
 from .eval.report import (format_nested_series, format_output, format_series,
                           format_table)
 from .exec import SweepRunner, default_cache
+from .exec.db import DatabaseOpenError
 from .models import TIERS, get_model, registered_models
 from .store import open_results_store
 from .workloads import available_workload_kernels, workload
@@ -503,7 +504,17 @@ def _sweep_results(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except DatabaseOpenError as exc:
+        # A broker or results-store path that is a directory or not a
+        # database (the memo cache falls back to memory instead): every
+        # command reports it here.
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         print("experiments:")
         for name in sorted(EXPERIMENTS):
@@ -606,6 +617,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{', '.join(baseline_flags)}: the committed baseline "
                   "is tiny-scale", file=sys.stderr)
             return 2
+        # Opened before the suite runs, so a bad path fails at once.
+        store = (open_results_store(args.results_db) if args.results_db
+                 else None)
         count = len(only) if only is not None else len(bench_mod.BENCH_SUITE)
         print(f"benchmark suite ({count} entries, serial, "
               f"scale={args.scale}):", file=sys.stderr)
@@ -615,8 +629,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         output = args.output or f"BENCH_{report.sha}.json"
         bench_mod.write_report(report, output)
         print(f"wrote {output}", file=sys.stderr)
-        if args.results_db:
-            store = open_results_store(args.results_db)
+        if store is not None:
             appended = store.record_bench(report, scale=args.scale)
             print(f"recorded {appended} bench row(s) in {args.results_db} "
                   "(query with: repro query --experiment bench "

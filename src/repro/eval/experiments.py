@@ -855,6 +855,8 @@ def _fig14_point(candidate: Mapping[str, object], scale: str = "tiny",
         "epochs": telemetry.num_epochs if telemetry else 0,
         "tlb_misses": result.tlb_misses,
         "faults": result.faults,
+        # Not an objective: lets the runner count points by tier.
+        "tier": result.tier,
     }
 
 

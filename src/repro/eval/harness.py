@@ -31,8 +31,9 @@ from ..os.telemetry import (ProcessInfo, TelemetryBus, TelemetryTrace,
                             epoch_fairness)
 from ..sim.process import run_functional
 from ..sim.stats import sum_matching
-from ..workloads.multiprocess import (MultiProcessSpec,
-                                      adaptive_time_sliced_kernel, slice_plan,
+from ..workloads.multiprocess import (MultiProcessSpec, ProcessInputs,
+                                      adaptive_time_sliced_kernel,
+                                      expand_slices, slice_plan,
                                       time_sliced_kernel)
 from ..workloads.specs import BoundWorkload, WorkloadSpec
 
@@ -306,7 +307,8 @@ def run_svm(spec: WorkloadSpec, config: HarnessConfig | None = None,
             from ..fastpath import (ReplayContext, program_for_workload,
                                     replay_space, replay_start)
             synth = system.threads["hwt0"]
-            program = program_for_workload(spec, bound[0], platform.page_size,
+            program = program_for_workload(spec, bound[0].make_kernel,
+                                           platform.page_size,
                                            synth.memif.config.max_burst_bytes)
             ctx = ReplayContext(synth=synth, platform=platform, spaces=[
                 replay_space(platform.space, synth.mmu.fault_handler)])
@@ -350,9 +352,9 @@ def _svm_result(result: SystemRunResult,
 def _build_mp_system(mp: MultiProcessSpec, config: HarnessConfig):
     """Build the platform + system + per-process state for an N-process run.
 
-    Returns each process's bound workload; :func:`_functional_ops` turns
-    them into the op lists the schedulers slice, which a cached replay
-    program never needs.
+    Returns each process's bound workload; :func:`_process_inputs` gives
+    the schedulers their op lists, which a cached static replay program
+    never needs.
     """
     platform = Platform(config.platform)
 
@@ -391,14 +393,32 @@ def _build_mp_system(mp: MultiProcessSpec, config: HarnessConfig):
 
 
 def _functional_ops(bound: Sequence[BoundWorkload]) -> List[list]:
-    """Each process's kernel, drained into its operation list."""
+    """Each process's kernel, drained into its operation list: the one
+    place a multi-process run drains a kernel."""
     return [run_functional(b.make_kernel()) for b in bound]
 
 
-def _adaptive_kernel(mp: MultiProcessSpec, config: HarnessConfig, platform,
-                     spaces, handlers, op_lists, on_switch,
-                     clock=None):
-    """The epoch-driven kernel of an adaptive policy and its telemetry bus.
+def _process_inputs(bound: Sequence[BoundWorkload],
+                    page_size: int) -> List[ProcessInputs]:
+    """Each process's scheduler inputs, from the store beside the replay
+    program cache (:func:`repro.fastpath.record.process_inputs`).
+
+    Only a miss drains the process's kernel, through :func:`_functional_ops`.
+    """
+    from ..fastpath.record import process_inputs
+
+    def build(workload: BoundWorkload) -> ProcessInputs:
+        ops, = _functional_ops([workload])
+        return ProcessInputs.of(ops, page_size)
+
+    return [process_inputs(b.spec, page_size, partial(build, b))
+            for b in bound]
+
+
+def _adaptive_kernel(mp: MultiProcessSpec, platform, spaces, handlers,
+                     inputs: Sequence[ProcessInputs], clock=None):
+    """The epoch-driven slice generator of an adaptive policy and its
+    telemetry bus.
 
     Shared by both tiers; the replay tier passes the engine's ``clock``
     (see :class:`~repro.os.telemetry.TelemetryBus`).
@@ -410,13 +430,12 @@ def _adaptive_kernel(mp: MultiProcessSpec, config: HarnessConfig, platform,
                                fault_handler=handlers[index].name)
                    for index in range(mp.num_processes)],
         base_quantum=mp.quantum, clock=clock)
-    kernel = adaptive_time_sliced_kernel(
-        op_lists, get_policy(mp.policy),
+    slices = adaptive_time_sliced_kernel(
+        inputs, get_policy(mp.policy),
         SchedulerConfig(num_cores=1, quantum=mp.quantum,
                         context_switch_cycles=0),
-        bus=bus, on_switch=on_switch, weights=mp.weights,
-        page_size=config.platform.page_size)
-    return kernel, bus
+        bus=bus, weights=mp.weights)
+    return slices, bus
 
 
 def run_multiprocess(mp: MultiProcessSpec,
@@ -470,10 +489,9 @@ def run_multiprocess(mp: MultiProcessSpec,
         platform, system, spaces, handlers, bound = _build_mp_system(mp, config)
         synth = system.threads["hwt0"]
         adaptive = get_policy(mp.policy).adaptive
+        page_size = platform.page_size
         bus: Optional[TelemetryBus] = None
         if not replay:
-            op_lists = _functional_ops(bound)
-
             def on_switch(process: int) -> int:
                 if flush_on_switch:
                     synth.mmu.flush()
@@ -481,18 +499,20 @@ def run_multiprocess(mp: MultiProcessSpec,
                                    handlers[process])
                 return platform.kernel.cost_context_switch()
 
+            inputs = _process_inputs(bound, page_size)
             if adaptive:
-                kernel, bus = _adaptive_kernel(mp, config, platform, spaces,
-                                               handlers, op_lists, on_switch)
+                slices, bus = _adaptive_kernel(mp, platform, spaces,
+                                               handlers, inputs)
+                kernel = expand_slices(
+                    slices, [process.ops for process in inputs], on_switch)
             else:
-                kernel = time_sliced_kernel(plan(op_lists), on_switch)
+                kernel = time_sliced_kernel(plan(inputs), on_switch)
             result = system.run({"hwt0": kernel}, pin_all=config.pin_all,
                                 prefetch_pages=config.prefetch_pages)
         else:
             from ..fastpath import (ReplayContext, SliceFeed,
                                     program_for_plan, program_for_workload,
                                     replay_space, replay_start)
-            page_size = platform.page_size
             burst = synth.memif.config.max_burst_bytes
             ctx = ReplayContext(
                 synth=synth, platform=platform,
@@ -500,24 +520,24 @@ def run_multiprocess(mp: MultiProcessSpec,
                         for space, handler in zip(spaces, handlers)],
                 flush_on_switch=flush_on_switch)
             if adaptive:
-                # Programs are cached per process spec, shared by every run
-                # that schedules that process; the slices are the live
-                # scheduler's.
-                op_lists = _functional_ops(bound)
+                # Programs are cached per process spec and lowered from its
+                # stored op list; the slices are the live scheduler's.
+                inputs = _process_inputs(bound, page_size)
                 feed = SliceFeed(
-                    op_lists,
-                    [program_for_workload(spec, b, page_size, burst)
-                     for spec, b in zip(mp.specs, bound)],
+                    [program_for_workload(b.spec, lambda ops=process.ops: ops,
+                                          page_size, burst)
+                     for b, process in zip(bound, inputs)],
                     platform.kernel.cost_context_switch, platform.sim.now)
-                feed.kernel, bus = _adaptive_kernel(
-                    mp, config, platform, spaces, handlers, op_lists,
-                    feed.on_switch, clock=lambda: feed.cycle)
+                feed.slices, bus = _adaptive_kernel(
+                    mp, platform, spaces, handlers, inputs,
+                    clock=lambda: feed.cycle)
                 ctx.refill = feed
                 program = []
             else:
                 ctx.on_switch_cost = platform.kernel.cost_context_switch
                 program = program_for_plan(
-                    mp, lambda: plan(_functional_ops(bound)), page_size, burst)
+                    mp, lambda: plan(_process_inputs(bound, page_size)),
+                    page_size, burst)
             result = system.launch({"hwt0": replay_start(ctx, program)},
                                    pin_all=config.pin_all,
                                    prefetch_pages=config.prefetch_pages)

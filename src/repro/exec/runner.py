@@ -33,7 +33,8 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence)
 
 from ..models import UnknownModelError
 from .cache import MemoCache
@@ -52,10 +53,10 @@ class RunnerStats:
 
     ``tier_counts`` breaks the executed points down by the execution tier
     that actually produced each result (``"event"`` vs ``"replay"``, read
-    from the outcome's ``tier`` field); memoized points are counted as
+    from the outcome's ``tier`` field, or a mapping's ``"tier"`` key, as a
+    DSE candidate returns it); memoized points are counted as
     ``cache_hits``, not by tier — no simulation ran for them.  Results
-    without a ``tier`` field (scalar metrics, non-model sweeps) are not
-    counted.
+    without a tier (scalar metrics, non-model sweeps) are not counted.
     """
 
     points_submitted: int = 0
@@ -79,9 +80,10 @@ class RunnerStats:
     tier_counts: Dict[str, int] = field(default_factory=dict)
 
     def count_tiers(self, results: Iterable[Any]) -> None:
-        """Tally the ``tier`` field of each freshly executed result."""
+        """Tally the tier of each freshly executed result."""
         for result in results:
-            tier = getattr(result, "tier", None)
+            tier = (result.get("tier") if isinstance(result, Mapping)
+                    else getattr(result, "tier", None))
             if isinstance(tier, str):
                 self.tier_counts[tier] = self.tier_counts.get(tier, 0) + 1
 

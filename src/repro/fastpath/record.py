@@ -10,35 +10,55 @@ Programs are content-keyed alongside :class:`repro.exec.cache.MemoCache`'s
 philosophy: the key is :func:`repro.exec.keys.stable_key` over the workload
 spec and the two parameters the chunking depends on (page size, max burst),
 so a spec's stream is recorded exactly once per workload *shape* no matter
-how many sweep points replay it.
+how many sweep points replay it.  Beside the programs, the same bounded store
+keeps each multi-process run's per-process scheduler inputs
+(:func:`process_inputs`), keyed by spec and page size, so a process's kernel
+is drained once for every run of either tier that schedules it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence, Sized, TypeVar
 
 from ..exec.keys import stable_key
 from ..hwthread.memif import split_chunks
+from ..sim.process import Operation
 from ..sim.recorder import (KIND_COMPUTE, KIND_FENCE, KIND_MEM, KIND_SWITCH,
                             KIND_YIELD, RecordedStream, TraceRecorder)
 from .engine import OP_COMPUTE, OP_FENCE, OP_MEM, OP_SWITCH, OP_YIELD
 
-#: Cache budget in total program ops: about 60 MB at the ~230 B/op that the
-#: nine default-scale suite programs average (183k ops, 42.5 MB by
-#: tracemalloc), so all nine stay cached together.
+#: Cache budget in total ops, over programs and process inputs alike: about
+#: 60 MB at the ~230 B/op that the nine default-scale suite programs average
+#: (183k ops, 42.5 MB by tracemalloc), so all nine stay cached together.
 _CACHE_OPS = 1 << 18
 
-#: stable_key -> program, least recently used first (a hit moves to the end).
-_programs: "OrderedDict[str, list]" = OrderedDict()
+#: stable_key -> program or process inputs, least recently used first (a hit
+#: moves to the end); each entry's ``len`` is its size in ops.
+_programs: "OrderedDict[str, Sized]" = OrderedDict()
 
-#: Monotonic counters exposed for runner/bench reporting.
+#: Monotonic counters exposed for runner/bench reporting (programs only).
 record_stats = {"records": 0, "reuses": 0}
+
+_Entry = TypeVar("_Entry", bound=Sized)
 
 
 def clear_program_cache() -> None:
-    """Drop every cached program (tests and memory pressure)."""
+    """Drop every cached program and process input (tests and memory
+    pressure)."""
     _programs.clear()
+
+
+def _insert(key: str, entry: _Entry) -> _Entry:
+    """Cache ``entry`` under ``key``, evicting least recently used entries
+    until it fits the budget; an entry larger than the budget stays
+    uncached."""
+    if len(entry) <= _CACHE_OPS:
+        held = sum(map(len, _programs.values()))
+        while held + len(entry) > _CACHE_OPS:
+            held -= len(_programs.popitem(last=False)[1])
+        _programs[key] = entry
+    return entry
 
 
 def build_program(stream: RecordedStream, page_size: int,
@@ -78,26 +98,46 @@ def _cached_program(key: str, build: Callable[[], list]) -> list:
         record_stats["reuses"] += 1
         return program
     record_stats["records"] += 1
-    program = build()
-    if len(program) <= _CACHE_OPS:    # a longer one is returned uncached
-        held = sum(map(len, _programs.values()))
-        while held + len(program) > _CACHE_OPS:
-            held -= len(_programs.popitem(last=False)[1])
-        _programs[key] = program
-    return program
+    return _insert(key, build())
 
 
-def program_for_workload(spec, bound, page_size: int,
-                         max_burst_bytes: int) -> list:
-    """The replay program of one bound single-process workload.
+def process_inputs(spec, page_size: int,
+                   build: Callable[[], _Entry]) -> _Entry:
+    """One process's scheduler inputs, built by ``build`` on a miss.
 
-    ``spec`` must fully determine the op stream given the page size (binding
-    a workload spec into a fresh address space is deterministic), so the
-    cache key never needs the space itself.
+    The entry is a :class:`~repro.workloads.multiprocess.ProcessInputs`: the
+    process's drained op list, the prefix sums the scheduler cuts slices
+    with, and its demand and pressure estimates.  It is keyed as programs
+    are, by the workload spec and the page size, so every run that
+    schedules a spec, and every process of a run that shares one, gets the
+    same entry.  It shares the program cache's order and budget, sized by
+    its op count, and counts in neither ``record_stats`` field.
+
+    Nothing may mutate a cached entry or its ``Operation`` objects: the
+    event tier executes these very objects, and ``Access`` and ``Burst`` are
+    mutable dataclasses.  Each consumer keeps its own cursor.
+    """
+    key = stable_key("fastpath-inputs", spec, page_size)
+    inputs = _programs.get(key)
+    if inputs is None:
+        return _insert(key, build())
+    _programs.move_to_end(key)
+    return inputs
+
+
+def program_for_workload(spec, ops: Callable[[], Iterable[Operation]],
+                         page_size: int, max_burst_bytes: int) -> list:
+    """The replay program of one workload, one tuple per operation.
+
+    ``ops()`` gives the workload's op stream, and runs only on a miss: a
+    fresh kernel, or a multi-process run's stored op list.  ``spec`` must
+    fully determine the op stream given the page size (binding a workload
+    spec into a fresh address space is deterministic), so the cache key
+    never needs the space itself.
     """
     return _cached_program(
         stable_key("fastpath-svm", spec, page_size, max_burst_bytes),
-        lambda: build_program(TraceRecorder.capture(bound.make_kernel()),
+        lambda: build_program(TraceRecorder.capture(ops()),
                               page_size, max_burst_bytes))
 
 

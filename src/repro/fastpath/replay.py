@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..sim.process import Compute, Fence
 from .engine import (OP_COMPUTE, OP_FENCE, OP_SWITCH, ReplayContext,
                      ReplaySpace, replay_fabric)
 
@@ -117,59 +116,45 @@ def replay_start(ctx: ReplayContext, program: list):
 
 
 class SliceFeed:
-    """The real adaptive kernel's slices, lowered to program ops on demand.
+    """The real adaptive scheduler's slices, lowered to program ops on demand.
 
     The engine calls the feed whenever its program runs out at a
     fence-drained instant, after the counters so far are in the stat
-    groups.  The feed sets the cycle the telemetry bus reads, steps the real
-    epoch-driven kernel up to and including its next ``Fence``, and lowers
-    what it yields: an operation of a process's op list becomes that
-    process's program op, the kernel's own switch-stall ``Compute`` and
-    slice ``Fence`` become theirs, and a context switch becomes an
-    ``OP_SWITCH`` marker in front of them.
+    groups.  The feed sets the cycle the telemetry bus reads and resumes
+    ``slices``, the real epoch-driven kernel
+    (:func:`~repro.workloads.multiprocess.adaptive_time_sliced_kernel`),
+    which closes the drained slice and opens the next, ``(process, start,
+    end)``.  Programs hold one tuple per op, so the feed lowers that slice
+    as one list slice, ``programs[process][start:end]``, followed by the
+    slice's fence.  A process change comes first: an ``OP_SWITCH`` marker,
+    then the switch stall as compute.  An empty return ends the kernel.
     """
 
-    def __init__(self, op_lists: list, programs: list,
-                 switch_cost: Callable[[], int], cycle: int):
-        self.op_lists = op_lists
+    def __init__(self, programs: list, switch_cost: Callable[[], int],
+                 cycle: int):
         self.programs = programs
         self.switch_cost = switch_cost
-        self.cursors = [0] * len(op_lists)
         self.active = 0
-        self.switched_to: Optional[int] = None
         #: The absolute cycle the telemetry bus reads.
         self.cycle = cycle
-        self.kernel = None
-
-    def on_switch(self, process: int) -> int:
-        """The kernel's switch hook: the software cost is charged here, the
-        MMU state changes when the engine reaches the ``OP_SWITCH``."""
-        self.switched_to = process
-        return self.switch_cost()
+        self.slices = None
 
     def __call__(self, cycle: int) -> list:
         self.cycle = cycle
+        step = next(self.slices, None)
+        if step is None:
+            return []
+        process, start, end = step
         ops: list = []
-        for op in self.kernel:
-            if self.switched_to is not None:
-                ops.append((OP_SWITCH, self.switched_to))
-                self.active, self.switched_to = self.switched_to, None
-            index = self.active
-            cursor = self.cursors[index]
-            source = self.op_lists[index]
-            if cursor < len(source) and source[cursor] is op:
-                lowered = self.programs[index][cursor]
-                self.cursors[index] = cursor + 1
-            elif isinstance(op, Compute):
-                lowered = (OP_COMPUTE, op.cycles)
-            elif isinstance(op, Fence):
-                lowered = (OP_FENCE,)
-            else:
-                raise TierUnavailable(
-                    f"the scheduler yielded {op!r}, which no process's op "
-                    "list holds")
-            ops.append(lowered)
-            if lowered[0] == OP_FENCE:
-                break
+        if process != self.active:
+            # The software cost is charged here, as the event tier's switch
+            # hook charges it; the MMU state changes when the engine reaches
+            # the marker.
+            self.active = process
+            ops.append((OP_SWITCH, process))
+            stall = self.switch_cost()
+            if stall > 0:
+                ops.append((OP_COMPUTE, stall))
+        ops += self.programs[process][start:end]
+        ops.append((OP_FENCE,))
         return ops
-

@@ -10,15 +10,21 @@ family:
   scheduling *policy* (any name in the
   :mod:`repro.os.scheduler` registry: round-robin, weighted-fair,
   fault-aware, or anything registered later),
-* :func:`slice_plan` — the OS's time-slicing decision.  The per-process
-  kernels are materialised into operation lists, their demand and translation
-  pressure estimated, and the selected policy produces the single-core slice
-  timeline; each slice is then realised as a run of operations,
+* :class:`ProcessInputs` — what the schedulers read of one process: its
+  operation list, measured once into demand and translation-pressure
+  estimates and the prefix sums that cut slices by bisection,
+* :func:`slice_plan` — the OS's time-slicing decision.  The selected policy
+  produces the single-core slice timeline from the processes' estimates;
+  each slice is then realised as a run of operations,
 * :func:`time_sliced_kernel` — replays the plan as one kernel generator: at
   every process boundary it drains outstanding memory traffic (``Fence``),
   invokes the supplied switch hook (the harness re-points the MMU at the next
   process's page table — *without* flushing the shared, ASID-tagged TLB) and
-  pays the context-switch stall.
+  pays the context-switch stall,
+* :func:`adaptive_time_sliced_kernel` — the online alternative: it chooses
+  each epoch's slices from live telemetry and yields them whole, as
+  ``(process, start, end)``; :func:`expand_slices` turns them into the
+  event tier's kernel.
 
 The result is the paper's TLB contention story end to end, at any process
 count: translations of N address spaces collide in one TLB, survive each
@@ -28,8 +34,11 @@ shootdowns.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..os.scheduler import SCHEDULER_POLICIES, SchedulerConfig, ThreadDemand, get_policy
 from ..sim.process import Access, Burst, Compute, Fence, KernelGenerator, Operation
@@ -175,47 +184,90 @@ def estimate_pressure(ops: Sequence[Operation],
     return min(MAX_PRESSURE, 1000.0 * len(pages) / demand)
 
 
-def thread_demands(op_lists: Sequence[List[Operation]],
-                   weights: Optional[Sequence[float]] = None,
-                   page_size: int = 4096) -> List[ThreadDemand]:
+@dataclass(frozen=True)
+class ProcessInputs:
+    """What the schedulers read of one process, measured once from its ops.
+
+    The multi-process harness keeps one per (workload spec, page size) in
+    the store beside the replay program cache
+    (:func:`repro.fastpath.record.process_inputs`), so runs, and processes
+    within a run, that schedule the same spec share it; each keeps its own
+    cursor into ``ops``.  Nothing may mutate ``ops`` or its operations.
+    """
+
+    #: The process's operations in program order.
+    ops: List[Operation]
+    #: ``prefix[i]`` sums each op's chunking weight, ``max(1,
+    #: _op_demand(op))``, over ``ops[:i]`` (``len(ops) + 1`` entries).
+    prefix: List[int]
+    #: :func:`estimate_demand` of ``ops``.
+    demand: int
+    #: :func:`estimate_pressure` of ``ops`` at the page size it was built for.
+    pressure: float
+
+    @classmethod
+    def of(cls, ops: List[Operation],
+           page_size: int = 4096) -> "ProcessInputs":
+        """Measure ``ops``, with pressure counted in ``page_size`` pages."""
+        demands = [_op_demand(op) for op in ops]
+        return cls(ops=ops,
+                   prefix=list(accumulate((max(1, d) for d in demands),
+                                          initial=0)),
+                   demand=sum(demands),
+                   pressure=estimate_pressure(ops, page_size))
+
+    def __len__(self) -> int:
+        """The op count, by which the shared store budget sizes an entry."""
+        return len(self.ops)
+
+
+def thread_demands(inputs: Sequence[ProcessInputs],
+                   weights: Optional[Sequence[float]] = None
+                   ) -> List[ThreadDemand]:
     """Per-process static demand/pressure estimates, as policies consume them.
 
     The shared front half of both scheduling paths: the static planner
     (:func:`slice_plan`) feeds these to ``policy.plan``, and the epoch-driven
     adaptive path feeds them to ``policy.quanta`` for the *initial* epoch —
     so an adaptive policy starts from exactly the footing its static
-    counterpart would, and every later epoch is pure measurement.
+    counterpart would, and every later epoch is pure measurement.  Both
+    estimates are read off each process's :class:`ProcessInputs`, where
+    they were computed once.
     """
     return [ThreadDemand(name=str(index),
-                         demand_cycles=max(1, estimate_demand(ops)),
+                         demand_cycles=max(1, process.demand),
                          weight=(1.0 if weights is None else weights[index]),
-                         pressure=estimate_pressure(ops, page_size))
-            for index, ops in enumerate(op_lists)]
+                         pressure=process.pressure)
+            for index, process in enumerate(inputs)]
 
 
 #: One planned slice: (process index, operations it executes).
 SlicePlan = List[Tuple[int, List[Operation]]]
 
+#: One adaptive slice: (process index, start, end), the half-open range of
+#: that process's op list (and, op for op, of its replay program) it runs.
+Slice = Tuple[int, int, int]
 
-def _take_chunk(ops: List[Operation], cursor: int,
-                budget: int) -> Tuple[List[Operation], int]:
-    """Pop operations from ``cursor`` until ``budget`` estimated cycles spent.
+
+def _take_chunk(inputs: ProcessInputs, cursor: int, budget: int) -> int:
+    """Where the chunk starting at ``cursor`` ends once ``budget`` is spent.
 
     The one greedy chunking rule mapping scheduler quanta onto operations,
     shared by the static planner (:func:`slice_plan`) and the epoch-driven
     adaptive path (:func:`adaptive_time_sliced_kernel`) so the two can never
-    map quanta onto operations differently.
+    map quanta onto operations differently.  Operations are taken from
+    ``cursor`` while budget is left, each costing ``max(1, _op_demand(op))``
+    estimated cycles: the chunk ends at the first op boundary where the
+    spent cost reaches ``budget``, or at the end of the list.  Costs are at
+    least 1, so the prefix sums rise strictly and one bisection finds that
+    boundary.  A budget of zero or less takes nothing.
     """
-    chunk: List[Operation] = []
-    while cursor < len(ops) and budget > 0:
-        op = ops[cursor]
-        chunk.append(op)
-        budget -= max(1, _op_demand(op))
-        cursor += 1
-    return chunk, cursor
+    prefix = inputs.prefix
+    return bisect_left(prefix, prefix[cursor] + budget, cursor,
+                       len(inputs.ops))
 
 
-def slice_plan(op_lists: Sequence[List[Operation]],
+def slice_plan(op_lists: Sequence[Union[List[Operation], ProcessInputs]],
                quantum: int = 20_000,
                policy: str = "round-robin",
                weights: Optional[Sequence[float]] = None,
@@ -225,26 +277,30 @@ def slice_plan(op_lists: Sequence[List[Operation]],
     A single accelerator slot (``num_cores=1``) is shared per the policy's
     plan; the scheduler's cycle timeline is mapped back onto operations using
     the same demand estimate it was fed.  Every operation of every process
-    appears in exactly one slice, in program order.
+    appears in exactly one slice, in program order.  Each entry of
+    ``op_lists`` is a process's operation list, measured here at
+    ``page_size``, or its already measured :class:`ProcessInputs`.
     """
-    demands = thread_demands(op_lists, weights, page_size)
+    inputs = [ops if isinstance(ops, ProcessInputs)
+              else ProcessInputs.of(ops, page_size) for ops in op_lists]
     timeline = get_policy(policy).plan(
-        demands, SchedulerConfig(num_cores=1, quantum=quantum,
-                                 context_switch_cycles=0))
+        thread_demands(inputs, weights),
+        SchedulerConfig(num_cores=1, quantum=quantum, context_switch_cycles=0))
 
-    cursors = [0] * len(op_lists)
+    cursors = [0] * len(inputs)
     plan: SlicePlan = []
     for time_slice in timeline:
         index = int(time_slice.thread)
-        chunk, cursors[index] = _take_chunk(op_lists[index], cursors[index],
-                                            time_slice.cycles)
-        if chunk:
-            plan.append((index, chunk))
+        start = cursors[index]
+        end = cursors[index] = _take_chunk(inputs[index], start,
+                                           time_slice.cycles)
+        if end > start:
+            plan.append((index, inputs[index].ops[start:end]))
     # Estimation rounding can strand a tail of operations; run each tail in
     # one final slice so the plan always covers the full program.
-    for index, ops in enumerate(op_lists):
-        if cursors[index] < len(ops):
-            plan.append((index, ops[cursors[index]:]))
+    for index, process in enumerate(inputs):
+        if cursors[index] < len(process.ops):
+            plan.append((index, process.ops[cursors[index]:]))
     return plan
 
 
@@ -275,63 +331,83 @@ def time_sliced_kernel(plan: SlicePlan,
 # ---------------------------------------------------------------------------
 # Online (epoch-driven) slicing
 # ---------------------------------------------------------------------------
-def adaptive_time_sliced_kernel(op_lists: Sequence[List[Operation]],
+def adaptive_time_sliced_kernel(inputs: Sequence[ProcessInputs],
                                 policy,
                                 config: SchedulerConfig,
                                 bus,
-                                on_switch: Callable[[int], int],
-                                weights: Optional[Sequence[float]] = None,
-                                page_size: int = 4096) -> KernelGenerator:
+                                weights: Optional[Sequence[float]] = None
+                                ) -> Iterator[Slice]:
     """Replan the time-slicing every epoch from live telemetry.
 
     Unlike :func:`time_sliced_kernel`, no complete plan exists up front: one
     *epoch* (a rotation granting every unfinished process one quantum-sized
-    run of operations) is materialised at a time.  Every slice is bracketed
-    by ``bus.begin_slice`` / ``bus.end_slice`` with a ``Fence`` in between —
-    the generator resumes only once the fabric has drained, so the counter
-    deltas the :class:`~repro.os.telemetry.TelemetryBus` attributes to the
-    slice are exact.  After each epoch ``policy.observe(epoch_stats)`` may
-    return new per-process quanta (clamped to >= 1) for the next epoch.
+    run of operations) is materialised at a time.  Each slice is yielded
+    whole, as ``(process, start, end)`` over that process's op list, once
+    ``bus.begin_slice`` has opened it.  The consumer runs the slice (a
+    process change first switches context) and ends it with a ``Fence``;
+    it resumes this generator only once the fabric has drained, where
+    ``bus.end_slice`` closes the slice, so the counter deltas the
+    :class:`~repro.os.telemetry.TelemetryBus` attributes to it are exact.
+    After each epoch ``policy.observe(epoch_stats)`` may return new
+    per-process quanta (clamped to >= 1) for the next epoch.
 
     The initial quanta come from ``policy.quanta`` over the same static
-    demand estimates the static planner uses; ``on_switch`` has the same
-    contract as in :func:`time_sliced_kernel`.  Generators advance lazily,
-    so each epoch's operations are chosen *after* the previous epoch's have
-    executed — this is what makes the feedback genuinely online.
+    demand estimates the static planner uses.  Generators advance lazily,
+    so each epoch's slices are chosen *after* the previous epoch's have
+    executed — this is what makes the feedback genuinely online.  This is
+    the one adaptive kernel: the event tier expands its slices into
+    operations (:func:`expand_slices`), and the replay tier's
+    :class:`~repro.fastpath.replay.SliceFeed` lowers each with one list
+    slice of the process's program.
     """
-    demands = thread_demands(op_lists, weights, page_size)
+    demands = thread_demands(inputs, weights)
     initial = policy.quanta(demands, config)
     quanta = {d.name: max(1, initial[d.name]) for d in demands}
+    sizes = [len(process.ops) for process in inputs]
 
-    def generate() -> KernelGenerator:
-        cursors = [0] * len(op_lists)
-        current = 0
-        while any(cursors[i] < len(op_lists[i]) for i in range(len(op_lists))):
-            for index, ops in enumerate(op_lists):
-                if cursors[index] >= len(ops):
+    def generate() -> Iterator[Slice]:
+        cursors = [0] * len(inputs)
+        while any(cursor < size for cursor, size in zip(cursors, sizes)):
+            for index, process in enumerate(inputs):
+                start = cursors[index]
+                if start >= sizes[index]:
                     continue
                 quantum = quanta[str(index)]
-                chunk, cursors[index] = _take_chunk(ops, cursors[index],
-                                                    quantum)
-                bus.begin_slice(str(index), quantum, len(chunk))
-                if index != current:
-                    # The previous slice's trailing Fence has drained the
-                    # fabric; the switch cost lands on the incoming slice.
-                    stall = on_switch(index)
-                    current = index
-                    if stall > 0:
-                        yield Compute(cycles=stall)
-                yield from chunk
-                yield Fence()
+                end = cursors[index] = _take_chunk(process, start, quantum)
+                bus.begin_slice(str(index), quantum, end - start)
+                yield index, start, end
                 # The generator is only resumed here once every operation of
                 # the slice has retired: the drained instant.
                 bus.end_slice()
             epoch = bus.close_epoch(
-                remaining={str(i): len(op_lists[i]) - cursors[i]
-                           for i in range(len(op_lists))})
+                remaining={str(i): sizes[i] - cursors[i]
+                           for i in range(len(inputs))})
             replanned = policy.observe(epoch)
             if replanned:
                 for name, value in replanned.items():
                     if name in quanta:
                         quanta[name] = max(1, int(value))
     return generate()
+
+
+def expand_slices(slices: Iterator[Slice],
+                  op_lists: Sequence[List[Operation]],
+                  on_switch: Callable[[int], int]) -> KernelGenerator:
+    """The event tier's kernel over :func:`adaptive_time_sliced_kernel`.
+
+    Each slice becomes its process's operations and a ``Fence``; advancing
+    past that fence, at the drained instant, resumes the slice generator.
+    A slice of a process other than the running one first calls
+    ``on_switch(process)`` and yields the stall it returns as ``Compute``,
+    so the switch cost lands on the incoming slice.  ``on_switch`` has the
+    same contract as in :func:`time_sliced_kernel`.
+    """
+    current = 0
+    for process, start, end in slices:
+        if process != current:
+            stall = on_switch(process)
+            current = process
+            if stall > 0:
+                yield Compute(cycles=stall)
+        yield from op_lists[process][start:end]
+        yield Fence()

@@ -437,3 +437,42 @@ def test_compare_table_output_via_shared_renderer(capsys):
                  "--tlb-entries", "16", "--csv"]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 1 and rows[0]["workload"] == "vecadd"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "status", "--broker", "{db}", "abc"],
+    ["sweep", "submit", "--broker", "{db}", "{spec}"],
+    ["worker", "--broker", "{db}"],
+    ["broker", "serve", "--db", "{db}"],
+    ["run", "fig5", "--scale", "tiny", "--results-db", "{db}"],
+    ["query", "--db", "{db}"],
+    ["bench", "--results-db", "{db}", "--output", "{out}"],
+])
+def test_a_directory_as_database_is_an_argument_error(argv, tmp_path,
+                                                      capsys):
+    """Every command that opens a database names the path and exits 2."""
+    db = tmp_path / "adir"
+    db.mkdir()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"label": "x", "models": ["svm"],
+                                "kernels": ["vecadd"], "scale": "tiny",
+                                "axes": {"tlb_entries": [8]}}))
+    out = tmp_path / "bench.json"
+    assert main([arg.format(db=db, spec=spec, out=out)
+                 for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"repro: cannot open database {db}: " in err
+    assert not out.exists()             # bench failed before its suite ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "status", "--broker", "{db}", "abc"],
+    ["query", "--db", "{db}"],
+])
+def test_a_file_that_is_not_sqlite_is_an_argument_error(argv, tmp_path,
+                                                        capsys):
+    db = tmp_path / "junk.db"
+    db.write_bytes(bytes(range(256)) * 16)
+    assert main([arg.format(db=db) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"repro: cannot open database {db}: file is not a database" in err
