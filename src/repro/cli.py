@@ -34,7 +34,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .dse import BudgetExhaustedError, explorer_names
 from .eval.experiments import EXPERIMENTS
@@ -182,8 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "$REPRO_CACHE_MAX_MB, or uncapped)")
         cmd.add_argument("--stats", action="store_true",
                          help="print the runner summary (timings, cache and "
-                              "tier accounting) as JSON on stderr instead "
-                              "of the text form")
+                              "tier accounting, and this process's replay "
+                              "program-cache counters: records, reuses, "
+                              "served) as JSON on stderr instead of the "
+                              "text form; the workers of a --jobs N pool "
+                              "are not counted")
         add_results_db_flag(cmd)
 
     def add_results_db_flag(cmd: argparse.ArgumentParser) -> None:
@@ -476,11 +479,26 @@ def _make_runner(args: argparse.Namespace) -> SweepRunner:
     return SweepRunner(jobs=args.jobs, cache=cache, results=results)
 
 
-def _report_runner(runner: SweepRunner, args: argparse.Namespace) -> None:
-    """The post-run runner summary on stderr: JSON with ``--stats``."""
+def _fastpath_counters(args: argparse.Namespace) -> Optional[Dict[str, int]]:
+    """This process's replay program-cache counters, read for ``--stats``
+    only (reading them imports the fast path)."""
+    if not getattr(args, "stats", False):
+        return None
+    from .fastpath.record import record_stats
+    return dict(record_stats)
+
+
+def _report_runner(runner: SweepRunner, args: argparse.Namespace,
+                   fastpath: Optional[Dict[str, int]]) -> None:
+    """The post-run runner summary on stderr: JSON with ``--stats``, which
+    adds how far this process's fast-path counters moved since ``fastpath``
+    (:func:`_fastpath_counters` before the run)."""
     if getattr(args, "stats", False):
-        print(json.dumps(runner.summary_dict(), indent=2, sort_keys=True),
-              file=sys.stderr)
+        summary = runner.summary_dict()
+        summary["fastpath"] = {
+            name: value - fastpath[name]
+            for name, value in _fastpath_counters(args).items()}
+        print(json.dumps(summary, indent=2, sort_keys=True), file=sys.stderr)
     elif runner.timings:
         print(runner.summary(), file=sys.stderr)
 
@@ -573,6 +591,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         # Built unconditionally so cache flags (--refresh-cache in
         # particular) take effect even for non-sweepable experiments.
         runner = _make_runner(args)
+        counters = _fastpath_counters(args)
         try:
             result = exp.run(scale=args.scale,
                              runner=runner if exp.sweepable else None,
@@ -581,7 +600,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"repro run: {exc}", file=sys.stderr)
             return 2
         _emit(result, args)
-        _report_runner(runner, args)
+        _report_runner(runner, args, counters)
         return 0
 
     if args.command == "bench":
@@ -683,6 +702,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             if models is None:
                 return 2
         runner = _make_runner(args)
+        counters = _fastpath_counters(args)
         result = compare(workload(args.kernel, scale=args.scale), config,
                          runner=runner, models=models)
         row = result.as_row()
@@ -691,7 +711,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             _print_output([row], fmt="csv" if args.csv else "table",
                           title=f"Comparison: {args.kernel} ({args.scale})")
-        _report_runner(runner, args)
+        _report_runner(runner, args, counters)
         return 0
 
     if args.command == "worker":

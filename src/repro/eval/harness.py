@@ -290,6 +290,12 @@ def run_svm(spec: WorkloadSpec, config: HarnessConfig | None = None,
     ``SVMResult.tier_reason``).  Both tiers run the same system through
     :meth:`~repro.core.synthesis.SynthesizedSystem.launch`, and produce
     identical results — the differential suite pins this.
+
+    A replay whose TLB never dropped an entry is stored for its capacity
+    class (:func:`repro.fastpath.record.capacity_class`), and a later replay
+    point of that class whose TLB can hold the stored translations is served
+    a copy of its result, building and replaying nothing.  The event tier
+    neither stores nor serves.
     """
     config = config or HarnessConfig()
 
@@ -298,24 +304,33 @@ def run_svm(spec: WorkloadSpec, config: HarnessConfig | None = None,
         return svm_replay_blockers(spec, config, num_threads)
 
     def run(replay: bool) -> SVMResult:
+        if replay:
+            from ..fastpath.record import (capacity_class, served_result,
+                                           store_class)
+            key = capacity_class(spec, config)
+            served = served_result(key, lambda footprint: config.thread_spec(
+                "hwt0", spec.kernel, footprint).tlb_config(
+                    config.platform.page_size))
+            if served is not None:
+                return served
         platform, system, bound = _build_svm_system(spec, config, num_threads)
         if not replay:
-            result = system.run(
+            return _svm_result(system.run(
                 {f"hwt{i}": bound[i].make_kernel() for i in range(num_threads)},
-                pin_all=config.pin_all, prefetch_pages=config.prefetch_pages)
-        else:
-            from ..fastpath import (ReplayContext, program_for_workload,
-                                    replay_space, replay_start)
-            synth = system.threads["hwt0"]
-            program = program_for_workload(spec, bound[0].make_kernel,
-                                           platform.page_size,
-                                           synth.memif.config.max_burst_bytes)
-            ctx = ReplayContext(synth=synth, platform=platform, spaces=[
-                replay_space(platform.space, synth.mmu.fault_handler)])
-            result = system.launch({"hwt0": replay_start(ctx, program)},
-                                   pin_all=config.pin_all,
-                                   prefetch_pages=config.prefetch_pages)
-        return _svm_result(result)
+                pin_all=config.pin_all, prefetch_pages=config.prefetch_pages))
+        from ..fastpath import (ReplayContext, program_for_workload,
+                                replay_space, replay_start)
+        synth = system.threads["hwt0"]
+        program = program_for_workload(spec, bound[0].make_kernel,
+                                       platform.page_size,
+                                       synth.memif.config.max_burst_bytes)
+        ctx = ReplayContext(synth=synth, platform=platform, spaces=[
+            replay_space(platform.space, synth.mmu.fault_handler)])
+        svm = _svm_result(system.launch({"hwt0": replay_start(ctx, program)},
+                                        pin_all=config.pin_all,
+                                        prefetch_pages=config.prefetch_pages))
+        store_class(key, svm, synth.mmu.tlb, bound[0].footprint_bytes)
+        return svm
 
     return _tiered(tier, blocker, run)
 

@@ -14,12 +14,25 @@ how many sweep points replay it.  Beside the programs, the same bounded store
 keeps each multi-process run's per-process scheduler inputs
 (:func:`process_inputs`), keyed by spec and page size, so a process's kernel
 is drained once for every run of either tier that schedules it.
+
+It also keeps the result of each single-process replay whose TLB never
+dropped an entry, for its *capacity class*: every point that differs only in
+TLB geometry (:func:`capacity_class`).  Such a TLB only ever holds the
+translations inserted so far, whatever its geometry; the replacement policy
+orders entries and draws random numbers only to pick a victim.  So every
+eviction-free run of a class schedules the same events and ends with the
+same counters and the same resident translations, and a geometry that can
+hold those translations, at most ``ways`` of them in each set, never evicts:
+:func:`served_result` hands it a copy of the stored result.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Iterable, Sequence, Sized, TypeVar
+import copy
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, replace
+from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence,
+                    Sized, Tuple, TypeVar)
 
 from ..exec.keys import stable_key
 from ..hwthread.memif import split_chunks
@@ -28,24 +41,29 @@ from ..sim.recorder import (KIND_COMPUTE, KIND_FENCE, KIND_MEM, KIND_SWITCH,
                             KIND_YIELD, RecordedStream, TraceRecorder)
 from .engine import OP_COMPUTE, OP_FENCE, OP_MEM, OP_SWITCH, OP_YIELD
 
+if TYPE_CHECKING:
+    from ..vm.tlb import TLB, TLBConfig
+
 #: Cache budget in total ops, over programs and process inputs alike: about
 #: 60 MB at the ~230 B/op that the nine default-scale suite programs average
 #: (183k ops, 42.5 MB by tracemalloc), so all nine stay cached together.
 _CACHE_OPS = 1 << 18
 
-#: stable_key -> program or process inputs, least recently used first (a hit
-#: moves to the end); each entry's ``len`` is its size in ops.
+#: stable_key -> program, process inputs or capacity class, least recently
+#: used first (a hit moves to the end); each entry's ``len`` is its size in
+#: ops.
 _programs: "OrderedDict[str, Sized]" = OrderedDict()
 
-#: Monotonic counters exposed for runner/bench reporting (programs only).
-record_stats = {"records": 0, "reuses": 0}
+#: Monotonic counters exposed for runner/bench reporting: programs recorded
+#: and reused, and points served from a capacity class.
+record_stats = {"records": 0, "reuses": 0, "served": 0}
 
 _Entry = TypeVar("_Entry", bound=Sized)
 
 
 def clear_program_cache() -> None:
-    """Drop every cached program and process input (tests and memory
-    pressure)."""
+    """Drop every cached program, process input and capacity class (tests
+    and memory pressure)."""
     _programs.clear()
 
 
@@ -111,7 +129,7 @@ def process_inputs(spec, page_size: int,
     are, by the workload spec and the page size, so every run that
     schedules a spec, and every process of a run that shares one, gets the
     same entry.  It shares the program cache's order and budget, sized by
-    its op count, and counts in neither ``record_stats`` field.
+    its op count, and counts in no ``record_stats`` field.
 
     Nothing may mutate a cached entry or its ``Operation`` objects: the
     event tier executes these very objects, and ``Access`` and ``Burst`` are
@@ -165,3 +183,59 @@ def program_for_plan(mp, make_plan: Callable[[], Sequence[tuple]],
 
     return _cached_program(
         stable_key("fastpath-mp", mp, page_size, max_burst_bytes), build)
+
+
+@dataclass(slots=True)
+class CapacityClass:
+    """An eviction-free replay's result, kept for its capacity class.
+
+    ``tags`` are the ``(asid, vpn)`` translations its TLB held at the end;
+    ``footprint_bytes`` is the workload's, which sizes an auto-sized TLB.
+    Its size in the op budget counts one op per statistic and per
+    translation.
+    """
+
+    result: object
+    tags: Tuple[Tuple[int, int], ...]
+    footprint_bytes: int
+
+    def __len__(self) -> int:
+        return len(self.result.system_result.stats) + len(self.tags)
+
+    def fits(self, tlb: TLBConfig) -> bool:
+        """True if a TLB of ``tlb``'s geometry holds every translation: at
+        most ``ways`` of them index each set."""
+        load = Counter(vpn % tlb.num_sets for _, vpn in self.tags)
+        return max(load.values(), default=0) <= tlb.ways
+
+
+def capacity_class(spec, config) -> str:
+    """The key of a single-process point's capacity class: ``spec`` and its
+    harness ``config`` with the TLB geometry (entries, associativity,
+    replacement) set aside."""
+    return stable_key("fastpath-class", spec, replace(
+        config, tlb_entries=1, tlb_associativity=None, tlb_replacement="lru"))
+
+
+def store_class(key: str, result, tlb: TLB, footprint_bytes: int) -> None:
+    """Keep a copy of a replay's ``result`` under its class ``key`` if its
+    ``tlb`` never evicted, flushed or invalidated an entry."""
+    if tlb.evictions or tlb.flushes or tlb.invalidations:
+        return
+    tags = tuple(tag for tlb_set in tlb._sets for tag in tlb_set)
+    _insert(key, CapacityClass(copy.deepcopy(result), tags, footprint_bytes))
+
+
+def served_result(key: str,
+                  tlb: Callable[[int], TLBConfig]) -> Optional[object]:
+    """A fresh copy of the result stored under class ``key``, or ``None``.
+
+    ``tlb(footprint_bytes)`` gives the point's own TLB; the result is served
+    only if that TLB holds the stored translations, so it would not evict.
+    """
+    entry = _programs.get(key)
+    if entry is None or not entry.fits(tlb(entry.footprint_bytes)):
+        return None
+    _programs.move_to_end(key)
+    record_stats["served"] += 1
+    return copy.deepcopy(entry.result)

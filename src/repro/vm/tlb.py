@@ -89,6 +89,8 @@ class TLB:
         self.misses = 0
         self.evictions = 0
         self.flushes = 0
+        #: Entries dropped by shootdowns.
+        self.invalidations = 0
 
     # ------------------------------------------------------------ addressing
     def _set_index(self, vpn: int) -> int:
@@ -152,11 +154,13 @@ class TLB:
         ``asid=None`` is the wildcard shootdown across all address spaces.
         """
         tlb_set = self._sets[self._set_index(vpn)]
-        if asid is not None:
-            return tlb_set.pop((asid, vpn), None) is not None
-        victims = [key for key in tlb_set if key[1] == vpn]
+        if asid is None:
+            victims = [key for key in tlb_set if key[1] == vpn]
+        else:
+            victims = [(asid, vpn)] if (asid, vpn) in tlb_set else []
         for key in victims:
             del tlb_set[key]
+        self.invalidations += len(victims)
         return bool(victims)
 
     def flush(self) -> int:

@@ -130,7 +130,9 @@ import pytest
 
 from repro.eval import harness
 from repro.eval.harness import _build_svm_system, run_svm
-from repro.fastpath.record import clear_program_cache
+from repro.fastpath import record
+from repro.fastpath.record import (capacity_class, clear_program_cache,
+                                   record_stats)
 from repro.sim.recorder import TraceRecorder
 
 #: Every scalar field of SVMResult/RunOutcome that both tiers must agree on.
@@ -356,6 +358,11 @@ def test_replay_is_deterministic_across_cache_states(kernel, seed):
     cold = run_svm(spec, config, tier="replay")
     clear_program_cache()
     recold = run_svm(spec, config, tier="replay")
+    # Drop the capacity class the run may have stored, keeping its program,
+    # so the warm run replays the cached program instead of being served.
+    record._programs.pop(capacity_class(spec, config), None)
+    served = record_stats["served"]
     warm = run_svm(spec, config, tier="replay")
+    assert record_stats["served"] == served
     assert_svm_results_equal(cold, recold)
     assert_svm_results_equal(cold, warm)

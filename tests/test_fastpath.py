@@ -101,11 +101,15 @@ class TestProgramCache:
         before = dict(record_stats)
         run_svm(spec, config, tier="replay")
         after_first = dict(record_stats)
-        run_svm(spec, config, tier="replay")
+        # Another capacity class (the program does not depend on how many
+        # operations are in flight), so the second run replays.
+        run_svm(spec, dataclasses.replace(config, max_outstanding=2),
+                tier="replay")
         after_second = dict(record_stats)
         assert after_first["records"] == before["records"] + 1
         assert after_second["records"] == after_first["records"]
         assert after_second["reuses"] == after_first["reuses"] + 1
+        assert after_second["served"] == before["served"]
 
     def test_warm_static_plan_builds_no_op_lists(self, monkeypatch):
         """A cached multi-process program needs neither the processes' op

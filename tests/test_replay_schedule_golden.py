@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.eval.harness import HarnessConfig, run_multiprocess, run_svm
-from repro.fastpath import replay
+from repro.fastpath import clear_program_cache, replay
 from repro.workloads.multiprocess import contention
 from repro.workloads.suite import workload
 
@@ -71,7 +71,12 @@ CASES = {
 
 def _schedule(case, monkeypatch):
     """Run ``case`` and return ``[events, finish, last_cycle]`` of each
-    replay it makes."""
+    replay it makes.
+
+    The caches are emptied first, so a case whose capacity class an earlier
+    case stored still replays instead of being served.
+    """
+    clear_program_cache()
     outputs = []
     real = replay.replay_fabric
 
