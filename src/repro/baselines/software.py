@@ -8,6 +8,14 @@ of the kernel is derived from its HLS schedule (the accelerator performs
 ``unroll / II`` operations per cycle; a scalar in-order host core performs
 roughly ``1 / cpi`` per cycle).
 
+L1 and L2 are plain LRU tables (:class:`~repro.mem.cache.Cache`) with
+constant penalties: no simulator runs, and the host's private cache path
+does not contend with the fabric masters.  An element in the same L1 line as
+the element before it, in the same operation, is counted as an L1 hit
+without a lookup: the lookup before left that line resident and most
+recently used, and a burst's elements share ``is_write``, so a lookup would
+change nothing but L1's access and hit counts.
+
 Host cycles are converted to fabric cycles using the platform clock ratio so
 results are directly comparable with the hardware-thread runs.
 """
@@ -21,7 +29,6 @@ from typing import Iterable, List, Optional, Sequence
 from ..hwthread.hls import KernelSchedule
 from ..mem.cache import Cache, CacheConfig
 from ..os.scheduler import RoundRobinScheduler, SchedulerConfig
-from ..sim.engine import Simulator
 from ..sim.process import Access, Burst, Compute, Fence, Operation, Yield
 from ..core.platform import ClockConfig
 
@@ -71,9 +78,8 @@ class SoftwareCPU:
                 schedule: Optional[KernelSchedule] = None) -> SoftwareRunResult:
         """Price a single-threaded execution of the given operation stream."""
         cfg = self.config
-        sim = Simulator()
-        l1 = Cache(sim, cfg.cache, name="sw.l1")
-        l2 = Cache(sim, cfg.l2_cache, name="sw.l2") if cfg.l2_cache else None
+        l1 = Cache(cfg.cache)
+        l2 = Cache(cfg.l2_cache) if cfg.l2_cache else None
 
         host_cycles = 0.0
         elements = 0
@@ -143,19 +149,32 @@ class SoftwareCPU:
     def _memory_cost(self, op: Access | Burst, l1: Cache,
                      l2: Optional[Cache]) -> float:
         cfg = self.config
+        issue = cfg.issue_cycles_per_element
+        hit_latency = cfg.cache.hit_latency
+        line_bytes = cfg.cache.line_bytes
         cycles = 0.0
         if isinstance(op, Burst):
             addrs = [op.addr + i * op.size for i in range(op.count)]
-            is_write = op.is_write
         else:
             addrs = [op.addr]
-            is_write = op.is_write
+        is_write = op.is_write
+        last_line = None
+        same_line = 0
         for addr in addrs:
-            cycles += cfg.issue_cycles_per_element
+            cycles += issue
+            line = addr // line_bytes
+            if line == last_line:
+                # Resident and most recently used since the element before.
+                same_line += 1
+                cycles += hit_latency
+                continue
+            last_line = line
             l1_latency = l1.lookup(addr, is_write)
-            if l1_latency > cfg.cache.hit_latency and l2 is not None:
+            if l1_latency > hit_latency and l2 is not None:
                 # L1 miss: the L2 lookup's latency, hit or miss, follows
                 # the L1 hit latency.
-                l1_latency = cfg.cache.hit_latency + l2.lookup(addr, is_write)
+                l1_latency = hit_latency + l2.lookup(addr, is_write)
             cycles += l1_latency
+        l1.accesses += same_line
+        l1.hits += same_line
         return cycles

@@ -173,21 +173,36 @@ def run_with_fault_logs(run, *args, **kwargs):
                 return built
             patch.setattr(harness, name, spy)
         result = run(*args, **kwargs)
+    assert platforms, "no platform was built: the point was served"
     kernel = platforms[-1].kernel
     return result, {process: kernel.fault_handler(process).fault_log
                     for process in kernel.processes}
 
 
 def assert_tiers_agree(run, *args, **kwargs):
-    """Run on both tiers; results, stats, epochs and fault logs agree."""
+    """Run on both tiers; results, stats, epochs and fault logs agree.
+
+    The caches are emptied before the replay run, so a point whose capacity
+    class an earlier run stored still replays instead of being served
+    (``test_capacity_classes.py`` covers served points).
+    """
     event, event_faults = run_with_fault_logs(run, *args, tier="event",
                                               **kwargs)
+    clear_program_cache()
     replay, replay_faults = run_with_fault_logs(run, *args, tier="replay",
                                                 **kwargs)
     assert replay.tier == "replay"
     assert_svm_results_equal(event, replay)
     assert event_faults == replay_faults
     return event
+
+
+def test_tiers_agree_on_a_point_whose_class_an_earlier_run_stored():
+    # The first comparison's replay stores the point's capacity class; the
+    # second must replay again rather than be served with no platform.
+    spec = workload("vecadd", scale="tiny", residency=0.5)
+    for _ in range(2):
+        assert_tiers_agree(run_svm, spec, HarnessConfig(tlb_entries=64))
 
 
 @settings(max_examples=2, deadline=None)

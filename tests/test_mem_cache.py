@@ -3,37 +3,34 @@
 import pytest
 
 from repro.mem.cache import Cache, CacheConfig
-from repro.mem.port import LatencyPipe
-from repro.sim.engine import Simulator
 
 
 def make_cache(**overrides):
-    sim = Simulator()
     defaults = dict(size_bytes=1024, line_bytes=64, associativity=2,
                     hit_latency=1, miss_penalty=50)
     defaults.update(overrides)
-    return sim, Cache(sim, CacheConfig(**defaults))
+    return Cache(CacheConfig(**defaults))
 
 
 def test_first_access_misses_second_hits():
-    _, cache = make_cache()
+    cache = make_cache()
     miss = cache.lookup(0x100)
     hit = cache.lookup(0x100)
     assert miss > hit
     assert hit == cache.config.hit_latency
-    assert cache.stats.counter("misses").value == 1
-    assert cache.stats.counter("hits").value == 1
+    assert cache.misses == 1
+    assert cache.hits == 1
 
 
 def test_same_line_different_offsets_hit():
-    _, cache = make_cache()
+    cache = make_cache()
     cache.lookup(0x100)
     assert cache.lookup(0x104) == cache.config.hit_latency
     assert cache.lookup(0x13C) == cache.config.hit_latency
 
 
 def test_lru_eviction_within_set():
-    _, cache = make_cache()
+    cache = make_cache()
     num_sets = cache.config.num_sets
     line = cache.config.line_bytes
     stride = num_sets * line          # same set, different tags
@@ -46,18 +43,18 @@ def test_lru_eviction_within_set():
 
 
 def test_dirty_eviction_costs_writeback():
-    _, cache = make_cache()
+    cache = make_cache()
     num_sets = cache.config.num_sets
     stride = num_sets * cache.config.line_bytes
     cache.lookup(0 * stride, is_write=True)
     cache.lookup(1 * stride)
     cache.lookup(2 * stride)            # evicts dirty line 0
     cache.lookup(3 * stride)
-    assert cache.stats.counter("writebacks").value >= 1
+    assert cache.writebacks >= 1
 
 
 def test_hit_rate_property():
-    _, cache = make_cache()
+    cache = make_cache()
     assert cache.hit_rate == 0.0
     cache.lookup(0)
     cache.lookup(0)
@@ -65,34 +62,12 @@ def test_hit_rate_property():
     assert cache.hit_rate == pytest.approx(2 / 3)
 
 
-def test_flush_invalidates_and_counts_dirty():
-    _, cache = make_cache()
-    cache.lookup(0x0, is_write=True)
-    cache.lookup(0x40)
-    dirty = cache.flush()
-    assert dirty == 1
-    assert cache.lookup(0x0) > cache.config.hit_latency
-
-
 def test_streaming_larger_than_cache_has_low_hit_rate():
-    _, cache = make_cache()
+    cache = make_cache()
     for addr in range(0, 64 * 1024, 4):
         cache.lookup(addr)
     # 64-byte lines with 4-byte strides: 15/16 of accesses hit in the line.
     assert 0.9 < cache.hit_rate < 0.95
-
-
-def test_backing_target_receives_line_fills():
-    sim = Simulator()
-    pipe = LatencyPipe(sim, latency=5)
-    cache = Cache(sim, CacheConfig(size_bytes=1024, line_bytes=64,
-                                   associativity=2), backing=pipe)
-    cache.lookup(0x200)
-    cache.lookup(0x200)
-    sim.run()
-    assert len(pipe.requests) == 1
-    assert pipe.requests[0].size == 64
-    assert pipe.requests[0].addr == 0x200 & ~63
 
 
 def test_invalid_geometry_rejected():

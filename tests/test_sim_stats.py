@@ -118,8 +118,6 @@ def test_stat_readers_leave_later_snapshots_unchanged():
     # A counter appears in a snapshot only once incremented (both tiers rely
     # on it); reading a derived figure must not add a zero counter.
     from repro.eval.harness import HarnessConfig, _build_svm_system
-    from repro.mem.cache import Cache
-    from repro.mem.port import LatencyPipe
     from repro.workloads.suite import workload
 
     platform, system, bound = _build_svm_system(
@@ -133,8 +131,3 @@ def test_stat_readers_leave_later_snapshots_unchanged():
     assert platform.bus.utilisation(elapsed) > 0
     assert platform.kernel.fault_handler(platform.process_name).faults_resolved == 0
     assert platform.snapshot() == before
-
-    cache = Cache(platform.sim, backing=LatencyPipe(platform.sim))
-    cache.lookup(0x40)
-    assert cache.hit_rate == 0.0
-    assert "hits" not in cache.stats.snapshot()
