@@ -169,8 +169,9 @@ class SoftwareCPU:
                 cycles += hit_latency
                 continue
             last_line = line
+            misses = l1.misses
             l1_latency = l1.lookup(addr, is_write)
-            if l1_latency > hit_latency and l2 is not None:
+            if l2 is not None and l1.misses != misses:
                 # L1 miss: the L2 lookup's latency, hit or miss, follows
                 # the L1 hit latency.
                 l1_latency = hit_latency + l2.lookup(addr, is_write)

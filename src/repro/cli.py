@@ -44,7 +44,7 @@ from .eval.report import (format_nested_series, format_output, format_series,
 from .exec import SweepRunner, default_cache
 from .exec.db import DatabaseOpenError
 from .models import TIERS, get_model, registered_models
-from .store import open_results_store
+from .store import SchemaMismatchError, open_results_store
 from .workloads import available_workload_kernels, workload
 
 #: Default on-disk cache location; ``--cache-dir`` / ``REPRO_CACHE_DIR``
@@ -524,10 +524,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except DatabaseOpenError as exc:
-        # A broker or results-store path that is a directory or not a
-        # database (the memo cache falls back to memory instead): every
-        # command reports it here.
+    except (DatabaseOpenError, SchemaMismatchError) as exc:
+        # A broker or results-store path that is a directory, not a
+        # database, or of another layout (the memo cache falls back to
+        # memory instead): every command reports it here.
         print(f"repro: {exc}", file=sys.stderr)
         return 2
 
@@ -912,7 +912,7 @@ def _when_to_epoch(text: Optional[str]) -> Optional[float]:
 
 
 def _query_command(args: argparse.Namespace) -> int:
-    from .store import ResultsStore, SchemaMismatchError
+    from .store import ResultsStore
 
     if not args.db:
         print("no results store: pass --db PATH or set $REPRO_RESULTS_DB",
@@ -947,11 +947,7 @@ def _query_command(args: argparse.Namespace) -> int:
         filters["since"] = since
     if until is not None:
         filters["until"] = until
-    try:
-        store = ResultsStore(args.db)
-    except SchemaMismatchError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    store = ResultsStore(args.db)
     try:
         if args.trend:
             rows = store.trend(args.trend, **filters)

@@ -27,12 +27,13 @@ Job state machine::
 
 Jobs are keyed by the same content hash as the memo cache
 (:func:`repro.exec.keys.stable_key`), which buys fleet-wide dedup twice
-over: at enqueue time the broker consults the shared
-:class:`~repro.exec.cache.MemoCache` (and its own result table) and marks
-already-computed points ``done`` without ever queueing them, and at
-completion time one result resolves *every* job carrying that key — so two
-workers finishing the same point race idempotently (first result wins; the
-points are deterministic, so both computed the same value).
+over: at enqueue time the broker consults its own values (and the shared
+:class:`~repro.exec.cache.MemoCache`) and marks already-computed points
+``done`` without ever queueing them, and at completion time one result
+resolves *every* job carrying that key — so two workers finishing the same
+point race idempotently (first result wins; the points are deterministic,
+so both computed the same value).  Reuse at enqueue reads only the running
+code's values (:func:`~repro.exec.db.code_namespace`).
 
 :class:`SQLiteBroker` is the reference implementation: one SQLite file on a
 shared filesystem, WAL-mode, safe for many concurrent worker processes.
@@ -63,7 +64,8 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Protocol, Sequence, Tuple, Union, runtime_checkable)
 
 from ..exec.cache import MemoCache
-from ..exec.db import open_db
+from ..exec.db import (VALUE_SCHEMA, DatabaseOpenError, add_value,
+                       code_namespace, open_db)
 
 #: Terminal job states: nothing transitions out of these.
 FINISHED_STATES = ("done", "failed", "cancelled")
@@ -93,7 +95,7 @@ class SweepTicket:
     sweep_id: str
     total: int
     #: Jobs resolved at enqueue time from the shared memo store or the
-    #: broker's own result table — never queued, already ``done``.
+    #: broker's own values — never queued, already ``done``.
     already_done: int
     #: The distinct keys resolved at enqueue time (for cache accounting).
     done_keys: frozenset = field(default_factory=frozenset)
@@ -277,12 +279,6 @@ CREATE TABLE IF NOT EXISTS jobs (
 );
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state, not_before);
 CREATE INDEX IF NOT EXISTS jobs_by_key   ON jobs (key);
-CREATE TABLE IF NOT EXISTS results (
-    key     TEXT PRIMARY KEY,
-    payload BLOB NOT NULL,
-    worker  TEXT,
-    created REAL NOT NULL
-);
 """
 
 
@@ -315,6 +311,15 @@ class SQLiteBroker:
         self.clock = clock
         self._lock = threading.RLock()
         self._db = open_db(self.path, _SCHEMA, busy_timeout=busy_timeout)
+        if self._db.execute("SELECT 1 FROM sqlite_master"
+                            " WHERE name = 'results'").fetchone():
+            self._db.close()
+            raise DatabaseOpenError(
+                self.path, "an older release wrote it (it has a results"
+                " table); finish its sweeps with that release or start a"
+                " new broker file")
+        self._db.executescript(VALUE_SCHEMA + ";\nCREATE INDEX IF NOT EXISTS"
+                               " memo_by_key ON memo (key);")
 
     def close(self) -> None:
         with self._lock:
@@ -344,19 +349,19 @@ class SQLiteBroker:
                      results: Optional[Any] = None) -> SweepTicket:
         """Enqueue one batch; returns its ticket.
 
-        Before queueing, each item's key is looked up in the broker's own
-        result table, then in the shared ``memo`` store, then in the
-        persistent ``results`` store
+        Before queueing, each item's key is looked up, under the running
+        code's namespace only, in the broker's own values, then in the
+        shared ``memo`` store, then in the persistent ``results`` store
         (:class:`~repro.store.ResultsStore`): a hit records the job as
-        ``done`` immediately (memo/store hits are copied into the result
-        table, so later sweeps resolve them broker-side even from a worker
-        whose cache evicted them).  The results store only serves values it
-        recorded under the current package version, mirroring the memo
-        cache's version namespace.
+        ``done`` immediately, credited to an earlier job's worker or to
+        ``"memo"`` or ``"store"`` (memo/store hits are copied into the
+        broker's values, so later sweeps resolve them broker-side even from
+        a worker whose cache evicted them).
         """
         sweep_id = uuid.uuid4().hex[:12]
         now = self.clock()
-        done_keys = set()
+        namespace = code_namespace()
+        done: Dict[str, Optional[str]] = {}     # resolved key -> its worker
         missing = object()
         with self._write():
             self._db.execute(
@@ -364,45 +369,41 @@ class SQLiteBroker:
                 " VALUES (?, ?, ?, ?, ?)",
                 (sweep_id, label, spec, now, len(items)))
             for position, item in enumerate(items):
-                state = "pending"
-                value = missing
-                source = None
-                if item.key in done_keys or self._resolved(item.key):
-                    state = "done"
-                elif memo is not None and item.key in memo:
-                    value = memo.get(item.key)
-                    source = "memo"
-                elif results is not None:
-                    value = results.get_value(item.key, missing)
-                    source = "store"
-                if value is not missing:
-                    # Memo / results-store hit: adopt the persisted value
-                    # as this key's result so the broker can stream it.
-                    self._db.execute(
-                        "INSERT OR IGNORE INTO results "
-                        "(key, payload, worker, created) VALUES (?, ?, ?, ?)",
-                        (item.key,
-                         pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
-                         source, now))
-                    state = "done"
-                if state == "done":
-                    done_keys.add(item.key)
+                key = item.key
+                if key not in done:
+                    # A row when this code's namespace holds the key's
+                    # value; it names the worker of an earlier job.
+                    row = self._db.execute(
+                        "SELECT (SELECT worker FROM jobs WHERE key = ?1"
+                        " AND state = 'done' AND worker IS NOT NULL LIMIT 1)"
+                        " FROM memo WHERE namespace = ?2 AND key = ?1",
+                        (key, namespace)).fetchone()
+                    value, source = missing, None
+                    if row is not None:
+                        done[key] = row[0]
+                    elif memo is not None and key in memo:
+                        value, source = memo.get(key), "memo"
+                    elif results is not None:
+                        value = results.get_value(key, missing)
+                        source = "store"
+                    if value is not missing:
+                        # Memo / results-store hit: adopt the persisted
+                        # value as this key's result so the broker can
+                        # stream it.
+                        add_value(self._db, namespace, key, pickle.dumps(
+                            value, protocol=pickle.HIGHEST_PROTOCOL), now)
+                        done[key] = source
                 meta = (json.dumps(item.meta, sort_keys=True)
                         if item.meta is not None else None)
                 self._db.execute(
                     "INSERT INTO jobs (sweep_id, position, key, payload,"
-                    " meta, state) VALUES (?, ?, ?, ?, ?, ?)",
-                    (sweep_id, position, item.key, item.payload, meta,
-                     state))
-        already_done = sum(1 for item in items if item.key in done_keys)
+                    " meta, state, worker) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    (sweep_id, position, key, item.payload, meta,
+                     "done" if key in done else "pending", done.get(key)))
+        already_done = sum(1 for item in items if item.key in done)
         return SweepTicket(sweep_id=sweep_id, total=len(items),
                            already_done=already_done,
-                           done_keys=frozenset(done_keys))
-
-    def _resolved(self, key: str) -> bool:
-        row = self._db.execute("SELECT 1 FROM results WHERE key = ?",
-                               (key,)).fetchone()
-        return row is not None
+                           done_keys=frozenset(done))
 
     # --------------------------------------------------------------- claim
     def claim(self, worker: str,
@@ -500,7 +501,8 @@ class SQLiteBroker:
 
         Idempotent: the first completion wins, later duplicates (a second
         worker finishing a re-leased copy of the same job) are no-ops.
-        Returns True when this call stored the result.
+        The value is stored under the running code's namespace.  Returns
+        True when this call stored the result.
         """
         return self.complete_many([(key, value)], worker=worker)[0]
 
@@ -528,14 +530,12 @@ class SQLiteBroker:
         key, so a retried batch records nothing twice.
         """
         now = self.clock()
+        namespace = code_namespace()
         recorded: List[bool] = []
         with self._write():
             for key, payload in results:
-                cursor = self._db.execute(
-                    "INSERT OR IGNORE INTO results (key, payload, worker,"
-                    " created) VALUES (?, ?, ?, ?)",
-                    (key, payload, worker, now))
-                recorded.append(cursor.rowcount > 0)
+                recorded.append(add_value(self._db, namespace, key, payload,
+                                          now))
                 self._db.execute(
                     "UPDATE jobs SET state = 'done', worker = COALESCE(?,"
                     " worker), lease_expiry = NULL, error = NULL"
@@ -638,15 +638,18 @@ class SQLiteBroker:
         server — can ship them to clients whose classes it cannot import.
         With ``values=False`` the result column is skipped entirely: no row
         bytes read, nothing to unpickle, which is what status-only consumers
-        should ask for.
+        should ask for.  A done job's value is the running code's, else the
+        one its key holds under any namespace, so older sweeps still read
+        theirs.
         """
-        value_column = "r.payload" if values else "NULL"
+        params: List[Any] = [code_namespace()] if values else []
+        value_column = ("COALESCE((SELECT value FROM memo WHERE namespace = ?"
+                        " AND key = j.key), (SELECT value FROM memo WHERE"
+                        " key = j.key LIMIT 1))" if values else "NULL")
         query = (f"SELECT j.position, j.key, j.state, j.meta, j.error,"
-                 f" COALESCE(j.worker, r.worker), {value_column}"
-                 " FROM jobs j LEFT JOIN results r"
-                 " ON r.key = j.key WHERE j.sweep_id = ?"
+                 f" j.worker, {value_column} FROM jobs j WHERE j.sweep_id = ?"
                  " AND j.state IN ('done', 'failed', 'cancelled')")
-        params: List[Any] = [sweep_id]
+        params.append(sweep_id)
         if positions is not None:
             wanted = sorted(set(positions))
             if not wanted:

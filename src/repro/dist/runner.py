@@ -10,7 +10,7 @@ without modification, bit-identical to the serial path.  This runner only
 decides where the distinct misses run; its ``_evaluate``:
 
 1. enqueues them as one broker sweep (the broker adopts keys its own
-   result table or the attached results store already holds),
+   values or the attached results store already hold),
 2. optionally spawns local worker processes (``workers=N``); with
    ``workers=0`` it relies on externally started ``repro worker`` processes
    and/or its own **drain** loop (``drain=True``, the default), in which the
@@ -158,7 +158,7 @@ class DistributedRunner(SweepRunner):
             [WorkItem(key=key, payload=payload)
              for key, payload in zip(keys, payloads)],
             label=label, results=self.results)
-        # Keys the broker resolved at enqueue (its own result table, or the
+        # Keys the broker resolved at enqueue (its own values, or the
         # results store) are not executed again: they count as hits.
         self.stats.cache_hits += len(ticket.done_keys)
         self.stats.points_executed += len(items) - len(ticket.done_keys)

@@ -542,14 +542,13 @@ def run_multiprocess(mp: MultiProcessSpec,
                     [program_for_workload(b.spec, lambda ops=process.ops: ops,
                                           page_size, burst)
                      for b, process in zip(bound, inputs)],
-                    platform.kernel.cost_context_switch, platform.sim.now)
+                    platform.sim.now)
                 feed.slices, bus = _adaptive_kernel(
                     mp, platform, spaces, handlers, inputs,
                     clock=lambda: feed.cycle)
                 ctx.refill = feed
                 program = []
             else:
-                ctx.on_switch_cost = platform.kernel.cost_context_switch
                 program = program_for_plan(
                     mp, lambda: plan(_process_inputs(bound, page_size)),
                     page_size, burst)

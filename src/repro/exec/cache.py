@@ -12,7 +12,8 @@ two layers:
   pickled into one WAL-mode SQLite file, ``<path>/memo.sqlite``, that
   every process pointed at the directory shares; probes that miss in
   memory fall through to it, so hits survive across processes and CLI
-  invocations.  Rows are namespaced by the package version, which misses
+  invocations.  It serves only the rows of
+  :func:`~repro.exec.db.code_namespace`, the package version, which misses
   source edits made without a version bump and the code of externally
   registered models: after such an edit, ``clear()`` the cache or use a
   fresh directory.  The disk layer is best-effort: a database error or a
@@ -34,26 +35,15 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-_MISSING = object()
+from .db import VALUE_SCHEMA, code_namespace, open_db, put_value
 
-_SCHEMA = """CREATE TABLE IF NOT EXISTS memo (
-    namespace TEXT NOT NULL,
-    key       TEXT NOT NULL,
-    value     BLOB NOT NULL,
-    used      REAL NOT NULL,
-    PRIMARY KEY (namespace, key))"""
+_MISSING = object()
 
 #: Keep the most recently used rows, of every namespace, whose pickles fit
 #: the cap; delete the rest.
 _PRUNE = """DELETE FROM memo WHERE rowid IN (SELECT rowid FROM (
     SELECT rowid, SUM(length(value)) OVER (ORDER BY used DESC, rowid DESC)
     AS kept FROM memo) WHERE kept > ?)"""
-
-
-def _version_namespace() -> str:
-    """The namespace of this release's disk rows."""
-    from .. import __version__      # lazily: ``repro`` imports this module
-    return f"v{__version__}"
 
 
 class MemoCache:
@@ -81,13 +71,11 @@ class MemoCache:
         self._disk_bytes: Optional[int] = None
         self._db = None
         if self.path is not None:
-            import sqlite3                  # loaded only for disk caches
-            from .db import open_db
-            self._namespace = _version_namespace()
+            self._namespace = code_namespace()
             self._lock = threading.Lock()
             try:
-                self._db = open_db(self.path / "memo.sqlite", _SCHEMA)
-            except (OSError, sqlite3.Error) as exc:
+                self._db = open_db(self.path / "memo.sqlite", VALUE_SCHEMA)
+            except OSError as exc:
                 warnings.warn(f"memo cache {self.path} is unusable ({exc}); "
                               "caching in memory only", stacklevel=2)
             # A capped cache over an existing file enforces the cap up
@@ -122,9 +110,7 @@ class MemoCache:
         try:
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             with self._lock:
-                self._db.execute(
-                    "INSERT OR REPLACE INTO memo VALUES (?, ?, ?, ?)",
-                    (self._namespace, key, blob, time.time()))
+                put_value(self._db, self._namespace, key, blob, time.time())
                 if self._disk_bytes is not None:
                     # Overwrites double-count: that only prunes early.
                     self._disk_bytes += len(blob)

@@ -1,12 +1,29 @@
-"""The one opener of the package's SQLite files (memo, results, broker)."""
+"""The one opener of the package's SQLite files (memo, results, broker),
+and the value table each keeps: the pickled value of a ``stable_key`` under
+the :func:`code_namespace` of the code that computed it.  Callers hold
+their own lock and transaction around the statements below."""
 
 from __future__ import annotations
 
 import os
-import sqlite3
 import time
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
+
+if TYPE_CHECKING:
+    import sqlite3
+
+#: The value table, in the memo cache's layout, so that every
+#: ``memo.sqlite`` reads unchanged.
+VALUE_SCHEMA = """CREATE TABLE IF NOT EXISTS memo (
+    namespace TEXT NOT NULL,
+    key       TEXT NOT NULL,
+    value     BLOB NOT NULL,
+    used      REAL NOT NULL,
+    PRIMARY KEY (namespace, key))"""
+
+#: Keys per ``IN`` list: comfortably under SQLite's host-parameter limit.
+_CHUNK = 400
 
 
 class DatabaseOpenError(OSError):
@@ -27,6 +44,7 @@ def open_db(path: Union[str, os.PathLike], schema: str, *,
     and may be used from any thread; each caller guards it with a lock.  A
     path that cannot be opened raises :class:`DatabaseOpenError`.
     """
+    import sqlite3          # lazily: in-memory memo caches open no file
     db = None
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -50,3 +68,35 @@ def open_db(path: Union[str, os.PathLike], schema: str, *,
             db.close()
         raise DatabaseOpenError(path, exc) from exc
     return db
+
+
+def code_namespace() -> str:
+    """The running code's value namespace; none is made elsewhere."""
+    from .. import __version__      # lazily: ``repro`` imports this package
+    return f"v{__version__}"
+
+
+def read_values(db: sqlite3.Connection, namespace: str,
+                keys: Sequence[str]) -> List[Tuple[str, bytes]]:
+    """The ``(key, value)`` rows ``namespace`` holds for ``keys``."""
+    rows: List[Tuple[str, bytes]] = []
+    for start in range(0, len(keys), _CHUNK):
+        chunk = keys[start:start + _CHUNK]
+        rows += db.execute(
+            "SELECT key, value FROM memo WHERE namespace = ? AND key IN ("
+            + ",".join("?" * len(chunk)) + ")", (namespace, *chunk))
+    return rows
+
+
+def put_value(db: sqlite3.Connection, namespace: str, key: str,
+              value: bytes, used: float) -> None:
+    """Store ``key``'s value, replacing the one ``namespace`` held."""
+    db.execute("INSERT OR REPLACE INTO memo VALUES (?, ?, ?, ?)",
+               (namespace, key, value, used))
+
+
+def add_value(db: sqlite3.Connection, namespace: str, key: str,
+              value: bytes, used: float) -> bool:
+    """Store ``key``'s value unless ``namespace`` holds one; True if stored."""
+    return db.execute("INSERT OR IGNORE INTO memo VALUES (?, ?, ?, ?)",
+                      (namespace, key, value, used)).rowcount > 0

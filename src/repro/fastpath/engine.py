@@ -129,10 +129,6 @@ class ReplayContext:
     spaces: List[ReplaySpace]     # by OP_SWITCH index; the run starts in [0]
     # Context switching (multi-process programs only).
     flush_on_switch: bool = False
-    #: Returns the switch stall in cycles; the caller wires this to the real
-    #: ``HostKernel.cost_context_switch`` so software overhead is charged
-    #: identically to the event tier.
-    on_switch_cost: Optional[Callable[[], int]] = None
     #: Called with the absolute cycle when the program runs out at a
     #: fence-drained instant, after the counters so far are in the stat
     #: groups; returns the next program ops (empty: the kernel is done).
@@ -1009,8 +1005,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     push(heap, (now + 1, seq, 0, None))
                     seq += 1
                     break
-                # OP_SWITCH: runs inside this advance, like the generator's
-                # switch hook; a positive stall behaves as a Compute op.
+                # OP_SWITCH: runs inside this advance and charges the kernel,
+                # like the generator's switch hook; a positive stall behaves
+                # as a Compute op.
                 space = spaces[op[1]]
                 if ctx.flush_on_switch:
                     for tlb_set in tlb_sets:
@@ -1025,7 +1022,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 recent_misses.clear()
                 prefetch_score = 16
                 c_switches += 1
-                stall = ctx.on_switch_cost() if ctx.on_switch_cost else 0
+                stall = platform.kernel.cost_context_switch()
                 if stall > 0:
                     c_compute += stall
                     push(heap, (now + stall, seq, 0, None))

@@ -29,10 +29,10 @@ back to the event tier on either.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from .engine import (OP_COMPUTE, OP_FENCE, OP_SWITCH, ReplayContext,
-                     ReplaySpace, replay_fabric)
+from .engine import (OP_FENCE, OP_SWITCH, ReplayContext, ReplaySpace,
+                     replay_fabric)
 
 __all__ = ["TierUnavailable", "svm_replay_blockers", "mp_replay_blockers",
            "replay_space", "replay_start", "SliceFeed"]
@@ -126,14 +126,13 @@ class SliceFeed:
     which closes the drained slice and opens the next, ``(process, start,
     end)``.  Programs hold one tuple per op, so the feed lowers that slice
     as one list slice, ``programs[process][start:end]``, followed by the
-    slice's fence.  A process change comes first: an ``OP_SWITCH`` marker,
-    then the switch stall as compute.  An empty return ends the kernel.
+    slice's fence.  A process change comes first, as an ``OP_SWITCH``
+    marker, where the engine charges the switch.  An empty return ends the
+    kernel.
     """
 
-    def __init__(self, programs: list, switch_cost: Callable[[], int],
-                 cycle: int):
+    def __init__(self, programs: list, cycle: int):
         self.programs = programs
-        self.switch_cost = switch_cost
         self.active = 0
         #: The absolute cycle the telemetry bus reads.
         self.cycle = cycle
@@ -147,14 +146,8 @@ class SliceFeed:
         process, start, end = step
         ops: list = []
         if process != self.active:
-            # The software cost is charged here, as the event tier's switch
-            # hook charges it; the MMU state changes when the engine reaches
-            # the marker.
             self.active = process
             ops.append((OP_SWITCH, process))
-            stall = self.switch_cost()
-            if stall > 0:
-                ops.append((OP_COMPUTE, stall))
         ops += self.programs[process][start:end]
         ops.append((OP_FENCE,))
         return ops

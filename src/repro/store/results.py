@@ -18,6 +18,8 @@ The store is **append-only**: rows are deduplicated by ``(key, git_sha)``
 with ``INSERT OR IGNORE``, so re-running an unchanged sweep appends nothing,
 while the same point computed at a different commit lands a new row — that
 is what makes cross-sha trend queries (``repro query --trend``) possible.
+The outcomes themselves are pickled into the file's value table
+(:mod:`repro.exec.db`): one per code version and key, the newest row's.
 
 Like the broker and the memo cache it is one WAL-mode SQLite file, safe for
 many concurrent writer processes (workers, runners, CI jobs), with an
@@ -35,16 +37,19 @@ import pickle
 import subprocess
 import threading
 import time
+from contextlib import suppress
 from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
-from ..exec.db import open_db
+from ..exec.db import (VALUE_SCHEMA, code_namespace, open_db, put_value,
+                       read_values)
 from ..exec.keys import stable_key
 
-#: Bump on any incompatible change to the ``runs`` table layout.
-SCHEMA_VERSION = 1
+#: Bump on any incompatible change to the file's layout.  Version 2 moved
+#: the pickled outcomes from ``runs.value`` into the value table.
+SCHEMA_VERSION = 2
 
 _MISSING = object()
 
@@ -64,14 +69,12 @@ CREATE TABLE IF NOT EXISTS runs (
     total_cycles    INTEGER,
     fabric_cycles   INTEGER,
     record          TEXT NOT NULL,
-    value           BLOB,
     wall_seconds    REAL,
     package_version TEXT NOT NULL,
     git_sha         TEXT NOT NULL,
     created         REAL NOT NULL,
     UNIQUE (key, git_sha)
 );
-CREATE INDEX IF NOT EXISTS runs_by_key        ON runs (key);
 CREATE INDEX IF NOT EXISTS runs_by_experiment ON runs (experiment);
 CREATE INDEX IF NOT EXISTS runs_by_sha        ON runs (git_sha);
 """
@@ -98,12 +101,6 @@ def git_sha() -> str:
     except (OSError, subprocess.SubprocessError):
         pass
     return "local"
-
-
-def _package_version() -> str:
-    # Imported lazily: ``repro`` pulls subpackages in during its own import.
-    from .. import __version__
-    return __version__
 
 
 def _iso(timestamp: float) -> str:
@@ -158,6 +155,7 @@ class ResultsStore:
         self._lock = threading.RLock()
         self._db = open_db(self.path, _SCHEMA, busy_timeout=busy_timeout)
         self._check_schema()
+        self._db.execute(VALUE_SCHEMA)
 
     def _check_schema(self) -> None:
         row = self._db.execute("SELECT value FROM meta WHERE key = ?",
@@ -190,9 +188,10 @@ class ResultsStore:
 
         Idempotent per ``(key, git sha)``: recording the same point again at
         the same commit is a no-op, so warm-cache re-runs never duplicate
-        rows.  The full outcome is also pickled into the row so the
-        distributed broker can adopt it as a finished result
-        (:meth:`get_value`).
+        rows.  An inserted row's outcome is also pickled into the value
+        table, under the running code's namespace and replacing the value
+        an older row left there, so the distributed broker can adopt it as
+        a finished result (:meth:`get_value`).
         """
         record = _as_record(outcome, coords)
         try:
@@ -210,15 +209,17 @@ class ResultsStore:
         def _int_or_none(value: Any) -> Optional[int]:
             return int(value) if isinstance(value, (int, float)) else None
 
+        from .. import __version__      # lazily: ``repro`` imports this
+        created = self.clock()
         with self._lock:
             self._db.execute("BEGIN IMMEDIATE")
             try:
-                cursor = self._db.execute(
+                inserted = self._db.execute(
                     "INSERT OR IGNORE INTO runs (key, experiment, model,"
                     " kernel, tier, coords, total_cycles, fabric_cycles,"
-                    " record, value, wall_seconds, package_version, git_sha,"
+                    " record, wall_seconds, package_version, git_sha,"
                     " created) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,"
-                    " ?, ?)",
+                    " ?)",
                     (key, experiment,
                      record.get("model"),
                      kernel if kernel is not None else record.get("kernel"),
@@ -226,13 +227,16 @@ class ResultsStore:
                      coords_json,
                      _int_or_none(record.get("total_cycles")),
                      _int_or_none(record.get("fabric_cycles")),
-                     record_json, payload, wall_seconds,
-                     _package_version(), self.sha, self.clock()))
+                     record_json, wall_seconds,
+                     __version__, self.sha, created)).rowcount > 0
+                if inserted and payload is not None:
+                    put_value(self._db, code_namespace(), key, payload,
+                              created)
                 self._db.execute("COMMIT")
             except BaseException:
                 self._db.execute("ROLLBACK")
                 raise
-        return cursor.rowcount > 0
+        return inserted
 
     def record_bench(self, report: Any, scale: str = "tiny") -> int:
         """Append one row per benchmark suite entry; returns rows inserted.
@@ -256,61 +260,31 @@ class ResultsStore:
 
     # --------------------------------------------------------------- lookups
     def get_value(self, key: str, default: Any = None) -> Any:
-        """The most recent stored outcome for ``key``, unpickled.
+        """The newest stored outcome for ``key``, unpickled, or ``default``.
 
-        Only rows written by the **current package version** are served —
-        the same guard the memo cache's version namespace provides: a store
-        carrying numbers from a previous release must not warm-start the
-        fleet with them.  Returns ``default`` when absent or unreadable.
+        Only the running code's namespace is read, as the memo cache reads
+        it: numbers from a previous release must not warm-start the fleet.
         """
-        with self._lock:
-            row = self._db.execute(
-                "SELECT value FROM runs WHERE key = ? AND"
-                " package_version = ? AND value IS NOT NULL"
-                " ORDER BY id DESC LIMIT 1",
-                (key, _package_version())).fetchone()
-        if row is None:
-            return default
-        try:
-            return pickle.loads(row[0])
-        except Exception:
-            return default
+        return self.warm_values([key]).get(key, default)
 
     def warm_values(self, keys: List[str]) -> Dict[str, Any]:
-        """Bulk :meth:`get_value`: the newest current-version row per key.
+        """Bulk :meth:`get_value`: the current-namespace value per key.
 
         The warm-start query of the adaptive explorers (:mod:`repro.dse`):
-        one chunked ``IN`` query instead of one round-trip per candidate,
-        under the same package-version guard as :meth:`get_value`.  Keys
-        with no readable row are simply absent from the result.
+        chunked ``IN`` queries instead of one round-trip per candidate.
+        Keys with no readable value are simply absent from the result.
         """
-        out: Dict[str, Any] = {}
-        keys = list(keys)
-        version = _package_version()
-        chunk_size = 400           # comfortably under SQLite's host limit
         with self._lock:
-            for start in range(0, len(keys), chunk_size):
-                chunk = keys[start:start + chunk_size]
-                marks = ",".join("?" * len(chunk))
-                rows = self._db.execute(
-                    f"SELECT key, value FROM runs WHERE key IN ({marks})"
-                    " AND package_version = ? AND value IS NOT NULL"
-                    " ORDER BY id",
-                    (*chunk, version)).fetchall()
-                for key, blob in rows:       # ascending id: newest row wins
-                    try:
-                        out[key] = pickle.loads(blob)
-                    except Exception:
-                        out.pop(key, None)   # unreadable newest: drop the key
+            rows = read_values(self._db, code_namespace(), keys)
+        out: Dict[str, Any] = {}
+        for key, blob in rows:
+            with suppress(Exception):       # an unreadable value is absent
+                out[key] = pickle.loads(blob)
         return out
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            row = self._db.execute(
-                "SELECT 1 FROM runs WHERE key = ? AND package_version = ?"
-                " AND value IS NOT NULL LIMIT 1",
-                (key, _package_version())).fetchone()
-        return row is not None
+            return bool(read_values(self._db, code_namespace(), [key]))
 
     def __len__(self) -> int:
         with self._lock:

@@ -9,6 +9,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.eval.experiments import EXPERIMENTS
 
+from test_store import write_v1_store
+
 
 @pytest.fixture(autouse=True)
 def isolated_cache_dir(tmp_path, monkeypatch):
@@ -462,6 +464,23 @@ def test_a_directory_as_database_is_an_argument_error(argv, tmp_path,
                  for arg in argv]) == 2
     err = capsys.readouterr().err
     assert f"repro: cannot open database {db}: " in err
+    assert not out.exists()             # bench failed before its suite ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "fig8_pinning", "--scale", "tiny", "--no-cache",
+     "--results-db", "{db}"],
+    ["bench", "--results-db", "{db}", "--output", "{out}"],
+])
+def test_a_results_store_of_another_schema_is_an_argument_error(argv,
+                                                                tmp_path,
+                                                                capsys):
+    db = tmp_path / "v1.db"
+    write_v1_store(db)
+    out = tmp_path / "bench.json"
+    assert main([arg.format(db=db, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"repro: results store {db} has schema version 1" in err
     assert not out.exists()             # bench failed before its suite ran
 
 

@@ -1,11 +1,14 @@
 """Tests for the SQLite work-queue broker and the fleet worker loop."""
 
 import pickle
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 from repro.dist import SQLiteBroker, Worker, WorkItem
 from repro.exec import MemoCache
+from repro.exec.db import DatabaseOpenError
 
 
 class FakeClock:
@@ -125,6 +128,36 @@ def test_enqueue_consults_own_result_table(broker):
     assert second.already_done == 1
     (done,) = broker.fetch_results(second.sweep_id)
     assert done.value == 123
+
+
+def test_a_key_resolved_at_enqueue_keeps_the_worker_it_was_credited_to(
+        broker):
+    broker.create_sweep([_item("k0")])
+    broker.complete(broker.claim("w1").key, 123, worker="w1")
+    memo = MemoCache()
+    memo.put("k1", 5)
+    adopted = broker.create_sweep([_item("k1"), _item("k1")], memo=memo)
+    again = broker.create_sweep([_item("k0"), _item("k1")])
+    assert again.already_done == 2
+    assert [(r.value, r.worker) for r in broker.fetch_results(
+        adopted.sweep_id)] == [(5, "memo"), (5, "memo")]
+    assert [(r.value, r.worker) for r in broker.fetch_results(
+        again.sweep_id)] == [(123, "w1"), (5, "memo")]
+
+
+def test_a_broker_file_of_the_older_layout_is_refused(tmp_path):
+    # The older layout kept every value in a ``results`` table.
+    path = tmp_path / "old.db"
+    with closing(sqlite3.connect(path)) as db:
+        db.execute("CREATE TABLE results (key TEXT PRIMARY KEY,"
+                   " payload BLOB NOT NULL, worker TEXT, created REAL)")
+    with pytest.raises(DatabaseOpenError) as raised:
+        SQLiteBroker(path)
+    assert str(raised.value).startswith(f"cannot open database {path}: ")
+    assert "finish its sweeps with that release" in str(raised.value)
+    with closing(sqlite3.connect(path)) as db:
+        assert db.execute("SELECT name FROM sqlite_master WHERE name ="
+                          " 'memo'").fetchall() == []
 
 
 def test_duplicate_keys_within_a_sweep_execute_once(broker):

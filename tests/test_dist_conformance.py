@@ -9,6 +9,8 @@ advanced in-process and both transports observe identical state machines.
 """
 
 import pickle
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -144,6 +146,38 @@ def test_completion_resolves_same_key_across_sweeps(broker):
     broker.complete(claim.key, 5)
     assert broker.status(a.sweep_id)["finished"]
     assert broker.status(b.sweep_id)["finished"]
+
+
+# ---------------------------------------------------------------------------
+# The code-version guard: reuse only the running code's values
+# ---------------------------------------------------------------------------
+def test_enqueue_reuses_only_the_running_codes_values(broker, monkeypatch):
+    first = broker.create_sweep([_item("k0")])
+    assert broker.complete(broker.claim("w1").key, 4, worker="w1") is True
+    monkeypatch.setattr("repro.__version__", "999.0.0")
+    second = broker.create_sweep([_item("k0")])
+    assert second.already_done == 0 and "k0" not in second.done_keys
+    claim = broker.claim("w2")
+    assert claim is not None and claim.key == "k0"
+    # The older sweep still reads the value and worker it finished with.
+    (old,) = broker.fetch_results(first.sweep_id)
+    assert (old.state, old.value, old.worker) == ("done", 4, "w1")
+    assert broker.complete(claim.key, 4, worker="w2") is True
+    (new,) = broker.fetch_results(second.sweep_id)
+    assert (new.state, new.value, new.worker) == ("done", 4, "w2")
+
+
+def test_a_value_of_another_namespace_is_fetched_but_not_reused(broker,
+                                                                tmp_path):
+    first = broker.create_sweep([_item("k0")])
+    broker.complete(broker.claim("w1").key, 4, worker="w1")
+    # As if a worker of another release had stored the value.
+    with closing(sqlite3.connect(tmp_path / "broker.db")) as db:
+        db.execute("UPDATE memo SET namespace = 'v0.0.1'")
+        db.commit()
+    (result,) = broker.fetch_results(first.sweep_id)
+    assert (result.value, result.worker) == (4, "w1")
+    assert broker.create_sweep([_item("k0")]).already_done == 0
 
 
 # ---------------------------------------------------------------------------

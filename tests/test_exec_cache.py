@@ -7,7 +7,8 @@ from contextlib import closing
 import pytest
 
 from repro.exec import MemoCache, SweepRunner, default_cache
-from repro.exec.cache import _default_caches, _version_namespace
+from repro.exec.cache import _default_caches
+from repro.exec.db import code_namespace
 
 
 def _sql(path, statement, params=()):
@@ -140,10 +141,9 @@ def test_disk_entries_are_namespaced_by_code_version(tmp_path, monkeypatch):
     cache = MemoCache(path=tmp_path)
     cache.put("f" * 64, "old-code-result")
     assert _sql(tmp_path, "SELECT namespace FROM memo") == [
-        (_version_namespace(),)]
+        (code_namespace(),)]
 
-    from repro.exec import cache as cache_mod
-    monkeypatch.setattr(cache_mod, "_version_namespace", lambda: "v999.0.0")
+    monkeypatch.setattr("repro.__version__", "999.0.0")
     upgraded = MemoCache(path=tmp_path)
     assert ("f" * 64) not in upgraded
     assert upgraded.get("f" * 64) is None

@@ -10,6 +10,7 @@ evicted).
 """
 
 import math
+from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -78,8 +79,10 @@ def reference_run(cpu, ops):
             cycles = 0.0
             for addr in addrs:
                 cycles += cfg.issue_cycles_per_element
+                hits = l1.hits
                 latency = l1.lookup(addr, op.is_write)
-                if latency > cfg.cache.hit_latency and l2 is not None:
+                if l1.hits == hits and l2 is not None:
+                    # An L1 miss, whatever its penalty, looks up L2.
                     latency = cfg.cache.hit_latency + l2.lookup(addr,
                                                                 op.is_write)
                 cycles += latency
@@ -128,6 +131,11 @@ DIRECT = CacheConfig(size_bytes=16, line_bytes=16, associativity=1,
 # so evicting it costs a writeback.
 @example(ops=[Burst(addr=0, count=2), Access(addr=4, is_write=True),
               Access(addr=16)], l1=DIRECT, l2=None, issue=3.0)
+# Two L1 misses with no L1 penalty, then a hit, under the default L2: each
+# miss still looks up L2.
+@example(ops=[Access(addr=0), Access(addr=32768), Access(addr=0)],
+         l1=replace(SoftwareCPUConfig().cache, miss_penalty=0),
+         l2=SoftwareCPUConfig().l2_cache, issue=3.0)
 def test_run_ops_equals_the_per_element_reference(ops, l1, l2, issue):
     cpu = SoftwareCPU(SoftwareCPUConfig(issue_cycles_per_element=issue,
                                         cache=l1, l2_cache=l2))

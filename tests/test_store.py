@@ -1,6 +1,7 @@
 """Tests for the append-only results store (repro.store)."""
 
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -25,6 +26,26 @@ def _store(tmp_path, **kwargs):
     kwargs.setdefault("clock", lambda: 1_000_000.0)
     kwargs.setdefault("sha", "abc123def456")
     return ResultsStore(tmp_path / "results.db", **kwargs)
+
+
+#: A schema-1 store: the outcomes' pickles sat in ``runs.value``.
+_V1_LAYOUT = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+INSERT INTO meta VALUES ('schema_version', '1');
+CREATE TABLE runs (
+    id INTEGER PRIMARY KEY, key TEXT NOT NULL,
+    experiment TEXT NOT NULL DEFAULT '', model TEXT, kernel TEXT, tier TEXT,
+    coords TEXT, total_cycles INTEGER, fabric_cycles INTEGER,
+    record TEXT NOT NULL, value BLOB, wall_seconds REAL,
+    package_version TEXT NOT NULL, git_sha TEXT NOT NULL,
+    created REAL NOT NULL, UNIQUE (key, git_sha));
+"""
+
+
+def write_v1_store(path):
+    """Create a results store file in the schema-1 layout at ``path``."""
+    with closing(sqlite3.connect(path)) as db:
+        db.executescript(_V1_LAYOUT)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +181,9 @@ def test_get_value_round_trips_the_outcome(tmp_path):
 def test_get_value_ignores_rows_from_other_package_versions(tmp_path):
     store = _store(tmp_path)
     store.record("k" * 64, _outcome())
-    # Rewrite the row's provenance as if an older release had written it.
+    # Rewrite the value's namespace as if an older release had written it.
     with sqlite3.connect(store.path) as db:
-        db.execute("UPDATE runs SET package_version = '0.0.1'")
+        db.execute("UPDATE memo SET namespace = 'v0.0.1'")
     assert store.get_value("k" * 64) is None
     assert ("k" * 64 in store) is False
     # Still visible to queries — history is never hidden, only not adopted.
@@ -174,9 +195,9 @@ def test_warm_values_bulk_fetches_current_version_rows_only(tmp_path):
     outcomes = {f"{i}" * 64: _outcome(total=100 + i) for i in range(3)}
     for key, outcome in outcomes.items():
         store.record(key, outcome)
-    # Age one row out: other-version rows are queryable but never adopted.
+    # Age one value out: other-version rows are queryable but never adopted.
     with sqlite3.connect(store.path) as db:
-        db.execute("UPDATE runs SET package_version = '0.0.1' WHERE key = ?",
+        db.execute("UPDATE memo SET namespace = 'v0.0.1' WHERE key = ?",
                    ("2" * 64,))
     found = store.warm_values(list(outcomes) + ["missing" * 9 + "x"])
     assert found == {"0" * 64: outcomes["0" * 64],
@@ -190,6 +211,33 @@ def test_warm_values_newest_row_wins_across_shas(tmp_path):
                          clock=lambda: 2_000_000.0)
     later.record("k" * 64, _outcome(total=222))
     assert later.warm_values(["k" * 64])["k" * 64].total_cycles == 222
+
+
+def test_a_value_of_another_code_version_is_never_served(tmp_path,
+                                                        monkeypatch):
+    store = _store(tmp_path)
+    store.record("k" * 64, _outcome(total=100))
+    monkeypatch.setattr("repro.__version__", "999.0.0")
+    assert store.get_value("k" * 64) is None
+    assert store.warm_values(["k" * 64]) == {}
+    assert ("k" * 64 in store) is False
+    # The row stays queryable, with the version that wrote it.
+    (row,) = store.query()
+    assert row["package_version"] != "999.0.0" and row["total_cycles"] == 100
+    # Recorded again at another commit, the point is served to this code.
+    later = _store(tmp_path, sha="fffff1111112")
+    later.record("k" * 64, _outcome(total=222))
+    assert store.get_value("k" * 64).total_cycles == 222
+
+
+def test_the_store_keeps_one_value_per_code_version_and_key(tmp_path):
+    store = _store(tmp_path)
+    store.record("k" * 64, _outcome(total=100))
+    _store(tmp_path, sha="fffff1111112").record("k" * 64, _outcome(total=222))
+    assert len(store.query()) == 2
+    with closing(sqlite3.connect(store.path)) as db:
+        assert db.execute("SELECT COUNT(*) FROM memo").fetchone() == (1,)
+    assert store.get_value("k" * 64).total_cycles == 222
 
 
 def test_warm_values_spans_query_chunks(tmp_path):
@@ -213,6 +261,17 @@ def test_schema_mismatch_raises_clear_error(tmp_path):
                    (str(SCHEMA_VERSION + 1),))
     with pytest.raises(SchemaMismatchError, match="schema version"):
         ResultsStore(tmp_path / "results.db")
+
+
+def test_a_schema_1_store_is_refused_and_left_as_it_was(tmp_path):
+    path = tmp_path / "v1.db"
+    write_v1_store(path)
+    with pytest.raises(SchemaMismatchError,
+                       match="schema version 1, this build expects 2"):
+        ResultsStore(path)
+    with closing(sqlite3.connect(path)) as db:
+        assert db.execute("SELECT name FROM sqlite_master WHERE name ="
+                          " 'memo'").fetchall() == []
 
 
 # ---------------------------------------------------------------------------
