@@ -291,11 +291,13 @@ def run_svm(spec: WorkloadSpec, config: HarnessConfig | None = None,
     :meth:`~repro.core.synthesis.SynthesizedSystem.launch`, and produce
     identical results — the differential suite pins this.
 
-    A replay whose TLB never dropped an entry is stored for its capacity
-    class (:func:`repro.fastpath.record.capacity_class`), and a later replay
-    point of that class whose TLB can hold the stored translations is served
-    a copy of its result, building and replaying nothing.  The event tier
-    neither stores nor serves.
+    A replay is stored with the trace of its TLB's operations and their
+    outcomes for its capacity class
+    (:func:`repro.fastpath.record.capacity_class`), and a later replay
+    point of that class whose own TLB would give every recorded outcome is
+    served a copy of its result, with its own TLB evictions and occupancy,
+    building and replaying nothing.  The event tier neither stores nor
+    serves.
     """
     config = config or HarnessConfig()
 
@@ -321,6 +323,8 @@ def run_svm(spec: WorkloadSpec, config: HarnessConfig | None = None,
         from ..fastpath import (ReplayContext, program_for_workload,
                                 replay_space, replay_start)
         synth = system.threads["hwt0"]
+        table = platform.space.page_table
+        synth.mmu.tlb.start_trace(table.asid, 1 << table.config.vpn_bits)
         program = program_for_workload(spec, bound[0].make_kernel,
                                        platform.page_size,
                                        synth.memif.config.max_burst_bytes)
@@ -329,7 +333,7 @@ def run_svm(spec: WorkloadSpec, config: HarnessConfig | None = None,
         svm = _svm_result(system.launch({"hwt0": replay_start(ctx, program)},
                                         pin_all=config.pin_all,
                                         prefetch_pages=config.prefetch_pages))
-        store_class(key, svm, synth.mmu.tlb, bound[0].footprint_bytes)
+        store_class(key, svm, synth.mmu, bound[0].footprint_bytes)
         return svm
 
     return _tiered(tier, blocker, run)

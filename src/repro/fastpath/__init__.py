@@ -21,10 +21,10 @@ answers "can this run replay?" (:func:`svm_replay_blockers` /
 :func:`replay_start` over a :class:`ReplayContext` and a program from
 :func:`program_for_workload` / :func:`program_for_plan`, with
 :func:`replay_space` for each address space and :class:`SliceFeed` to feed
-an adaptive scheduler's slices.  A single-process replay whose TLB never
-dropped an entry is kept for its capacity class, and serves every later
-point of the class whose TLB can hold its translations
-(:func:`repro.fastpath.record.served_result`).
+an adaptive scheduler's slices.  A single-process replay is kept for its
+capacity class with the trace of its TLB's operations and their outcomes,
+and serves every later point of the class whose TLB would give each of
+those outcomes (:func:`repro.fastpath.record.served_result`).
 """
 
 from .engine import (ReplayContext, ReplayFault, ReplayOutput, ReplaySpace,

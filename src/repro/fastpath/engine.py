@@ -17,7 +17,9 @@ table (:data:`_STATS`) sends each counter it keeps in a local into the real
 component's stat group.  The set-associative ASID-tagged TLB state is kept
 in the *real* :class:`~repro.vm.tlb.TLB` object (pre-warmed by any
 host-side pinning touches), manipulated inline with the exact semantics of
-``lookup``/``insert``/``flush``; page-table walks read the real
+``lookup``/``insert``/``flush``, and each inlined lookup, fill and prefetch
+probe is recorded in the TLB's trace when one is running
+(:meth:`~repro.vm.tlb.TLB.start_trace`); page-table walks read the real
 :class:`~repro.vm.pagetable.PageTable` nodes.
 
 Demand faults (a walk that finds the page not present) are serviced the way
@@ -319,7 +321,16 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     tlb_hits = tlb.hits
     tlb_misses = tlb.misses
     tlb_evictions = tlb.evictions
-    from ..vm.tlb import TLBEntry
+    from ..vm.tlb import (TRACE_ABSENT, TRACE_HIT, TRACE_MISS, TRACE_NEW,
+                          TRACE_PRESENT, TRACE_RESIDENT, TLBEntry)
+    # The TLB's operation trace, if one is running in this space: every
+    # inlined lookup, fill and probe appends its code, as TLB.lookup and
+    # TLB.insert do.  A hit is skipped while the trace ends in a hit on the
+    # same page, which ``traced_vpn`` names (-1: it ends in anything else).
+    trace = tlb.trace
+    if trace is not None and tlb.trace_asid != cur_asid:
+        tlb.trace = trace = None
+    traced_vpn = -1
 
     # ----- prefetcher state (mirrors MMU) -------------------------------
     prefetch_depth = mmu.config.prefetch_depth
@@ -517,7 +528,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             bus_grant()
 
     def walk_finish(request: tuple, addresses: list, started_at: int) -> None:
-        nonlocal tlb_evictions, seq, c_walks_done, c_walks_faulted
+        nonlocal tlb_evictions, seq, c_walks_done, c_walks_faulted, traced_vpn
         nonlocal c_walk_cycles, c_refills, c_transactions, c_pf_dropped
         nonlocal c_pf_fills
         nonlocal wl_cnt, wl_tot, wl_min, wl_max, ml_cnt, ml_tot, ml_min, ml_max
@@ -566,6 +577,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         # prefetch tag, a prefetch refresh keeps it.
         tlb_set = tlb_sets[vpn % num_sets]
         resident = tlb_set.get(key)
+        if trace is not None:
+            trace.append(vpn << 3 | (TRACE_NEW if resident is None
+                                     else TRACE_RESIDENT))
+            traced_vpn = -1
         if resident is not None:
             resident.frame = entry.frame
             resident.writable = entry.writable
@@ -615,11 +630,13 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         tlb.evictions = tlb_evictions
 
     def reclaim_tlb() -> None:
-        """Take the TLB state back after real code may have touched it."""
-        nonlocal tlb_hits, tlb_misses, tlb_evictions
+        """Take the TLB state back after real code may have touched it (and
+        appended to its trace)."""
+        nonlocal tlb_hits, tlb_misses, tlb_evictions, traced_vpn
         tlb_hits = tlb.hits
         tlb_misses = tlb.misses
         tlb_evictions = tlb.evictions
+        traced_vpn = -1
 
     def fault(request: tuple, entry) -> None:
         """Mirror of ``MMU._fault`` + ``DemandPagingHandler.handle_fault``."""
@@ -702,7 +719,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         seq += 1
 
     def maybe_prefetch(vpn: int, stride: int) -> None:
-        nonlocal prefetch_score, c_pf_issued
+        nonlocal prefetch_score, c_pf_issued, traced_vpn
         if prefetch_depth <= 0 or prefetch_score < 8:   # SCORE_GATE
             return
         asid = cur_asid
@@ -713,7 +730,12 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             if not 0 <= target < limit:
                 continue
             key = (asid, target)
-            if key in tlb_sets[target % num_sets] or key in prefetches_inflight:
+            present = key in tlb_sets[target % num_sets]
+            if trace is not None:
+                trace.append(target << 3 | (TRACE_PRESENT if present
+                                            else TRACE_ABSENT))
+                traced_vpn = -1
+            if present or key in prefetches_inflight:
                 continue
             prefetches_inflight.add(key)
             prefetch_score -= 1
@@ -730,7 +752,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         prefetched hits and write-protection upgrades; the inlined probe and
         this path must stay semantically identical.
         """
-        nonlocal tlb_hits, tlb_misses, prefetch_score, seq
+        nonlocal tlb_hits, tlb_misses, prefetch_score, seq, traced_vpn
         nonlocal c_translations, c_mmu_hits, c_mmu_misses, c_pf_hits
         vpn = vaddr >> cur_shift
         c_translations += 1
@@ -742,8 +764,14 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             tlb_hits += 1
             if is_lru:
                 tlb_set.move_to_end(key)
+            if trace is not None and vpn != traced_vpn:
+                trace.append(vpn << 3 | TRACE_HIT)
+                traced_vpn = vpn
         else:
             tlb_misses += 1
+            if trace is not None:
+                trace.append(vpn << 3 | TRACE_MISS)
+                traced_vpn = -1
         if entry is not None and (not is_write or entry.writable):
             c_mmu_hits += 1
             if entry.prefetched:
@@ -846,6 +874,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         tlb_hits += 1
                         if is_lru:
                             tlb_set.move_to_end(key)
+                        if trace is not None and vpn != traced_vpn:
+                            trace.append(vpn << 3 | TRACE_HIT)
+                            traced_vpn = vpn
                         c_translations += 1
                         c_mmu_hits += 1
                         push(heap, (now + hit_latency, seq, 1,
@@ -969,6 +1000,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         tlb_hits += 1
                         if is_lru:
                             tlb_set.move_to_end(key)
+                        if trace is not None and vpn != traced_vpn:
+                            trace.append(vpn << 3 | TRACE_HIT)
+                            traced_vpn = vpn
                         c_translations += 1
                         c_mmu_hits += 1
                         push(heap, (now + hit_latency, seq, 1,
@@ -1009,6 +1043,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 # like the generator's switch hook; a positive stall behaves
                 # as a Compute op.
                 space = spaces[op[1]]
+                # A trace covers one address space.
+                tlb.trace = trace = None
                 if ctx.flush_on_switch:
                     for tlb_set in tlb_sets:
                         tlb_set.clear()

@@ -15,38 +15,49 @@ keeps each multi-process run's per-process scheduler inputs
 (:func:`process_inputs`), keyed by spec and page size, so a process's kernel
 is drained once for every run of either tier that schedules it.
 
-It also keeps the result of each single-process replay whose TLB never
-dropped an entry, for its *capacity class*: every point that differs only in
-TLB geometry (:func:`capacity_class`).  Such a TLB only ever holds the
-translations inserted so far, whatever its geometry; the replacement policy
-orders entries and draws random numbers only to pick a victim.  So every
-eviction-free run of a class schedules the same events and ends with the
-same counters and the same resident translations, and a geometry that can
-hold those translations, at most ``ways`` of them in each set, never evicts:
-:func:`served_result` hands it a copy of the stored result.
+It also keeps the result of each single-process replay, with the trace of
+its TLB's operations and their outcomes
+(:meth:`~repro.vm.tlb.TLB.start_trace`), for its *capacity class*: every
+point that differs only in TLB geometry (:func:`capacity_class`).  The
+engine reads the TLB only through those outcomes (a lookup's hit or miss,
+a fill's resident or new entry, a prefetch probe's present or absent key)
+and the fields of present entries, and equal outcomes at every fill keep
+those fields equal.  So a point whose own TLB, run over the trace, gives
+every recorded outcome schedules the stored run's events and ends with its
+counters; only the TLB's evictions and occupancy differ, and the check
+gives both.  :func:`served_result` hands such a point a copy of the stored
+result: when the stored outcomes are those of a TLB that never evicts and
+the point's TLB holds every translation the run inserted, at most ``ways``
+of them in each set, or when a fresh TLB of the point's geometry follows
+the trace.  A class keeps every run it replayed, newest first.
 """
 
 from __future__ import annotations
 
-import copy
+from array import array
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, replace
-from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence,
-                    Sized, Tuple, TypeVar)
+from dataclasses import dataclass, field, replace
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Optional,
+                    Sequence, Sized, Tuple, TypeVar)
 
 from ..exec.keys import stable_key
 from ..hwthread.memif import split_chunks
 from ..sim.process import Operation
 from ..sim.recorder import (KIND_COMPUTE, KIND_FENCE, KIND_MEM, KIND_SWITCH,
                             KIND_YIELD, RecordedStream, TraceRecorder)
+from ..vm.tlb import TLB, TLBConfig
 from .engine import OP_COMPUTE, OP_FENCE, OP_MEM, OP_SWITCH, OP_YIELD
 
 if TYPE_CHECKING:
-    from ..vm.tlb import TLB, TLBConfig
+    from ..vm.mmu import MMU
 
-#: Cache budget in total ops, over programs and process inputs alike: about
-#: 60 MB at the ~230 B/op that the nine default-scale suite programs average
-#: (183k ops, 42.5 MB by tracemalloc), so all nine stay cached together.
+#: Bytes per op in the budget: the nine default-scale suite programs
+#: average ~230 B/op (183k ops, 42.5 MB by tracemalloc).
+_OP_BYTES = 230
+
+#: Cache budget in total ops, over programs, process inputs and capacity
+#: classes alike: about 60 MB, so all nine suite programs stay cached
+#: together.
 _CACHE_OPS = 1 << 18
 
 #: stable_key -> program, process inputs or capacity class, least recently
@@ -55,8 +66,9 @@ _CACHE_OPS = 1 << 18
 _programs: "OrderedDict[str, Sized]" = OrderedDict()
 
 #: Monotonic counters exposed for runner/bench reporting: programs recorded
-#: and reused, and points served from a capacity class.
-record_stats = {"records": 0, "reuses": 0, "served": 0}
+#: and reused, points served from a capacity class, and points whose class
+#: held a stored run their geometry could not reuse, so they replayed.
+record_stats = {"records": 0, "reuses": 0, "served": 0, "refused": 0}
 
 _Entry = TypeVar("_Entry", bound=Sized)
 
@@ -68,9 +80,10 @@ def clear_program_cache() -> None:
 
 
 def _insert(key: str, entry: _Entry) -> _Entry:
-    """Cache ``entry`` under ``key``, evicting least recently used entries
-    until it fits the budget; an entry larger than the budget stays
-    uncached."""
+    """Cache ``entry`` under ``key``, in place of any entry there, evicting
+    least recently used entries until it fits the budget; an entry larger
+    than the budget stays uncached."""
+    _programs.pop(key, None)
     if len(entry) <= _CACHE_OPS:
         held = sum(map(len, _programs.values()))
         while held + len(entry) > _CACHE_OPS:
@@ -187,26 +200,68 @@ def program_for_plan(mp, make_plan: Callable[[], Sequence[tuple]],
 
 @dataclass(slots=True)
 class CapacityClass:
-    """An eviction-free replay's result, kept for its capacity class.
+    """A single-process replay's result and TLB trace, kept for its class
+    with the runs of the class stored before it.
 
-    ``tags`` are the ``(asid, vpn)`` translations its TLB held at the end;
-    ``footprint_bytes`` is the workload's, which sizes an auto-sized TLB.
+    ``tags`` are the VPNs of the translations the run inserted (a trace
+    covers one address space) if every outcome in ``trace`` is the one a
+    TLB that never evicts gives, else ``None``.  ``mmu`` names the MMU
+    whose ``tlb_evictions`` and ``tlb_occupancy`` a served copy takes from
+    its own geometry; ``footprint_bytes`` is the workload's, which sizes an
+    auto-sized TLB.  ``older`` is the class's previous run, or ``None``.
     Its size in the op budget counts one op per statistic and per
-    translation.
+    translation and the trace by its bytes, for this run and every older
+    one.
     """
 
     result: object
-    tags: Tuple[Tuple[int, int], ...]
+    trace: array
+    tags: Optional[Tuple[int, ...]]
+    mmu: str
     footprint_bytes: int
+    older: Optional[CapacityClass] = None
+    size: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.size = (len(self.result.system_result.stats)
+                     + len(self.tags or ())
+                     + -(-len(self.trace) * self.trace.itemsize // _OP_BYTES)
+                     + (0 if self.older is None else self.older.size))
 
     def __len__(self) -> int:
-        return len(self.result.system_result.stats) + len(self.tags)
+        return self.size
 
     def fits(self, tlb: TLBConfig) -> bool:
-        """True if a TLB of ``tlb``'s geometry holds every translation: at
-        most ``ways`` of them index each set."""
-        load = Counter(vpn % tlb.num_sets for _, vpn in self.tags)
+        """True if the run's outcomes are a never-evicting TLB's and a TLB
+        of ``tlb``'s geometry holds every translation it inserted: at most
+        ``ways`` of them index each set."""
+        if self.tags is None:
+            return False
+        load = Counter(vpn % tlb.num_sets for vpn in self.tags)
         return max(load.values(), default=0) <= tlb.ways
+
+    def reuse(self, config: TLBConfig) -> Optional[Tuple[int, int]]:
+        """The evictions and occupancy a TLB of ``config`` ends the run
+        with, if it gives every recorded outcome; else ``None``."""
+        if self.fits(config):
+            return 0, len(self.tags)
+        tlb = TLB(config)
+        if tlb.follow(self.trace):
+            return tlb.evictions, tlb.occupancy
+        return None
+
+
+def _copy(result, stats: Optional[Dict[str, int]] = None):
+    """A copy of a single-process ``result`` that shares no mutable part
+    with it (its ``telemetry`` is ``None``), with ``stats`` overriding its
+    statistics."""
+    system = result.system_result
+    return replace(result, system_result=replace(
+        system,
+        per_thread_fabric_cycles=dict(system.per_thread_fabric_cycles),
+        per_thread_wall_cycles=dict(system.per_thread_wall_cycles),
+        aborted_threads=list(system.aborted_threads),
+        stats={**system.stats, **(stats or {})}))
 
 
 def capacity_class(spec, config) -> str:
@@ -217,25 +272,44 @@ def capacity_class(spec, config) -> str:
         config, tlb_entries=1, tlb_associativity=None, tlb_replacement="lru"))
 
 
-def store_class(key: str, result, tlb: TLB, footprint_bytes: int) -> None:
-    """Keep a copy of a replay's ``result`` under its class ``key`` if its
-    ``tlb`` never evicted, flushed or invalidated an entry."""
-    if tlb.evictions or tlb.flushes or tlb.invalidations:
+def store_class(key: str, result, mmu: MMU, footprint_bytes: int) -> None:
+    """Keep a copy of a replay's ``result`` and its TLB's trace under its
+    class ``key``, if the trace ran to the end (no shootdown or flush).
+
+    A point replays only when no run its class keeps serves it, so the run
+    joins the class in front of the older ones and displaces none: every
+    geometry a stored run serves stays served, whatever the order of a
+    sweep, until the op budget evicts the class.
+    """
+    trace = mmu.tlb.trace
+    if trace is None:
         return
-    tags = tuple(tag for tlb_set in tlb._sets for tag in tlb_set)
-    _insert(key, CapacityClass(copy.deepcopy(result), tags, footprint_bytes))
+    never = TLB(TLBConfig(entries=len(trace) + 1))
+    tags = tuple(never._sets[0]) if never.follow(trace) else None
+    _insert(key, CapacityClass(_copy(result), trace, tags, mmu.name,
+                               footprint_bytes, _programs.get(key)))
 
 
 def served_result(key: str,
                   tlb: Callable[[int], TLBConfig]) -> Optional[object]:
-    """A fresh copy of the result stored under class ``key``, or ``None``.
+    """A fresh copy of a result stored under class ``key``, or ``None``.
 
-    ``tlb(footprint_bytes)`` gives the point's own TLB; the result is served
-    only if that TLB holds the stored translations, so it would not evict.
+    ``tlb(footprint_bytes)`` gives the point's own TLB; a stored run's
+    result is served, newest run first, only if that TLB gives every
+    outcome the run saw, with the point's own ``tlb_evictions`` and
+    ``tlb_occupancy``.  A class whose runs the point cannot reuse counts in
+    ``record_stats["refused"]``.
     """
-    entry = _programs.get(key)
-    if entry is None or not entry.fits(tlb(entry.footprint_bytes)):
+    run = _programs.get(key)
+    if run is None:
         return None
+    config = tlb(run.footprint_bytes)
+    while (reused := run.reuse(config)) is None:
+        run = run.older
+        if run is None:
+            record_stats["refused"] += 1
+            return None
     _programs.move_to_end(key)
     record_stats["served"] += 1
-    return copy.deepcopy(entry.result)
+    return _copy(run.result, {f"{run.mmu}.tlb_evictions": reused[0],
+                              f"{run.mmu}.tlb_occupancy": reused[1]})

@@ -188,11 +188,18 @@ class ResultsStore:
 
         Idempotent per ``(key, git sha)``: recording the same point again at
         the same commit is a no-op, so warm-cache re-runs never duplicate
-        rows.  An inserted row's outcome is also pickled into the value
-        table, under the running code's namespace and replacing the value
-        an older row left there, so the distributed broker can adopt it as
-        a finished result (:meth:`get_value`).
+        rows.  Such a row is looked up first, before anything is built;
+        ``INSERT OR IGNORE`` still settles a race with another writer.  An
+        inserted row's outcome is also pickled into the value table, under
+        the running code's namespace and replacing the value an older row
+        left there, so the distributed broker can adopt it as a finished
+        result (:meth:`get_value`).
         """
+        with self._lock:
+            if self._db.execute(
+                    "SELECT 1 FROM runs WHERE key = ? AND git_sha = ?",
+                    (key, self.sha)).fetchone() is not None:
+                return False
         record = _as_record(outcome, coords)
         try:
             record_json = json.dumps(record, sort_keys=True, default=str)

@@ -10,13 +10,21 @@ Fig. 5 benchmark.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 #: Tag identifying one translation within a set: (asid, vpn).  Entries from
 #: different address spaces never alias, even for the same virtual page.
 TLBKey = Tuple[int, int]
+
+#: Outcomes of a traced operation (:meth:`TLB.start_trace`), which is one
+#: int, ``vpn << 3 | outcome``: a lookup, a fill (``insert``) and a prefetch
+#: probe (``in``), each of an absent or a present page.  The low bit says
+#: whether the page was present.
+(TRACE_MISS, TRACE_HIT, TRACE_NEW, TRACE_RESIDENT, TRACE_ABSENT,
+ TRACE_PRESENT) = range(6)
 
 
 @dataclass(frozen=True)
@@ -89,12 +97,70 @@ class TLB:
         self.misses = 0
         self.evictions = 0
         self.flushes = 0
-        #: Entries dropped by shootdowns.
-        self.invalidations = 0
+        #: Every operation in address space :attr:`trace_asid` since
+        #: :meth:`start_trace` and its outcome, or None (not tracing, or the
+        #: trace ended).
+        self.trace: Optional[array] = None
+        self.trace_asid = 0
 
     # ------------------------------------------------------------ addressing
     def _set_index(self, vpn: int) -> int:
         return vpn % self._num_sets
+
+    # ---------------------------------------------------------------- tracing
+    def start_trace(self, asid: int, vpn_limit: int) -> None:
+        """Record every later lookup, fill and prefetch probe of this empty
+        TLB in address space ``asid`` with its outcome in :attr:`trace`, one
+        int each (see :data:`TRACE_MISS`): 4 bytes when the codes of VPNs
+        below ``vpn_limit`` fit in 31 bits, else 8.
+
+        A lookup hit right after a hit on the same page is not recorded: in
+        every geometry it hits again and changes nothing.  Whoever inlines
+        these operations (the replay engine) records them alike.  A
+        shootdown, a flush or an operation in another address space ends
+        the trace, since :meth:`follow` replays only lookups, fills and
+        probes of one space.
+        """
+        if self.occupancy:
+            raise ValueError("a trace starts from an empty TLB")
+        self.trace = array("i" if vpn_limit <= 1 << 28 else "q")
+        self.trace_asid = asid
+
+    def _record(self, asid: int, code: int) -> None:
+        """Append ``code`` to the running trace (see :meth:`start_trace`)."""
+        if asid != self.trace_asid:
+            self.trace = None
+        elif code & 7 != TRACE_HIT or self.trace[-1] != code:
+            self.trace.append(code)
+
+    def follow(self, trace: Iterable[int]) -> bool:
+        """Apply a recorded ``trace`` to this TLB, operation by operation;
+        True if each has its recorded outcome here.
+
+        Stops at the first that does not.  Fills install bare VPNs, not
+        entries, and evictions follow this TLB's own geometry, policy and
+        RNG, so :attr:`evictions` and :attr:`occupancy` afterwards are those
+        of a run that saw the same outcomes.
+        """
+        sets = self._sets
+        num_sets = self._num_sets
+        ways = self.config.ways
+        is_lru = self.config.replacement == "lru"
+        for code in trace:
+            outcome = code & 7
+            vpn = code >> 3
+            tlb_set = sets[vpn % num_sets]
+            present = vpn in tlb_set
+            if present != outcome & 1:
+                return False
+            if outcome == TRACE_HIT:
+                if is_lru:
+                    tlb_set.move_to_end(vpn)
+            elif outcome == TRACE_NEW:
+                if len(tlb_set) >= ways:
+                    self._evict(tlb_set)
+                tlb_set[vpn] = None
+        return True
 
     # ---------------------------------------------------------------- lookup
     def lookup(self, vpn: int, asid: int = 0) -> Optional[TLBEntry]:
@@ -105,8 +171,12 @@ class TLB:
             self.hits += 1
             if self.config.replacement == "lru":
                 tlb_set.move_to_end((asid, vpn))
+            if self.trace is not None:
+                self._record(asid, vpn << 3 | TRACE_HIT)
             return entry
         self.misses += 1
+        if self.trace is not None:
+            self._record(asid, vpn << 3 | TRACE_MISS)
         return None
 
     def insert(self, vpn: int, frame: int, writable: bool, asid: int = 0,
@@ -121,7 +191,11 @@ class TLB:
         """
         key = (asid, vpn)
         tlb_set = self._sets[self._set_index(vpn)]
-        if key in tlb_set:
+        present = key in tlb_set
+        if self.trace is not None:
+            self._record(asid, vpn << 3 | (TRACE_RESIDENT if present
+                                           else TRACE_NEW))
+        if present:
             entry = tlb_set[key]
             entry.frame = frame
             entry.writable = writable
@@ -160,7 +234,7 @@ class TLB:
             victims = [(asid, vpn)] if (asid, vpn) in tlb_set else []
         for key in victims:
             del tlb_set[key]
-        self.invalidations += len(victims)
+        self.trace = None
         return bool(victims)
 
     def flush(self) -> int:
@@ -169,6 +243,7 @@ class TLB:
         for tlb_set in self._sets:
             tlb_set.clear()
         self.flushes += 1
+        self.trace = None
         return dropped
 
     # ------------------------------------------------------------------ info

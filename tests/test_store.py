@@ -1,5 +1,6 @@
 """Tests for the append-only results store (repro.store)."""
 
+import pickle
 import sqlite3
 from contextlib import closing
 
@@ -107,6 +108,26 @@ def test_record_is_idempotent_per_key_and_sha(tmp_path):
                          clock=lambda: 2_000_000.0)
     assert other.record(key, _outcome(total=101)) is True   # new sha: new row
     assert len(other) == 2
+
+
+def test_a_recorded_key_is_skipped_before_its_row_is_built(tmp_path,
+                                                           monkeypatch):
+    """A second record of the same key and sha returns False before it
+    pickles the outcome (or builds anything else for the row)."""
+    store = _store(tmp_path)
+    key = "a" * 64
+    assert store.record(key, _outcome()) is True
+    pickled = []
+
+    def dumps(*args, **kwargs):
+        pickled.append(args)
+        raise AssertionError("pickled an outcome that is not inserted")
+
+    monkeypatch.setattr(pickle, "dumps", dumps)
+    assert store.record(key, _outcome(total=101)) is False
+    assert pickled == []
+    assert len(store) == 1
+    assert store.get_value(key).total_cycles == 100
 
 
 def test_query_filters(tmp_path):

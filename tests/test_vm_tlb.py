@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.vm.tlb import TLB, TLBConfig
+from repro.vm.tlb import (TLB, TLBConfig, TRACE_ABSENT, TRACE_HIT, TRACE_MISS,
+                          TRACE_NEW, TRACE_PRESENT, TRACE_RESIDENT)
 
 
 def test_miss_then_hit_after_insert():
@@ -244,3 +245,120 @@ def test_mmu_invalidate_passes_asid_through():
     assert (2, 8) in tlb and (1, 8) not in tlb
     assert MMU.invalidate(mmu, 8) is True             # wildcard drops the rest
     assert tlb.occupancy == 0
+
+
+# --------------------------------------------------------------- op traces
+def _outcomes(tlb):
+    """``tlb``'s trace as ``(vpn, outcome)`` pairs."""
+    return [(code >> 3, code & 7) for code in tlb.trace]
+
+
+def test_a_trace_keeps_every_miss_and_drops_a_hit_that_repeats_a_hit():
+    tlb = TLB(TLBConfig(entries=2))
+    tlb.start_trace(asid=0, vpn_limit=16)
+    tlb.lookup(5)
+    tlb.lookup(5)
+    tlb.insert(5, 50, True)
+    tlb.insert(5, 50, True)
+    tlb.lookup(5)
+    tlb.lookup(5)                    # repeats the hit: not recorded
+    tlb.lookup(6)
+    tlb.lookup(5)
+    assert _outcomes(tlb) == [(5, TRACE_MISS), (5, TRACE_MISS), (5, TRACE_NEW),
+                              (5, TRACE_RESIDENT), (5, TRACE_HIT),
+                              (6, TRACE_MISS), (5, TRACE_HIT)]
+    assert tlb.hits == 3 and tlb.misses == 3
+
+
+def test_a_trace_starts_empty_and_ends_outside_its_address_space():
+    """A shootdown, a flush or an operation of another address space ends
+    a trace."""
+    tlb = TLB(TLBConfig(entries=4))
+    tlb.insert(1, 1, True)
+    with pytest.raises(ValueError):
+        tlb.start_trace(asid=0, vpn_limit=16)
+    tlb.flush()
+    tlb.start_trace(asid=0, vpn_limit=16)
+    tlb.invalidate(9)                # dropped nothing, still ends the trace
+    assert tlb.trace is None
+    tlb.start_trace(asid=0, vpn_limit=16)
+    tlb.flush()
+    assert tlb.trace is None
+    tlb.start_trace(asid=1, vpn_limit=16)
+    tlb.insert(1, 1, True, asid=1)
+    tlb.lookup(1, asid=2)
+    assert tlb.trace is None
+    tlb.flush()
+    tlb.start_trace(asid=0, vpn_limit=1 << 28)   # codes fit in 31 bits
+    assert tlb.trace.itemsize == 4
+    tlb.start_trace(asid=0, vpn_limit=1 << 29)
+    assert tlb.trace.itemsize == 8
+
+
+def test_follow_stops_at_a_fill_that_finds_its_page_evicted():
+    """A fill's outcome alone tells the geometries apart: every lookup
+    below hits or misses alike on both TLBs."""
+    big = TLB(TLBConfig(entries=4))
+    big.start_trace(asid=0, vpn_limit=16)
+    for vpn in (1, 2, 3, 1):
+        big.insert(vpn, vpn, True)
+    assert _outcomes(big)[-1] == (1, TRACE_RESIDENT)
+    assert TLB(TLBConfig(entries=3)).follow(big.trace)
+    assert not TLB(TLBConfig(entries=2)).follow(big.trace)
+
+
+def test_follow_stops_at_a_probe_that_finds_its_page_evicted():
+    big = TLB(TLBConfig(entries=4))
+    big.start_trace(asid=0, vpn_limit=16)
+    for vpn in (1, 2, 3):
+        big.insert(vpn, vpn, True)
+    big.trace.append(1 << 3 | TRACE_PRESENT)     # probe of vpn 1
+    assert TLB(TLBConfig(entries=3)).follow(big.trace)
+    small = TLB(TLBConfig(entries=2))
+    assert not small.follow(big.trace)
+    assert small.evictions == 1
+
+
+_ops = st.lists(st.tuples(st.sampled_from(("lookup", "insert", "probe")),
+                          st.integers(0, 11)), max_size=60)
+_geometry = st.tuples(st.sampled_from((1, 2, 3, 4, 6, 8, 12)),
+                      st.sampled_from((None, 1, 2)),
+                      st.sampled_from(("lru", "fifo", "random")))
+
+
+def _traced(geometry, ops):
+    """A TLB of ``geometry`` that ran ``ops`` with a trace, probes encoded
+    as the replay engine records them."""
+    entries, associativity, replacement = geometry
+    if associativity is not None and entries % associativity:
+        associativity = None
+    tlb = TLB(TLBConfig(entries=entries, associativity=associativity,
+                        replacement=replacement))
+    tlb.start_trace(asid=0, vpn_limit=16)
+    for op, vpn in ops:
+        if op == "lookup":
+            tlb.lookup(vpn)
+        elif op == "insert":
+            tlb.insert(vpn, vpn, True)
+        else:
+            tlb.trace.append(vpn << 3 | (TRACE_PRESENT if vpn in tlb
+                                         else TRACE_ABSENT))
+    return tlb
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_ops, recorded=_geometry, other=_geometry)
+def test_property_follow_accepts_exactly_the_geometries_with_equal_outcomes(
+        ops, recorded, other):
+    """A fresh TLB follows a trace iff running the same operations on it
+    records the same trace, and then ends with that run's evictions,
+    occupancy and resident pages, in the same order."""
+    source = _traced(recorded, ops)
+    own = _traced(other, ops)
+    follower = TLB(own.config)
+    assert follower.follow(source.trace) == (own.trace == source.trace)
+    if own.trace == source.trace:
+        assert follower.evictions == own.evictions
+        assert follower.occupancy == own.occupancy
+        assert ([list(s) for s in follower._sets]
+                == [[vpn for _, vpn in s] for s in own._sets])
