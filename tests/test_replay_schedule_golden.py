@@ -5,14 +5,16 @@ tier's, and ``test_fastpath.py::TestReplayEvents`` checks that
 ``ReplayOutput.events`` counts the heap pops.  Neither pins the schedule
 itself: a restructured dispatch loop that pushes one event more, drops one,
 or moves the last one keeps every statistic.  This suite pins ``(events,
-finish, last_cycle)`` of every ``replay_fabric`` call in 32 replay-tier
-runs: fig5's grid at tiny scale, FIFO and random replacement, prefetching,
-operations split into several chunks, more operations in flight than the
-bus lets one master have, demand faults, and a two-process contention under
-a static and an adaptive policy.  Between them they reach every branch of
-the dispatch loop: the bus grant after each event kind, the TLB fill of
-demand and prefetch walks, and the clean-hit probe of the next chunk and of
-a stalled operation.
+finish, last_cycle)`` of every ``replay_fabric`` call in 34 replay-tier
+runs: fig5's grid at tiny scale, matmul and vecadd at default scale with 8
+TLB entries (the deepest event queues of fig5's kernels, so an event
+scheduled last most often meets another event of its cycle there), FIFO and
+random replacement, prefetching, operations split into several chunks, more
+operations in flight than the bus lets one master have, demand faults, and
+a two-process contention under a static and an adaptive policy.  Between
+them they reach every branch of the dispatch loop: the bus grant after each
+event kind, the TLB fill of demand and prefetch walks, and the clean-hit
+probe of the next chunk and of a stalled operation.
 
 Regenerate with ``--update-golden`` (see ``tests/README.md``).
 """
@@ -34,8 +36,8 @@ FIG5_KERNELS = ("vecadd", "matmul", "linked_list", "random_access")
 FIG5_TLB_SIZES = (4, 8, 16, 32, 64, 128)
 
 
-def _svm(kernel, residency=1.0, **config):
-    return lambda: run_svm(workload(kernel, scale="tiny", residency=residency),
+def _svm(kernel, residency=1.0, scale="tiny", **config):
+    return lambda: run_svm(workload(kernel, scale=scale, residency=residency),
                            HarnessConfig(**config), tier="replay")
 
 
@@ -52,6 +54,8 @@ def _contention(policy):
 CASES = {
     **{f"fig5_{kernel}_tlb{entries}": _svm(kernel, tlb_entries=entries)
        for kernel in FIG5_KERNELS for entries in FIG5_TLB_SIZES},
+    "fig5_default_matmul_tlb8": _svm("matmul", scale="default", tlb_entries=8),
+    "fig5_default_vecadd_tlb8": _svm("vecadd", scale="default", tlb_entries=8),
     "random_access_fifo": _svm("random_access", tlb_entries=16,
                                tlb_replacement="fifo"),
     "random_access_random": _svm("random_access", tlb_entries=16,
