@@ -9,9 +9,9 @@ state lives in local variables.
 
 Exactness is by construction, not by approximation: the engine mirrors every
 ``Simulator.schedule`` call the real components would make — same delays,
-same order within an event, same synchronous call chains — so the heap pops
-in the identical order and every counter, stall and completion cycle comes
-out identical to the event tier.  It reads its timing from the real
+same order within an event, same synchronous call chains — so the events
+dispatch in the identical order and every counter, stall and completion
+cycle comes out identical to the event tier.  It reads its timing from the real
 components' configs (thread, memif, MMU, TLB, walker, bus, DRAM), and one
 table (:data:`_STATS`) sends each counter it keeps in a local into the real
 component's stat group.  The set-associative ASID-tagged TLB state is kept
@@ -33,17 +33,18 @@ page, a service that fails, a full handler queue, exhausted retries) raise
 
 Each hot mechanism is written out once.  The bus grant sits at the tail of
 the dispatch loop, where every BUS_FORWARD ends, and DRAM_DONE, BUS_ISSUE
-and WALK_STEP on an idle bus; ``bus_grant`` repeats it only for a walker
-submit, which grants at once, as ``SystemBus.submit`` does.  The clean-hit
-probe sits in ADVANCE and DRAM_DONE, and ``walk_finish`` fills the TLB of
-demand and prefetch walks through one inlined ``TLB.insert``.
+and WALK_STEP on an idle bus; ``bus_grant`` repeats it only for a walk's
+first level, which ``walker_start_next`` submits and which grants at once,
+as ``SystemBus.submit`` does.  The clean-hit probe sits in ADVANCE and
+DRAM_DONE, and ``walk_finish`` fills the TLB of demand and prefetch walks
+through one inlined ``TLB.insert``.
 
 A program may also be fed in pieces: when it runs out at a fence-drained
 instant, the counters so far go into the stat groups and
 ``ReplayContext.refill`` returns the next ops.  Adaptive scheduling uses
 this to let the real scheduler pick each slice from the real telemetry.
 
-Event payloads, by code (the heap pops in ``(cycle, seq)`` order):
+Event payloads, by code (events dispatch in ``(cycle, seq)`` order):
 
 * ``ADVANCE``: ``None``.
 * ``TRANSLATED`` and ``BUS_ISSUE``: the memif's data request
@@ -59,8 +60,13 @@ Event payloads, by code (the heap pops in ``(cycle, seq)`` order):
 * ``FAULT_SERVICE``: ``(handler, state)``; ``FAULT_DONE``: ``(handler,
   state, walk, started, fault_started)``.
 
-Every push takes the next ``seq`` and the loop drains the heap, so the
-final ``seq`` is the number of events popped: ``ReplayOutput.events``.
+The event scheduled last waits in a one-event buffer in front of the heap;
+scheduling another pushes it onto the heap.  Its ``seq`` is the highest of
+any pending event, so it precedes the heap's head exactly when its cycle is
+earlier, and the loop then dispatches it without a push or a pop.  Every
+scheduled event takes the next ``seq``, and the loop runs until the buffer
+and the heap are both empty, so the final ``seq`` is the number of events
+dispatched: ``ReplayOutput.events``.
 """
 
 from __future__ import annotations
@@ -146,21 +152,27 @@ class ReplayOutput:
     All cycle values are relative to the fabric launch (micro-time 0).
     ``finish`` is the thread-completion cycle; ``last_cycle`` is the final
     event (stray prefetch walks may outlive the thread).  ``events`` is the
-    number of events pushed, which the drained heap also popped.
+    number of events scheduled, each dispatched once: ``buffered`` of them
+    straight from the one-event buffer, the rest popped from the heap.
     """
 
     finish: int
     last_cycle: int
     events: int
+    buffered: int
 
 
 _HUGE = 1 << 62
 
 #: Where the loop's statistics go: ``(local, component, stat)``, one row per
-#: stat a local feeds, in the order the stats are first created.  A ``c_``
-#: local is a counter; any other local is the prefix of an accumulator quad
-#: (``<prefix>_cnt``, ``_tot``, ``_min``, ``_max``).  ``{walker}`` and
-#: ``{memif}`` are the bus port names of the thread's walker and memif.
+#: stat a local feeds, in the order the stats are first created.  A local
+#: with an ``_`` feeds a counter (a ``c_`` counter, or a quad's count or
+#: total); any other local is the prefix of an accumulator quad
+#: (``<prefix>_cnt``, ``_tot``, ``_min``, ``_max``).  ``+`` joins locals
+#: whose counts add or whose quads merge: a stat that always equals such a
+#: sum is fed from it rather than counted a second time in the loop.
+#: ``{walker}`` and ``{memif}`` are the bus port names of the thread's walker
+#: and memif.
 _STATS = (
     ("c_compute", "thread", "compute_cycles"),
     ("c_mem_ops", "thread", "mem_ops"),
@@ -169,10 +181,10 @@ _STATS = (
     ("c_memif_ops", "memif", "ops"),
     ("c_memif_bytes", "memif", "bytes"),
     ("c_transactions", "memif", "transactions"),
-    ("c_translations", "mmu", "translations"),
+    ("c_mmu_hits+c_mmu_misses", "mmu", "translations"),  # each hits or misses
     ("c_mmu_hits", "mmu", "tlb_hits"),
     ("c_mmu_misses", "mmu", "tlb_misses"),
-    ("c_refills", "mmu", "tlb_refills"),
+    ("ml_cnt", "mmu", "tlb_refills"),     # a refill ends each demand miss
     ("c_pf_hits", "mmu", "prefetch_hits"),
     ("c_pf_issued", "mmu", "prefetches_issued"),
     ("c_pf_dropped", "mmu", "prefetches_dropped"),
@@ -185,15 +197,16 @@ _STATS = (
     ("fs", "mmu", "fault_service_latency"),
     ("c_walks_req", "walker", "walks_requested"),
     ("c_levels", "walker", "levels_fetched"),
-    ("c_walks_done", "walker", "walks_completed"),
+    ("wl_cnt", "walker", "walks_completed"),
     ("c_walks_faulted", "walker", "walks_faulted"),
-    ("c_walk_cycles", "walker", "walk_cycles"),
+    ("wl_tot", "walker", "walk_cycles"),
     ("wq", "walker", "queue_wait"),
     ("wl", "walker", "walk_latency"),
-    ("c_bus_requests", "bus", "requests"),
+    # Each level fetched is one walker-port bus request.
+    ("c_levels+c_breq_m", "bus", "requests"),
     ("c_busy", "bus", "busy_cycles"),
     ("c_contended", "bus", "contended_grants"),
-    ("c_breq_w", "bus", "requests_from.{walker}"),
+    ("c_levels", "bus", "requests_from.{walker}"),
     ("c_breq_m", "bus", "requests_from.{memif}"),
     ("qw", "bus", "queue_wait"),
     ("blw", "bus", "latency_for.{walker}"),
@@ -206,15 +219,19 @@ _STATS = (
     ("c_writes", "dram", "writes"),
     ("c_bytes_r", "dram", "bytes_read"),
     ("c_bytes_w", "dram", "bytes_written"),
-    ("dl", "dram", "latency"),
+    # The DRAM resets a request's issue cycle, so the bus's ``latency_for``
+    # samples are the DRAM service latencies.  A sample joins the bus quads
+    # when its access completes, not when it starts, which no reader sees:
+    # the loop drains before the last fold, and the telemetry between folds
+    # reads no DRAM stat.
+    ("blw+blm", "dram", "latency"),
 )
 
 #: The locals a fold diffs: each counter, and each quad's count and total
 #: (a quad's minimum and maximum merge as they stand).
 _DIFFED = tuple(dict.fromkeys(
-    name for local, _, _ in _STATS
-    for name in ((local,) if local.startswith("c_")
-                 else (local + "_cnt", local + "_tot"))))
+    name for local, _, _ in _STATS for part in local.split("+")
+    for name in ((part,) if "_" in part else (part + "_cnt", part + "_tot"))))
 
 
 def _fold(sinks: list, names: Dict[str, int], folded: Dict[str, int]) -> None:
@@ -230,14 +247,19 @@ def _fold(sinks: list, names: Dict[str, int], folded: Dict[str, int]) -> None:
     for name in _DIFFED:
         folded[name] = names[name]
     for local, group, stat in sinks:
-        if local.startswith("c_"):
-            if delta[local]:
-                group.counter(stat).inc(delta[local])
-        elif delta[local + "_cnt"]:
+        if "_" in local:
+            step = sum(delta[part] for part in local.split("+"))
+            if step:
+                group.counter(stat).inc(step)
+            continue
+        quads = local.split("+")
+        count = sum(delta[quad + "_cnt"] for quad in quads)
+        if count:
             acc = group.accumulator(stat)
-            acc.count += delta[local + "_cnt"]
-            acc.total += delta[local + "_tot"]
-            low, high = names[local + "_min"], names[local + "_max"]
+            acc.count += count
+            acc.total += sum(delta[quad + "_tot"] for quad in quads)
+            low = min(names[quad + "_min"] for quad in quads)
+            high = max(names[quad + "_max"] for quad in quads)
             if acc.minimum is None or low < acc.minimum:
                 acc.minimum = low
             if acc.maximum is None or high > acc.maximum:
@@ -247,16 +269,20 @@ def _fold(sinks: list, names: Dict[str, int], folded: Dict[str, int]) -> None:
 def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     """Execute a replay program; returns exact counters and completion cycles.
 
-    The heavy lifting is one ``while heap`` loop over integer-coded events.
-    Mutable scalars live in enclosing-scope cells; the hot TLB probe/refill
-    path is inlined against the real TLB's set structures with semantics
-    identical to ``TLB.lookup``/``TLB.insert``.  Counters accumulate in
-    plain locals and are added into the stat groups at the end (and before
-    each ``ctx.refill``); the per-chunk hit path (probe → translated → bus →
-    DRAM → completion) runs entirely inside the dispatch branches without a
-    single helper call: the bus grant runs at the loop's tail, the clean-hit
-    probe in ADVANCE and DRAM_DONE.  Payloads are the requests themselves
-    (see the module docstring), and ``events`` is the push count, ``seq``.
+    The heavy lifting is one dispatch loop over integer-coded events, which
+    takes each event from the one-event buffer ``nxt`` or the heap, testing
+    the event codes from the most frequent down.  Every scheduling site
+    writes its event into ``nxt``, pushing the one already there onto the
+    heap.  Mutable scalars live in enclosing-scope cells; the hot TLB
+    probe/refill path is inlined against the real TLB's set structures with
+    semantics identical to ``TLB.lookup``/``TLB.insert``.  Counters
+    accumulate in plain locals and are added into the stat groups at the end
+    (and before each ``ctx.refill``); the per-chunk hit path (probe →
+    translated → bus → DRAM → completion) runs entirely inside the dispatch
+    branches without a single helper call: the bus grant runs at the loop's
+    tail, the clean-hit probe in ADVANCE and DRAM_DONE.  Payloads are the
+    requests themselves (see the module docstring), and ``events`` is the
+    scheduling count, ``seq``.
     """
     synth = ctx.synth
     platform = ctx.platform
@@ -276,7 +302,11 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     heap: List[tuple] = []
     push = heapq.heappush
     pop = heapq.heappop
+    # The event scheduled last, until it is dispatched or the next one
+    # pushes it onto the heap (None: the buffer is empty).
+    nxt: Optional[tuple] = None
     seq = 0
+    buffered = 0
     now = 0
     # The simulator's cycle at launch is micro-time 0; fault records,
     # ``refill`` and the cycle limit see absolute time.
@@ -385,18 +415,14 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     data_bus_free = 0
 
     # ----- counters, kept in locals until a fold adds them to the groups --
-    c_translations = 0
     c_mmu_hits = 0
     c_mmu_misses = 0
-    c_refills = 0
     c_transactions = 0
     c_mem_ops = 0
     c_mem_bytes = 0
     c_memif_ops = 0
     c_memif_bytes = 0
     c_compute = 0
-    c_bus_requests = 0
-    c_breq_w = 0
     c_breq_m = 0
     c_busy = 0
     c_contended = 0
@@ -408,9 +434,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     c_bytes_w = 0
     c_walks_req = 0
     c_levels = 0
-    c_walks_done = 0
     c_walks_faulted = 0
-    c_walk_cycles = 0
     c_pf_hits = 0
     c_pf_issued = 0
     c_pf_dropped = 0
@@ -422,7 +446,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     qw_cnt = qw_tot = 0; qw_min = _HUGE; qw_max = -1     # bus queue wait
     blw_cnt = blw_tot = 0; blw_min = _HUGE; blw_max = -1  # bus latency (walker)
     blm_cnt = blm_tot = 0; blm_min = _HUGE; blm_max = -1  # bus latency (memif)
-    dl_cnt = dl_tot = 0; dl_min = _HUGE; dl_max = -1      # dram latency
     st_cnt = st_tot = 0; st_min = _HUGE; st_max = -1      # thread stall
     wq_cnt = wq_tot = 0; wq_min = _HUGE; wq_max = -1      # walker queue wait
     wl_cnt = wl_tot = 0; wl_min = _HUGE; wl_max = -1      # walk latency
@@ -439,23 +462,23 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     # ------------------------------------------------------------- helpers
     def bus_grant() -> None:
-        """The loop-tail grant, for ``walk_do``: a walker submit runs inside
-        other events and must grant at once, as ``SystemBus.submit`` does."""
-        nonlocal bus_busy, bus_last, inflight_w, inflight_m, seq
+        """The loop-tail grant, for ``walker_start_next``: a walker submit
+        runs inside other events and must grant at once, as
+        ``SystemBus.submit`` does."""
+        nonlocal bus_busy, bus_last, inflight_w, inflight_m, nxt, seq
         nonlocal c_busy, c_contended, qw_cnt, qw_tot, qw_min, qw_max
-        cand_w = bool(bus_queue_w) and inflight_w < bus_max_inflight
-        cand_m = bool(bus_queue_m) and inflight_m < bus_max_inflight
-        if not (cand_w or cand_m):
+        if bus_queue_w and inflight_w < bus_max_inflight:
+            if bus_queue_m and inflight_m < bus_max_inflight:
+                chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
+                          else rr_hi)
+            else:
+                chosen = walker_master
+        elif bus_queue_m and inflight_m < bus_max_inflight:
+            chosen = memif_master
+        else:
             bus_busy = False
             return
         bus_busy = True
-        if cand_w and cand_m:
-            chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
-                      else rr_hi)
-        elif cand_w:
-            chosen = walker_master
-        else:
-            chosen = memif_master
         bus_last = chosen
         if chosen == walker_master:
             payload, issued = bus_queue_w.popleft()
@@ -477,7 +500,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             beats = 1
         occupancy = addr_phase + beats
         c_busy += occupancy
-        push(heap, (now + occupancy, seq, 3, payload))      # BUS_FORWARD
+        if nxt is not None:
+            push(heap, nxt)
+        nxt = (now + occupancy, seq, 3, payload)            # BUS_FORWARD
         seq += 1
 
     # Walk request tuples: demand -> (0, vpn, space, issue_payload, started,
@@ -492,6 +517,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     def walker_start_next() -> None:
         nonlocal walker_busy, wq_cnt, wq_tot, wq_min, wq_max
+        nonlocal c_levels
         if not walk_queue:
             walker_busy = False
             return
@@ -509,28 +535,17 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         if addresses is None:
             addresses = request[2].page_table.walk_addresses(request[1])
             wa_cache[wa_key] = addresses
-        walk_do(request, addresses, 0, now)
-
-    def walk_do(request: tuple, addresses: list, level: int,
-                started_at: int) -> None:
-        nonlocal c_levels, c_bus_requests, c_breq_w
-        if level >= len(addresses):
-            walk_finish(request, addresses, started_at)
-            return
+        # The first level's walker-port bus submit, inlined (a walk reads at
+        # least the root's slot; WALK_STEP submits the later levels).
         c_levels += 1
-        # Walker-port bus submit, inlined.
-        c_bus_requests += 1
-        c_breq_w += 1
-        bus_queue_w.append(((_REQ_WALK, addresses[level],
-                             request[2].pte_bytes, False, request, addresses,
-                             level, started_at), now))
+        bus_queue_w.append(((_REQ_WALK, addresses[0], request[2].pte_bytes,
+                             False, request, addresses, 0, now), now))
         if not bus_busy:
             bus_grant()
 
     def walk_finish(request: tuple, addresses: list, started_at: int) -> None:
-        nonlocal tlb_evictions, seq, c_walks_done, c_walks_faulted, traced_vpn
-        nonlocal c_walk_cycles, c_refills, c_transactions, c_pf_dropped
-        nonlocal c_pf_fills
+        nonlocal tlb_evictions, nxt, seq, c_walks_faulted, traced_vpn
+        nonlocal c_transactions, c_pf_dropped, c_pf_fills
         nonlocal wl_cnt, wl_tot, wl_min, wl_max, ml_cnt, ml_tot, ml_min, ml_max
         req_space = request[2]
         vpn = request[1]
@@ -543,8 +558,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         else:
             entry = None
         wc = now - started_at
-        c_walks_done += 1
-        c_walk_cycles += wc
         wl_cnt += 1
         wl_tot += wc
         if wc < wl_min:
@@ -604,7 +617,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             resident.prefetch_stride = stride
             c_pf_fills += 1
         else:
-            c_refills += 1
             issue_payload = request[3]    # (offset, size, is_write, chunks, i)
             if issue_payload[2]:
                 entry.dirty = True
@@ -617,9 +629,11 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 ml_max = miss
             paddr = entry.frame * req_space.page_size + issue_payload[0]
             c_transactions += 1
-            push(heap, (now + issue_latency, seq, 2,      # BUS_ISSUE
-                        (_REQ_DATA, paddr, issue_payload[1], issue_payload[2],
-                         issue_payload[3], issue_payload[4])))
+            if nxt is not None:
+                push(heap, nxt)
+            nxt = (now + issue_latency, seq, 2,           # BUS_ISSUE
+                   (_REQ_DATA, paddr, issue_payload[1], issue_payload[2],
+                    issue_payload[3], issue_payload[4]))
             seq += 1
         walker_start_next()
 
@@ -640,7 +654,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     def fault(request: tuple, entry) -> None:
         """Mirror of ``MMU._fault`` + ``DemandPagingHandler.handle_fault``."""
-        nonlocal seq, c_faults
+        nonlocal nxt, seq, c_faults
         vpn = request[1]
         if entry is None or entry.present:
             raise ReplayFault(
@@ -674,15 +688,17 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         state[0].append((record, request, now))
         if not state[1]:
             state[1] = True
-            push(heap, (now + handler.config.interrupt_latency, seq, 6,
-                        (handler, state)))                # FAULT_SERVICE
+            if nxt is not None:
+                push(heap, nxt)
+            nxt = (now + handler.config.interrupt_latency, seq, 6,
+                   (handler, state))                      # FAULT_SERVICE
             seq += 1
 
     def fault_service(handler, state: list) -> None:
         """Mirror of ``DemandPagingHandler._service_next``: the real
         ``_resolve`` allocates the frame, sets the PTE present and, with a
         host-shared TLB, probes and refills it."""
-        nonlocal seq
+        nonlocal nxt, seq
         if not state[0]:
             state[1] = False
             return
@@ -695,15 +711,17 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 f"{handler.name} could not resolve the fault at "
                 f"{record.vaddr:#x} (out of frames?); the thread aborts, "
                 "which only the event tier models")
-        push(heap, (now + handler.config.service_cycles + extra, seq, 7,
-                    (handler, state, request, now, fault_started)))  # DONE
+        if nxt is not None:
+            push(heap, nxt)
+        nxt = (now + handler.config.service_cycles + extra, seq, 7,
+               (handler, state, request, now, fault_started))  # FAULT_DONE
         seq += 1
 
     def fault_done(handler, state: list, request: tuple, started: int,
                    fault_started: int) -> None:
         """The service's ``finish``: the MMU resumes and re-walks in the
         active space, one retry spent; the handler takes its next fault."""
-        nonlocal seq, fs_cnt, fs_tot, fs_min, fs_max
+        nonlocal nxt, seq, fs_cnt, fs_tot, fs_min, fs_max
         handler.sample("service_latency", now - started)
         handler.count("faults_resolved")
         latency = now - fault_started
@@ -715,7 +733,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             fs_max = latency
         walker_walk((_REQ_DATA, request[1], space, request[3], request[4],
                      now, request[6] - 1))
-        push(heap, (now, seq, 6, (handler, state)))      # FAULT_SERVICE
+        if nxt is not None:
+            push(heap, nxt)
+        nxt = (now, seq, 6, (handler, state))            # FAULT_SERVICE
         seq += 1
 
     def maybe_prefetch(vpn: int, stride: int) -> None:
@@ -743,27 +763,23 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             walker_walk((_REQ_WALK, target, space_now, (key, stride), 0, now))
 
     def translate(vaddr: int, size: int, is_write: bool, chunks: list,
-                  index: int) -> None:
+                  index: int, vpn: int, entry) -> None:
         """Mirror of ``MMU.translate`` + the memif issue that follows a hit.
 
         The dispatch loop inlines the clean-hit fast path at its two issue
         sites, ADVANCE (an op's first chunk) and DRAM_DONE (the next chunk,
         or a stalled op's first), and calls in here only for misses,
-        prefetched hits and write-protection upgrades; the inlined probe and
-        this path must stay semantically identical.
+        prefetched hits and write-protection upgrades, with the entry its
+        probe found for ``vpn`` (None: a miss); the inlined probe and this
+        path must stay semantically identical.
         """
-        nonlocal tlb_hits, tlb_misses, prefetch_score, seq, traced_vpn
-        nonlocal c_translations, c_mmu_hits, c_mmu_misses, c_pf_hits
-        vpn = vaddr >> cur_shift
-        c_translations += 1
-        # TLB.lookup, inlined.
-        tlb_set = tlb_sets[vpn % num_sets]
-        key = (cur_asid, vpn)
-        entry = tlb_set.get(key)
+        nonlocal tlb_hits, tlb_misses, prefetch_score, nxt, seq, traced_vpn
+        nonlocal c_mmu_hits, c_mmu_misses, c_pf_hits, c_walks_req
+        # The rest of TLB.lookup, inlined.
         if entry is not None:
             tlb_hits += 1
             if is_lru:
-                tlb_set.move_to_end(key)
+                tlb_sets[vpn % num_sets].move_to_end((cur_asid, vpn))
             if trace is not None and vpn != traced_vpn:
                 trace.append(vpn << 3 | TRACE_HIT)
                 traced_vpn = vpn
@@ -779,16 +795,21 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 c_pf_hits += 1
                 prefetch_score = min(31, prefetch_score + 4)  # MAX, HIT_BONUS
                 maybe_prefetch(vpn, entry.prefetch_stride)
-            push(heap, (now + hit_latency, seq, 1,            # TRANSLATED
-                        (_REQ_DATA,
-                         (entry.frame << cur_shift) | (vaddr & cur_mask),
-                         size, is_write, chunks, index)))
+            if nxt is not None:
+                push(heap, nxt)
+            nxt = (now + hit_latency, seq, 1,                 # TRANSLATED
+                   (_REQ_DATA, (entry.frame << cur_shift) | (vaddr & cur_mask),
+                    size, is_write, chunks, index))
             seq += 1
             return
         c_mmu_misses += 1
-        walker_walk((_REQ_DATA, vpn, space,
-                     (vaddr & cur_mask, size, is_write, chunks, index),
-                     now, now, max_retries))
+        # The demand walk, queued as ``walker_walk`` queues one.
+        c_walks_req += 1
+        walk_queue.append((_REQ_DATA, vpn, space,
+                           (vaddr & cur_mask, size, is_write, chunks, index),
+                           now, now, max_retries))
+        if not walker_busy:
+            walker_start_next()
         if prefetch_depth <= 0:
             return          # the stride history feeds only the prefetcher
         # _miss_stride: continue the closest recent stream, else next-page.
@@ -802,23 +823,63 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         maybe_prefetch(vpn, stride)
 
     # ------------------------------------------------------------ main loop
-    push(heap, (thread_cfg.start_latency, seq, 0, None))      # ADVANCE
+    nxt = (thread_cfg.start_latency, seq, 0, None)             # ADVANCE
     seq += 1
 
-    while heap:
-        now, _, code, payload = pop(heap)
+    while True:
+        if nxt is not None and (not heap or nxt < heap[0]):
+            now, _, code, payload = nxt
+            nxt = None
+            buffered += 1
+        elif heap:
+            now, _, code, payload = pop(heap)
+        else:
+            break
         if now > limit:
             raise SimulationError(
                 f"simulation exceeded max_cycles={max_cycles} "
                 f"(next event at {clock_base + now})")
 
-        if code == 1:                   # _EV_TRANSLATED
-            # Hit latency elapsed -> memif.issue(): one transaction.  The
-            # payload is already in BUS_ISSUE form.
-            c_transactions += 1
-            push(heap, (now + issue_latency, seq, 2, payload))
+        # The event codes, from the most frequent down.
+        if code == 3:                   # _EV_BUS_FORWARD -> DRAM access
+            addr = payload[1]
+            size = payload[2]
+            bank = (addr // row_bytes) % num_banks
+            start = now + controller
+            free_at = bank_free[bank]
+            if free_at > start:
+                start = free_at
+            row = addr // row_span
+            if open_rows[bank] == row:
+                latency = row_hit_lat
+                c_row_hits += 1
+            else:
+                latency = row_miss_lat
+                open_rows[bank] = row
+                c_row_misses += 1
+            transfer = (size + dram_bpc - 1) // dram_bpc
+            if transfer < 1:
+                transfer = 1
+            data_start = start + latency
+            if data_bus_free > data_start:
+                data_start = data_bus_free
+            finish_at = data_start + transfer
+            if payload[3]:
+                finish_at += write_penalty
+                c_writes += 1
+                c_bytes_w += size
+            else:
+                c_reads += 1
+                c_bytes_r += size
+            bank_free[bank] = finish_at
+            data_bus_free = data_start + transfer
+            # The payload carries the DRAM service latency to the bus's
+            # ``latency_for`` sample.
+            if nxt is not None:
+                push(heap, nxt)
+            nxt = (finish_at, seq, 4, (payload, finish_at - now))
             seq += 1
-            continue
+            # The occupancy window closed: grant the next request or idle.
         elif code == 4:                 # _EV_DRAM_DONE
             # The request's kind names its port: data -> memif, walk ->
             # walker.
@@ -856,7 +917,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         chunks = None
                         if waiting_fence and outstanding == 0:
                             waiting_fence = False
-                            push(heap, (now, seq, 0, None))   # ADVANCE
+                            if nxt is not None:
+                                push(heap, nxt)
+                            nxt = (now, seq, 0, None)           # ADVANCE
                             seq += 1
                         elif exhausted and outstanding == 0 and finish < 0:
                             finish = now
@@ -877,19 +940,23 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         if trace is not None and vpn != traced_vpn:
                             trace.append(vpn << 3 | TRACE_HIT)
                             traced_vpn = vpn
-                        c_translations += 1
                         c_mmu_hits += 1
-                        push(heap, (now + hit_latency, seq, 1,
-                                    (_REQ_DATA,
-                                     (entry.frame << cur_shift)
-                                     | (vaddr & cur_mask),
-                                     size, is_write, chunks, index)))
+                        if nxt is not None:
+                            push(heap, nxt)
+                        nxt = (now + hit_latency, seq, 1,
+                               (_REQ_DATA,
+                                (entry.frame << cur_shift)
+                                | (vaddr & cur_mask),
+                                size, is_write, chunks, index))
                         seq += 1
                     else:
-                        translate(vaddr, size, is_write, chunks, index)
+                        translate(vaddr, size, is_write, chunks, index, vpn,
+                                  entry)
                     if not index:
                         # The released op is in flight; the thread advances.
-                        push(heap, (now, seq, 0, None))       # ADVANCE
+                        if nxt is not None:
+                            push(heap, nxt)
+                        nxt = (now, seq, 0, None)               # ADVANCE
                         seq += 1
             else:
                 inflight_w -= 1
@@ -899,62 +966,16 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     blw_min = service
                 if service > blw_max:
                     blw_max = service
-                push(heap, (now + per_level_overhead, seq, 5,  # WALK_STEP
-                            request))
+                if nxt is not None:
+                    push(heap, nxt)
+                nxt = (now + per_level_overhead, seq, 5, request)  # WALK_STEP
                 seq += 1
             if bus_busy:
                 continue
-        elif code == 2:                 # _EV_BUS_ISSUE (memif-port submit)
-            c_bus_requests += 1
-            c_breq_m += 1
-            bus_queue_m.append((payload, now))
-            if bus_busy:
-                continue
-        elif code == 3:                 # _EV_BUS_FORWARD -> DRAM access
-            addr = payload[1]
-            size = payload[2]
-            bank = (addr // row_bytes) % num_banks
-            start = now + controller
-            free_at = bank_free[bank]
-            if free_at > start:
-                start = free_at
-            row = addr // row_span
-            if open_rows[bank] == row:
-                latency = row_hit_lat
-                c_row_hits += 1
-            else:
-                latency = row_miss_lat
-                open_rows[bank] = row
-                c_row_misses += 1
-            transfer = (size + dram_bpc - 1) // dram_bpc
-            if transfer < 1:
-                transfer = 1
-            data_start = start + latency
-            if data_bus_free > data_start:
-                data_start = data_bus_free
-            finish_at = data_start + transfer
-            if payload[3]:
-                finish_at += write_penalty
-                c_writes += 1
-                c_bytes_w += size
-            else:
-                c_reads += 1
-                c_bytes_r += size
-            bank_free[bank] = finish_at
-            data_bus_free = data_start + transfer
-            # The DRAM resets the request's issue cycle, so the bus's
-            # ``latency_for`` sample equals the DRAM service latency.
-            service = finish_at - now
-            dl_cnt += 1
-            dl_tot += service
-            if service < dl_min:
-                dl_min = service
-            if service > dl_max:
-                dl_max = service
-            push(heap, (finish_at, seq, 4, (payload, service)))
-            seq += 1
-            # The occupancy window closed: grant the next request or idle.
         elif code == 0:                 # _EV_ADVANCE
+            # The thread runs ops until one waits; ``wake`` is the cycle of
+            # its next advance (None: a completion wakes it).
+            wake = None
             while True:
                 if pc >= nops:
                     if refill is not None:
@@ -1003,41 +1024,40 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         if trace is not None and vpn != traced_vpn:
                             trace.append(vpn << 3 | TRACE_HIT)
                             traced_vpn = vpn
-                        c_translations += 1
                         c_mmu_hits += 1
-                        push(heap, (now + hit_latency, seq, 1,
-                                    (_REQ_DATA,
-                                     (entry.frame << cur_shift)
-                                     | (vaddr & cur_mask),
-                                     size, is_write, chunks, 0)))
+                        if nxt is not None:
+                            push(heap, nxt)
+                        nxt = (now + hit_latency, seq, 1,
+                               (_REQ_DATA,
+                                (entry.frame << cur_shift)
+                                | (vaddr & cur_mask),
+                                size, is_write, chunks, 0))
                         seq += 1
                     else:
-                        translate(vaddr, size, is_write, chunks, 0)
-                    if heap and heap[0][0] == now:
+                        translate(vaddr, size, is_write, chunks, 0, vpn, entry)
+                    if ((nxt is not None and nxt[0] == now)
+                            or (heap and heap[0][0] == now)):
                         # Another event fires this cycle before the thread's
-                        # zero-delay advance would pop; defer via the heap to
+                        # zero-delay advance would; defer behind it to
                         # preserve the event order.
-                        push(heap, (now, seq, 0, None))       # ADVANCE
-                        seq += 1
+                        wake = now
                         break
                     continue
                 if kind == OP_COMPUTE:
                     c_compute += op[1]
-                    push(heap, (now + op[1], seq, 0, None))
-                    seq += 1
+                    wake = now + op[1]
                     break
                 if kind == OP_FENCE:
                     if outstanding == 0:
-                        if heap and heap[0][0] == now:
-                            push(heap, (now, seq, 0, None))
-                            seq += 1
+                        if ((nxt is not None and nxt[0] == now)
+                                or (heap and heap[0][0] == now)):
+                            wake = now
                             break
                         continue
                     waiting_fence = True
                     break
                 if kind == OP_YIELD:
-                    push(heap, (now + 1, seq, 0, None))
-                    seq += 1
+                    wake = now + 1
                     break
                 # OP_SWITCH: runs inside this advance and charges the kernel,
                 # like the generator's switch hook; a positive stall behaves
@@ -1061,12 +1081,16 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 stall = platform.kernel.cost_context_switch()
                 if stall > 0:
                     c_compute += stall
-                    push(heap, (now + stall, seq, 0, None))
-                    seq += 1
+                    wake = now + stall
                     break
                 # zero-stall switch: fall through to the next program op
+            if wake is not None:
+                if nxt is not None:
+                    push(heap, nxt)
+                nxt = (wake, seq, 0, None)
+                seq += 1
             continue
-        elif code == 5:                 # _EV_WALK_STEP (walk_do inlined)
+        elif code == 5:                 # _EV_WALK_STEP
             # The payload is the walker's bus request for the level just
             # fetched; the walk moves on to the next one.
             _, _, pte_bytes, _, request, addresses, level, started_at = payload
@@ -1075,13 +1099,25 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 walk_finish(request, addresses, started_at)
                 continue
             c_levels += 1
-            c_bus_requests += 1
-            c_breq_w += 1
             bus_queue_w.append(((_REQ_WALK, addresses[level], pte_bytes,
                                  False, request, addresses, level,
                                  started_at), now))
             if bus_busy:
                 continue
+        elif code == 2:                 # _EV_BUS_ISSUE (memif-port submit)
+            c_breq_m += 1
+            bus_queue_m.append((payload, now))
+            if bus_busy:
+                continue
+        elif code == 1:                 # _EV_TRANSLATED
+            # Hit latency elapsed -> memif.issue(): one transaction.  The
+            # payload is already in BUS_ISSUE form.
+            c_transactions += 1
+            if nxt is not None:
+                push(heap, nxt)
+            nxt = (now + issue_latency, seq, 2, payload)
+            seq += 1
+            continue
         elif code == 6:                 # _EV_FAULT_SERVICE
             fault_service(*payload)
             continue
@@ -1091,19 +1127,18 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
         # Bus grant: every BUS_FORWARD falls through to here, and DRAM_DONE,
         # BUS_ISSUE and WALK_STEP on an idle bus; every other event continues.
-        cand_w = bus_queue_w and inflight_w < bus_max_inflight
-        cand_m = bus_queue_m and inflight_m < bus_max_inflight
-        if not (cand_w or cand_m):
+        if bus_queue_w and inflight_w < bus_max_inflight:
+            if bus_queue_m and inflight_m < bus_max_inflight:
+                chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
+                          else rr_hi)
+            else:
+                chosen = walker_master
+        elif bus_queue_m and inflight_m < bus_max_inflight:
+            chosen = memif_master
+        else:
             bus_busy = False
             continue
         bus_busy = True
-        if cand_w and cand_m:
-            chosen = (rr_lo if (bus_last < rr_lo or bus_last >= rr_hi)
-                      else rr_hi)
-        elif cand_w:
-            chosen = walker_master
-        else:
-            chosen = memif_master
         bus_last = chosen
         if chosen == walker_master:
             gpayload, issued = bus_queue_w.popleft()
@@ -1125,7 +1160,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             beats = 1
         occupancy = addr_phase + beats
         c_busy += occupancy
-        push(heap, (now + occupancy, seq, 3, gpayload))        # BUS_FORWARD
+        if nxt is not None:
+            push(heap, nxt)
+        nxt = (now + occupancy, seq, 3, gpayload)              # BUS_FORWARD
         seq += 1
 
     if finish < 0:
@@ -1135,6 +1172,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     lend_tlb()
     _fold(sinks, locals(), folded)
-    # Every push is followed by ``seq += 1`` and the loop drains the heap,
-    # so the pushes counted by ``seq`` are the events popped.
-    return ReplayOutput(finish=finish, last_cycle=now, events=seq)
+    # Every scheduled event takes the next ``seq`` and is dispatched once,
+    # from the buffer or the heap, and both are empty now: ``seq`` counts
+    # the events dispatched.
+    return ReplayOutput(finish=finish, last_cycle=now, events=seq,
+                        buffered=buffered)

@@ -12,6 +12,7 @@ import dataclasses
 import heapq
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.fastpath.record import clear_program_cache, record_stats
 from repro.fastpath.replay import (TierUnavailable, mp_replay_blockers,
                                    svm_replay_blockers)
 from repro.os.fault_handler import FaultHandlerConfig
+from repro.sim.engine import SimulationError
 from repro.sim.process import Access, Burst, Compute, Fence, Yield
 from repro.sim.recorder import (KIND_COMPUTE, KIND_FENCE, KIND_MEM,
                                 KIND_YIELD, TraceRecorder,
@@ -273,16 +275,26 @@ class TestTierPlumbing:
 # Replay engine
 # ---------------------------------------------------------------------------
 class TestReplayEvents:
-    """``ReplayOutput.events`` is the number of events the engine popped."""
+    """Every event the engine schedules is dispatched exactly once.
+
+    ``ReplayOutput.events`` counts the scheduled events; ``buffered`` of them
+    leave straight from the one-event buffer and the rest through the heap,
+    which must drain: every push is popped.
+    """
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Count the engine's heap pops and keep each ``ReplayOutput``."""
+        """Count the engine's heap pushes and pops and keep each
+        ``ReplayOutput``."""
+        pushes = []
         pops = []
         outputs = []
 
         class CountingHeapq:
-            heappush = staticmethod(heapq.heappush)
+            @staticmethod
+            def heappush(heap, item):
+                pushes.append(None)
+                heapq.heappush(heap, item)
 
             @staticmethod
             def heappop(heap):
@@ -295,27 +307,57 @@ class TestReplayEvents:
 
         monkeypatch.setattr(engine, "heapq", CountingHeapq)
         monkeypatch.setattr(replay, "replay_fabric", replay_fabric)
-        return pops, outputs
+        return pushes, pops, outputs
+
+    @staticmethod
+    def assert_dispatched_once(pushes, pops, outputs):
+        [out] = outputs
+        assert len(pushes) == len(pops) > 0
+        assert out.buffered > 0
+        assert out.events == len(pops) + out.buffered
 
     def test_single_process_walks(self, counted):
-        pops, outputs = counted
         result = run_svm(workload("random_access", scale="tiny"),
                          HarnessConfig(tlb_entries=16), tier="replay")
         assert result.tier == "replay"
         assert result.walks > 0
-        assert [out.events for out in outputs] == [len(pops)]
-        assert len(pops) > 0
+        self.assert_dispatched_once(*counted)
 
     def test_adaptive_multiprocess_refills(self, counted):
-        pops, outputs = counted
         mp = contention(["vecadd"] * 2, scale="tiny", quantum=2000,
                         policy="adaptive-fault", residency=0.5, n=1024)
         result = run_multiprocess(mp, HarnessConfig(tlb_entries=32),
                                   tier="replay")
         assert result.tier == "replay"
         assert result.telemetry.num_epochs > 1
-        assert [out.events for out in outputs] == [len(pops)]
-        assert len(pops) > 0
+        self.assert_dispatched_once(*counted)
+
+
+class TestCycleLimit:
+    """The replay tier stops at ``max_cycles`` where the event tier does.
+
+    Tiny linked_list chases one pointer at a time, so its events leave one
+    by one from the one-event buffer, the one past the limit included.  It
+    finishes at cycle 41,190.
+    """
+
+    @pytest.mark.parametrize("tier", ["replay", "event", "auto"])
+    def test_an_event_past_the_limit_raises(self, tier):
+        clear_program_cache()
+        config = HarnessConfig(platform=PlatformConfig(max_cycles=20_595))
+        with pytest.raises(SimulationError, match=re.escape(
+                "simulation exceeded max_cycles=20595 "
+                "(next event at 20610)")):
+            run_svm(workload("linked_list", scale="tiny"), config, tier=tier)
+
+    @pytest.mark.parametrize("tier", ["replay", "event", "auto"])
+    def test_a_run_that_ends_at_the_limit_completes(self, tier):
+        clear_program_cache()
+        config = HarnessConfig(platform=PlatformConfig(max_cycles=41_190))
+        result = run_svm(workload("linked_list", scale="tiny"), config,
+                         tier=tier)
+        assert result.tier == ("event" if tier == "event" else "replay")
+        assert result.total_cycles == 41_190
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Golden data: the replay engine's schedule, run by run.
 
 The differential suite compares the replay tier's statistics with the event
-tier's, and ``test_fastpath.py::TestReplayEvents`` checks that
-``ReplayOutput.events`` counts the heap pops.  Neither pins the schedule
+tier's, and ``test_fastpath.py::TestReplayEvents`` checks that every event
+``ReplayOutput.events`` counts is dispatched once.  Neither pins the schedule
 itself: a restructured dispatch loop that pushes one event more, drops one,
 or moves the last one keeps every statistic.  This suite pins ``(events,
 finish, last_cycle)`` of every ``replay_fabric`` call in 34 replay-tier
